@@ -9,7 +9,15 @@ A trip is assembled from two ingredient types:
   dimensionless duration u or for an inertial coast of angle theta.
 
 The basic one-way trip is J^-1 P(u) J: match onto the accelerated basis,
-evolve, match back.  Everything composes through the second-order algebra in
+evolve, match back.  Sweeps need it on a whole grid of u, so
+:func:`trip_stack` assembles the trip orders for a block of u values at once,
+as (3, len(u), n, n) order stacks written directly in the junction orders
+(the junction's zeroth order is exactly the identity, so only the products
+of two first-order blocks cost n^3), and runs the trip identity gate on the
+whole stack.  :func:`one_way_trip` is the same code for a single u.  Callers
+walk a grid in chunks of :func:`chunk_length` points, serially: one chunk's
+stacks fit in a few MiB whatever n is.  Longer chains (coast and arc
+segments) compose through the second-order algebra in
 :mod:`cavityent.bogoliubov`.
 """
 
@@ -23,11 +31,20 @@ from .bogoliubov import (
     FermionBogoliubov,
     check_identities,
     compose,
-    invert,
 )
-from .series import H2Matrix
+from .series import H2Matrix, diagonal_stack
 
 DEFAULT_LADDER = oracles.geometric_ladder(top=0.02, count=4)
+
+# Byte bound on one (3, chunk, n, n) complex order stack.  Assembly, the
+# gate and the closed series hold about a dozen arrays of that size at once
+# (trip orders, block products, windowed gate products, pair matrices).  On
+# a 101-point grid, unchunked stacks would add hundreds of MiB of peak
+# memory at n = 224, and even 4 MiB stacks raised a cold fig1a sweep's peak
+# RSS from 89 to 98 MiB.  At 1 MiB a chunk fits in memory the junction build
+# has already released, and the sweep is as fast as with larger chunks:
+# 13 u values per chunk at n = 40, 3 at n = 80, 1 from n = 105 on.
+STACK_BYTES = 1 << 20
 
 _cache: dict[tuple, object] = {}
 
@@ -108,13 +125,26 @@ def build_junction(species: str, n_max: int, ladder=None):
     return result
 
 
+def chunk_length(species: str, n_max: int) -> int:
+    """Grid points per trip stack, so that one order stack stays within STACK_BYTES."""
+    n = n_max if species == "boson" else 2 * n_max
+    return max(1, STACK_BYTES // (3 * n * n * np.dtype(complex).itemsize))
+
+
+def _accelerated_phase_vector(species: str, n_max: int, u) -> np.ndarray:
+    """Phases exp(-i omega_m u) of every mode, shape u.shape + (n,)."""
+    u = np.asarray(u, dtype=float)[..., None]
+    if species == "boson":
+        return np.exp(-2j * np.pi * boson_modes(n_max) * u)
+    return np.exp(-2j * np.pi * (fermion_modes(n_max) + 0.5) * u)
+
+
 def accelerated_phases(species: str, n_max: int, u: float):
     """Free evolution in the accelerated basis for dimensionless duration u."""
+    phases = _accelerated_phase_vector(species, n_max, u)
     if species == "boson":
-        modes = boson_modes(n_max)
-        return BosonBogoliubov.from_phases(modes, np.exp(-2j * np.pi * modes * u))
-    modes = fermion_modes(n_max)
-    return FermionBogoliubov.from_phases(modes, np.exp(-2j * np.pi * (modes + 0.5) * u))
+        return BosonBogoliubov.from_phases(boson_modes(n_max), phases)
+    return FermionBogoliubov.from_phases(fermion_modes(n_max), phases)
 
 
 def coast_phases(species: str, n_max: int, theta: float):
@@ -126,18 +156,75 @@ def coast_phases(species: str, n_max: int, theta: float):
     return FermionBogoliubov.from_phases(modes, np.exp(-1j * (modes + 0.5) * theta))
 
 
+def trip_stack(species: str, n_max: int, u, gate_tol: float = 5e-8):
+    """One-way trips J^-1 P(u) J for every u in ``u``, to second order.
+
+    ``u`` may be a scalar or an array; the result's matrices have shape
+    (3,) + u.shape + (n, n).  With G = diag(phases(u)) and junction orders
+    J1, J2 (fermions) or alpha1, alpha2, beta1, beta2 (bosons), the orders are
+
+    * fermions: G, J1^+ G + G J1, J2^+ G + J1^+ G J1 + G J2;
+    * bosons: alpha = G, alpha1^+ G + G alpha1,
+      alpha2^+ G + alpha1^+ G alpha1 + G alpha2 - beta1^T conj(G beta1), and
+      beta = 0, G beta1 - beta1^T conj(G),
+      G beta2 + alpha1^+ G beta1 - beta2^T conj(G) - beta1^T conj(G alpha1).
+
+    This is compose(invert(j), compose(accelerated_phases(u), j)) with the
+    junction's exact zeroth order (identity, and zero beta) multiplied out.
+    Every trip passes the identity gate on the interior window before the
+    stack is released.
+    """
+    j = junction(species, n_max, gate_tol=gate_tol)
+    g = _accelerated_phase_vector(species, n_max, u)
+    gc = g[..., :, None]  # G @ X == gc * X
+    gr = g[..., None, :]  # X @ G == X * gr
+    # numpy multiplies a transposed 2-D operand into a stack without BLAS,
+    # about 30x slower, so adjoints that meet a stack are made contiguous
+    if species == "boson":
+        a1, a2 = j.alpha.order(1), j.alpha.order(2)
+        b1, b2 = j.beta.order(1), j.beta.order(2)
+        a1h, b1t, b2t = a1.conj().T, b1.T, b2.T
+        # all four n^3 terms come from one product: with M = [alpha1 beta1],
+        # M^+ G M holds alpha1^+ G alpha1 and alpha1^+ G beta1 in its top
+        # blocks, and the conjugates of beta1^T conj(G) conj(alpha1) and
+        # beta1^T conj(G) conj(beta1) in its bottom ones
+        n = a1.shape[0]
+        m = np.concatenate([a1, b1], axis=-1)
+        mgm = np.ascontiguousarray(m.conj().T) @ (gc * m)
+        top, bottom = mgm[..., :n, :], np.conj(mgm[..., n:, :])
+        alpha = np.stack([
+            diagonal_stack(g),
+            a1h * gr + gc * a1,
+            a2.conj().T * gr + top[..., :n] + gc * a2 - bottom[..., n:],
+        ])
+        beta = np.stack([
+            np.zeros_like(alpha[0]),
+            gc * b1 - b1t * np.conj(gr),
+            gc * b2 + top[..., n:] - b2t * np.conj(gr) - bottom[..., :n],
+        ])
+        trip = BosonBogoliubov(H2Matrix(alpha), H2Matrix(beta), j.modes)
+    else:
+        a1, a2 = j.a.order(1), j.a.order(2)
+        a1h = np.ascontiguousarray(a1.conj().T)
+        a = np.stack([
+            diagonal_stack(g),
+            a1h * gr + gc * a1,
+            a2.conj().T * gr + a1h @ (gc * a1) + gc * a2,
+        ])
+        trip = FermionBogoliubov(H2Matrix(a), j.modes)
+    check_identities(trip, tol=gate_tol, window=interior_window(species, n_max))
+    return trip
+
+
 def one_way_trip(species: str, n_max: int, u: float, gate_tol: float = 5e-8):
     """Inertial -> accelerated (duration u) -> inertial, to second order.
 
     Relates the mode basis after the trip to the one before it.  The zeroth
     order is the diagonal of accelerated phases; the first and second orders
-    mix modes through the junction blocks.
+    mix modes through the junction blocks.  This is :func:`trip_stack` at a
+    single u.
     """
-    j = junction(species, n_max, gate_tol=gate_tol)
-    p = accelerated_phases(species, n_max, u)
-    trip = compose(invert(j), compose(p, j))
-    check_identities(trip, tol=gate_tol, window=interior_window(species, n_max))
-    return trip
+    return trip_stack(species, n_max, float(u), gate_tol=gate_tol)
 
 
 def scenario(species: str, n_max: int, segments, gate_tol: float = 5e-8):

@@ -7,7 +7,9 @@ Three subcommands:
 * ``oracle``: regenerate or validate the on-disk junction coefficient cache.
 
 Exit codes: 0 success, 2 configuration error, 3 convergence gate failure,
-4 invariant violation (including cache validation mismatch).
+4 invariant violation (including cache validation mismatch, and a numerical
+routine that cannot reach its accuracy target, such as a junction whose
+zeroth order drifts at a large n_max).
 """
 
 from __future__ import annotations
@@ -235,6 +237,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except oracles.ConvergenceError as exc:
+        print(f"numerical accuracy not reached: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import states
 from .bogoliubov import InvariantViolation
+from .series import cauchy
 
 PROBES = (1e-2, 5e-3, 2.5e-3)
 HERMITICITY_TOL = 1e-10
@@ -102,27 +103,39 @@ def series_value(series: np.ndarray, h: float) -> float:
 
 # ---------------------------------------------------------------------------
 # closed route, shared pieces
+#
+# Every closed form accepts one transformation or a stack of them (one per
+# grid point u) and returns the series with the orders on the last axis,
+# shape (..., 3).  A curve that vanishes identically returns zeros(3), which
+# broadcasts over any stack.
 
 
-def _pt_block(d1: float, d2: float, x: np.ndarray) -> np.ndarray:
+def _pt_block(d1, d2, x) -> np.ndarray:
     """Negativity series of a 2x2 transposed block [[d1 h^2, x], [conj x, d2 h^2]].
 
     With a first-order coherence the block is negative for any small h; when
     parity kills x[1] the block only opens at second order and may stay
     positive, in which case the series is zero.
     """
-    out = np.zeros(3)
-    if abs(x[1]) > FIRST_ORDER_FLOOR:
-        out[1] = abs(x[1])
-        out[2] = (np.conj(x[1]) * x[2]).real / abs(x[1]) - 0.5 * (d1 + d2)
-    else:
-        root = np.sqrt(0.25 * (d1 - d2) ** 2 + abs(x[2]) ** 2)
-        out[2] = max(0.0, root - 0.5 * (d1 + d2))
-    return out
+    x1 = np.abs(x[1])
+    linear = x1 > FIRST_ORDER_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        opened = (np.conj(x[1]) * x[2]).real / x1 - 0.5 * (d1 + d2)
+    root = np.sqrt(0.25 * (d1 - d2) ** 2 + np.abs(x[2]) ** 2)
+    closed = np.maximum(0.0, root - 0.5 * (d1 + d2))
+    return np.stack(
+        [np.zeros_like(x1), np.where(linear, x1, 0.0), np.where(linear, opened, closed)],
+        axis=-1,
+    )
 
 
 def _others(labels, pair):
     return [i for i, m in enumerate(labels) if m not in pair]
+
+
+def _weight(x: np.ndarray) -> np.ndarray:
+    """Summed squared magnitude over the last axis."""
+    return np.sum(np.abs(x) ** 2, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +149,13 @@ def boson_vacuum_closed(t, pair) -> np.ndarray:
     labels = [int(m) for m in t.modes]
     ik, ikp = labels.index(k), labels.index(kp)
     rest = _others(labels, (k, kp))
-    a_k = float(np.sum(np.abs(v[1][ik, rest]) ** 2))
-    a_kp = float(np.sum(np.abs(v[1][ikp, rest]) ** 2))
-    n2 = states._mul(states.boson_norm_factor(v), states.boson_norm_factor(v))
-    x = states._mul(n2, v[:, ik, ikp])
+    a_k = _weight(v[1][..., ik, rest])
+    a_kp = _weight(v[1][..., ikp, rest])
+    n = states.boson_norm_factor(v)
+    x = cauchy(cauchy(n, n), v[:, ..., ik, ikp])
     series = _pt_block(a_k, a_kp, x)
     # the (2,0)|(0,2) block closes on the double-pair amplitude
-    series[2] += abs(v[1][ik, ikp]) ** 2
+    series[..., 2] += np.abs(v[1][..., ik, ikp]) ** 2
     return series
 
 
@@ -159,39 +172,44 @@ def boson_particle_closed(t, k: int, pair) -> np.ndarray:
     labels = [int(m) for m in t.modes]
     ik, ikp = labels.index(k), labels.index(kp)
     rest = _others(labels, (k, kp))
-    g = np.diagonal(t.alpha.order(0))
+    g = np.diagonal(t.alpha.order(0), axis1=-2, axis2=-1)
 
-    amp_k = states._mul(n, d[:, ik, ik])
-    amp_kp = states._mul(n, d[:, ikp, ik])
-    amp_21 = _SQRT2 * states._mul(amp_k, v[:, ik, ikp])
-    p = states._mul(amp_k, np.conj(amp_kp))
-    q = states._mul(amp_k, np.conj(amp_21))
+    amp_k = cauchy(n, d[:, ..., ik, ik])
+    amp_kp = cauchy(n, d[:, ..., ikp, ik])
+    amp_21 = _SQRT2 * cauchy(amp_k, v[:, ..., ik, ikp])
+    p = cauchy(amp_k, np.conj(amp_kp))
+    q = cauchy(amp_k, np.conj(amp_21))
 
-    d1 = float(np.sum(np.abs(v[1][ikp, rest]) ** 2))
-    d2 = float(np.sum(np.abs(d[1][rest, ik]) ** 2))
-    d3 = 2.0 * float(np.sum(np.abs(v[1][ik, rest]) ** 2))
-    e2 = _SQRT2 * g[ik] * complex(np.sum(d[1][rest, ik] * np.conj(v[1][ik, rest])))
+    d1 = _weight(v[1][..., ikp, rest])
+    d2 = _weight(d[1][..., rest, ik])
+    d3 = 2.0 * _weight(v[1][..., ik, rest])
+    e2 = _SQRT2 * g[..., ik] * np.sum(d[1][..., rest, ik] * np.conj(v[1][..., ik, rest]), axis=-1)
 
-    series = np.zeros(3)
-    s2 = abs(p[1]) ** 2 + abs(q[1]) ** 2
-    if np.sqrt(s2) > FIRST_ORDER_FLOOR:
-        s3 = 2.0 * (np.conj(p[1]) * p[2] + np.conj(q[1]) * q[2]).real
-        cross = 2.0 * (e2 * p[1] * np.conj(q[1])).real
-        series[1] = np.sqrt(s2)
-        series[2] = s3 / (2.0 * np.sqrt(s2)) - 0.5 * (
-            d1 + (abs(p[1]) ** 2 * d2 + abs(q[1]) ** 2 * d3 + cross) / s2
+    s2 = np.abs(p[1]) ** 2 + np.abs(q[1]) ** 2
+    linear = np.sqrt(s2) > FIRST_ORDER_FLOOR
+    s3 = 2.0 * (np.conj(p[1]) * p[2] + np.conj(q[1]) * q[2]).real
+    cross = 2.0 * (e2 * p[1] * np.conj(q[1])).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        opened = s3 / (2.0 * np.sqrt(s2)) - 0.5 * (
+            d1 + (np.abs(p[1]) ** 2 * d2 + np.abs(q[1]) ** 2 * d3 + cross) / s2
         )
-    else:
-        block = np.array(
-            [
-                [d1, p[2], q[2]],
-                [np.conj(p[2]), d2, e2],
-                [np.conj(q[2]), np.conj(e2), d3],
-            ]
-        )
-        series[2] = max(0.0, -float(np.linalg.eigvalsh(block)[0]))
+    # without a first-order coherence the 3x3 block only opens at second
+    # order, through its lowest eigenvalue
+    block = np.stack(
+        [
+            np.stack([d1, p[2], q[2]], axis=-1),
+            np.stack([np.conj(p[2]), d2, e2], axis=-1),
+            np.stack([np.conj(q[2]), np.conj(e2), d3], axis=-1),
+        ],
+        axis=-2,
+    )
+    closed = np.maximum(0.0, -np.linalg.eigvalsh(block)[..., 0])
+    series = np.stack(
+        [np.zeros_like(s2), np.where(linear, np.sqrt(s2), 0.0), np.where(linear, opened, closed)],
+        axis=-1,
+    )
     # the (1,2)|(3,0) block rides on the twice-paired amplitude
-    series[2] += np.sqrt(3.0) * abs(v[1][ik, ikp]) ** 2
+    series[..., 2] += np.sqrt(3.0) * np.abs(v[1][..., ik, ikp]) ** 2
     return series
 
 
@@ -213,9 +231,9 @@ def fermion_vacuum_closed(t, pair) -> np.ndarray:
         raise ValueError("vacuum negativity at this order needs opposite charges")
     v, part, anti, m = _fermion_pieces(t)
     ip, iq = part.index(int(kappa)), anti.index(int(kappa_p))
-    d1 = float(np.sum(np.abs(np.delete(v[1][ip, :], iq)) ** 2))
-    d2 = float(np.sum(np.abs(np.delete(v[1][:, iq], ip)) ** 2))
-    x = -states._mul(states._mul(m, m), v[:, ip, iq])
+    d1 = _weight(np.delete(v[1][..., ip, :], iq, axis=-1))
+    d2 = _weight(np.delete(v[1][..., :, iq], ip, axis=-1))
+    x = -cauchy(cauchy(m, m), v[:, ..., ip, iq])
     return _pt_block(d1, d2, x)
 
 
@@ -233,20 +251,20 @@ def fermion_particle_closed(t, kappa: int, pair) -> np.ndarray:
     if (kappa >= 0) != (partner >= 0):
         return np.zeros(3)
     v, part, anti, m = _fermion_pieces(t)
-    m2 = states._mul(m, m)
+    m2 = cauchy(m, m)
     if kappa >= 0:
         source = states.fermion_particle_source(t, v)
         labels = part
         ie, io = labels.index(kappa), labels.index(partner)
-        d1 = float(np.sum(np.abs(v[1][io, :]) ** 2))
+        d1 = _weight(v[1][..., io, :])
     else:
         source = states.fermion_antiparticle_source(t, v)
         labels = anti
         ie, io = labels.index(kappa), labels.index(partner)
-        d1 = float(np.sum(np.abs(v[1][:, io]) ** 2))
+        d1 = _weight(v[1][..., :, io])
     rest = [i for i, lab in enumerate(labels) if lab not in (kappa, partner)]
-    d2 = float(np.sum(np.abs(source[1][rest, ie]) ** 2))
-    x = states._mul(m2, states._mul(source[:, ie, ie], np.conj(source[:, io, ie])))
+    d2 = _weight(source[1][..., rest, ie])
+    x = cauchy(m2, cauchy(source[:, ..., ie, ie], np.conj(source[:, ..., io, ie])))
     return _pt_block(d1, d2, x)
 
 
@@ -259,8 +277,8 @@ def fermion_pair_closed(t, kappa: int, kappa_p: int) -> np.ndarray:
     e = states.fermion_antiparticle_source(t, v)
     ip, iq = part.index(int(kappa)), anti.index(int(kappa_p))
     c0 = states.fermion_pair_scalar(t, e, kappa, kappa_p)
-    d1 = float(np.sum(np.abs(np.delete(d[1][:, ip], ip)) ** 2))
-    d2 = float(np.sum(np.abs(np.delete(e[1][:, iq], iq)) ** 2))
-    psi11 = states._mul(d[:, ip, ip], e[:, iq, iq]) + states._mul(v[:, ip, iq], c0)
-    x = -states._mul(states._mul(m, m), states._mul(psi11, np.conj(c0)))
+    d1 = _weight(np.delete(d[1][..., :, ip], ip, axis=-1))
+    d2 = _weight(np.delete(e[1][..., :, iq], iq, axis=-1))
+    psi11 = cauchy(d[:, ..., ip, ip], e[:, ..., iq, iq]) + cauchy(v[:, ..., ip, iq], c0)
+    x = -cauchy(cauchy(m, m), cauchy(psi11, np.conj(c0)))
     return _pt_block(d1, d2, x)

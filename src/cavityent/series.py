@@ -2,6 +2,8 @@
 
 Everything downstream works order by order, so the containers here only keep
 the h^0, h^1 and h^2 parts and silently drop h^3 and higher on multiplication.
+Orders always sit on the leading axis; any axes after it ride along, so one
+container can hold a whole stack of matrices (one per grid point u).
 """
 
 from __future__ import annotations
@@ -18,6 +20,29 @@ def _coerce(data: object) -> np.ndarray:
     if arr.ndim == 0 or arr.shape[0] != N_ORDERS:
         raise ValueError(f"expected a leading axis of length {N_ORDERS}, got shape {arr.shape}")
     return arr
+
+
+def cauchy(a, b, mul=np.multiply) -> np.ndarray:
+    """Product of two order stacks, truncated after h^2.
+
+    ``a`` and ``b`` carry the orders on their leading axis; ``mul`` combines
+    one order of each (elementwise by default, ``np.matmul`` for matrices),
+    broadcasting over every other axis.
+    """
+    return np.stack([
+        mul(a[0], b[0]),
+        mul(a[0], b[1]) + mul(a[1], b[0]),
+        mul(a[0], b[2]) + mul(a[1], b[1]) + mul(a[2], b[0]),
+    ])
+
+
+def diagonal_stack(g) -> np.ndarray:
+    """Diagonal matrices with the last axis of ``g`` on their diagonals."""
+    g = np.asarray(g)
+    out = np.zeros(g.shape + g.shape[-1:], dtype=g.dtype)
+    idx = np.arange(g.shape[-1])
+    out[..., idx, idx] = g
+    return out
 
 
 @dataclass(frozen=True)
@@ -63,12 +88,7 @@ class H2Series:
     def __mul__(self, other) -> "H2Series":
         if not isinstance(other, H2Series):
             return H2Series(self.c * other)
-        a, b = self.c, other.c
-        return H2Series(np.stack([
-            a[0] * b[0],
-            a[0] * b[1] + a[1] * b[0],
-            a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-        ]))
+        return H2Series(cauchy(self.c, other.c))
 
     __rmul__ = __mul__
 
@@ -85,14 +105,18 @@ class H2Series:
 
 @dataclass(frozen=True)
 class H2Matrix:
-    """Matrix series data[0] + data[1] h + data[2] h^2 with truncating products."""
+    """Matrix series data[0] + data[1] h + data[2] h^2 with truncating products.
+
+    ``data`` has shape (3, n, m), or (3, ..., n, m) for a stack of matrix
+    series sharing the same orders.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
         arr = _coerce(self.data)
-        if arr.ndim != 3:
-            raise ValueError(f"expected shape (3, n, m), got {arr.shape}")
+        if arr.ndim < 3:
+            raise ValueError(f"expected shape (3, ..., n, m), got {arr.shape}")
         object.__setattr__(self, "data", arr)
 
     @classmethod
@@ -112,13 +136,13 @@ class H2Matrix:
 
     @classmethod
     def diagonal(cls, g, order: int = 0) -> "H2Matrix":
-        g = np.asarray(g, dtype=complex)
-        out = np.zeros((N_ORDERS, g.size, g.size), dtype=complex)
-        out[order] = np.diag(g)
+        d = diagonal_stack(np.asarray(g, dtype=complex))
+        out = np.zeros((N_ORDERS,) + d.shape, dtype=complex)
+        out[order] = d
         return cls(out)
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape[1:]
 
     def order(self, k: int) -> np.ndarray:
@@ -135,29 +159,19 @@ class H2Matrix:
 
     def __mul__(self, scalar) -> "H2Matrix":
         if isinstance(scalar, H2Series):
-            a, b = scalar.c, self.data
-            return H2Matrix(np.stack([
-                a[0] * b[0],
-                a[0] * b[1] + a[1] * b[0],
-                a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-            ]))
+            return H2Matrix(cauchy(scalar.c, self.data))
         return H2Matrix(self.data * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "H2Matrix") -> "H2Matrix":
-        a, b = self.data, other.data
-        return H2Matrix.from_orders(
-            a[0] @ b[0],
-            a[0] @ b[1] + a[1] @ b[0],
-            a[0] @ b[2] + a[1] @ b[1] + a[2] @ b[0],
-        )
+        return H2Matrix(cauchy(self.data, other.data, np.matmul))
 
     def conj(self) -> "H2Matrix":
         return H2Matrix(np.conj(self.data))
 
     def transpose(self) -> "H2Matrix":
-        return H2Matrix(np.transpose(self.data, (0, 2, 1)))
+        return H2Matrix(np.swapaxes(self.data, -1, -2))
 
     @property
     def T(self) -> "H2Matrix":
@@ -172,4 +186,4 @@ class H2Matrix:
 
     def max_abs(self) -> np.ndarray:
         """Largest entry magnitude of each order, handy for residual reports."""
-        return np.max(np.abs(self.data), axis=(1, 2))
+        return np.max(np.abs(self.data), axis=tuple(range(1, self.data.ndim)))

@@ -17,6 +17,11 @@ reduced density matrix at second order (every key that also carries a
 zeroth- or first-order amplitude, plus keys supported entirely on the
 observed pair).  Pass ``full_second_order=True`` to keep everything; that is
 only sensible for small mode windows.
+
+The matrix building blocks (pair matrices, sources, norm factors) accept a
+stack of transformations as well and return order stacks with the same stack
+axes, so the closed forms in :mod:`cavityent.negativity` can evaluate a whole
+u grid at once; the state expansions themselves take one transformation.
 """
 
 from __future__ import annotations
@@ -27,20 +32,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BosonBogoliubov, FermionBogoliubov
-
-N_ORDERS = 3
-
-
-def _mul(a, b):
-    """Cauchy product of two order triples, truncated at h^2."""
-    return np.convolve(a, b)[:N_ORDERS]
+from .series import N_ORDERS, cauchy, diagonal_stack
 
 
 def _diagonal_phases(m0: np.ndarray) -> np.ndarray:
-    g = np.diagonal(m0).copy()
-    if not np.allclose(m0, np.diag(g), atol=1e-12):
+    g = np.diagonal(m0, axis1=-2, axis2=-1).copy()
+    if not np.all(np.abs(m0 - diagonal_stack(g)) <= 1e-12):
         raise ValueError("zeroth order is not diagonal; not a scenario transformation")
     return g
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
+
+
+def _sub(m: np.ndarray, rows, cols) -> np.ndarray:
+    """Block of the last two axes of ``m`` (boolean or integer selections)."""
+    return m[(Ellipsis,) + np.ix_(rows, cols)]
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,7 @@ class StateExpansion:
         """Orders of <psi|psi>; (1, 0, 0) up to truncation when normalised."""
         total = np.zeros(N_ORDERS)
         for amp in self.amps.values():
-            total += _mul(amp, np.conj(amp)).real
+            total += cauchy(amp, np.conj(amp)).real
         return total
 
     def amplitude(self, key: tuple) -> np.ndarray:
@@ -67,7 +75,7 @@ class StateExpansion:
 
 
 def boson_pair_matrix(t: BosonBogoliubov) -> np.ndarray:
-    """Order stack (3, n, n) of the pair matrix V = -conj(beta) alpha^-1.
+    """Order stack (3, ..., n, n) of the pair matrix V = -conj(beta) alpha^-1.
 
     The symmetrised matrix is returned, so that W = 1/2 sum_pq V_pq b_p^+ b_q^+
     can be read off the upper triangle directly.  Any asymmetry beyond the
@@ -78,15 +86,18 @@ def boson_pair_matrix(t: BosonBogoliubov) -> np.ndarray:
     a1 = t.alpha.order(1)
     b1, b2 = t.beta.order(1), t.beta.order(2)
     v = np.zeros((N_ORDERS,) + b1.shape, dtype=complex)
-    v[1] = -np.conj(b1) * ginv[None, :]
-    v[2] = -np.conj(b2) * ginv[None, :] + np.conj(b1) @ (ginv[:, None] * a1 * ginv[None, :])
-    return 0.5 * (v + np.swapaxes(v, 1, 2))
+    v[1] = -np.conj(b1) * ginv[..., None, :]
+    v[2] = (
+        -np.conj(b2) * ginv[..., None, :]
+        + np.conj(b1) @ (ginv[..., :, None] * a1 * ginv[..., None, :])
+    )
+    return 0.5 * (v + _t(v))
 
 
 def boson_norm_factor(v: np.ndarray) -> np.ndarray:
-    n = np.zeros(N_ORDERS)
+    n = np.zeros((N_ORDERS,) + v.shape[1:-2])
     n[0] = 1.0
-    n[2] = -0.25 * float(np.sum(np.abs(v[1]) ** 2))
+    n[2] = -0.25 * np.sum(np.abs(v[1]) ** 2, axis=(-2, -1))
     return n
 
 
@@ -94,9 +105,9 @@ def boson_source_matrix(t: BosonBogoliubov, v: np.ndarray) -> np.ndarray:
     """Order stack of D, with D[:, k] the one-particle source for mode k."""
     g = _diagonal_phases(t.alpha.order(0))
     d = np.zeros((N_ORDERS,) + v[1].shape, dtype=complex)
-    d[0] = np.diag(np.conj(g))
+    d[0] = diagonal_stack(np.conj(g))
     d[1] = np.conj(t.alpha.order(1))
-    d[2] = np.conj(t.alpha.order(2)) + v[1].T @ t.beta.order(1)
+    d[2] = np.conj(t.alpha.order(2)) + _t(v[1]) @ t.beta.order(1)
     return d
 
 
@@ -119,17 +130,17 @@ def fermion_pair_matrix(t: FermionBogoliubov) -> np.ndarray:
     modes, part, anti = _charge_masks(t)
     g = _diagonal_phases(t.a.order(0))
     a1, a2 = t.a.order(1), t.a.order(2)
-    gp = np.conj(g[part])[:, None]
-    v = np.zeros((N_ORDERS, int(part.sum()), int(anti.sum())), dtype=complex)
-    v[1] = -gp * a1[np.ix_(anti, part)].T
-    v[2] = -gp * (a2[np.ix_(anti, part)].T + a1[np.ix_(part, part)].T @ v[1])
+    gp = np.conj(g[..., part])[..., :, None]
+    v = np.zeros((N_ORDERS,) + a1.shape[:-2] + (int(part.sum()), int(anti.sum())), dtype=complex)
+    v[1] = -gp * _t(_sub(a1, anti, part))
+    v[2] = -gp * (_t(_sub(a2, anti, part)) + _t(_sub(a1, part, part)) @ v[1])
     return v
 
 
 def fermion_norm_factor(v: np.ndarray) -> np.ndarray:
-    m = np.zeros(N_ORDERS)
+    m = np.zeros((N_ORDERS,) + v.shape[1:-2])
     m[0] = 1.0
-    m[2] = -0.5 * float(np.sum(np.abs(v[1]) ** 2))
+    m[2] = -0.5 * np.sum(np.abs(v[1]) ** 2, axis=(-2, -1))
     return m
 
 
@@ -138,10 +149,10 @@ def fermion_particle_source(t: FermionBogoliubov, v: np.ndarray) -> np.ndarray:
     modes, part, anti = _charge_masks(t)
     g = _diagonal_phases(t.a.order(0))
     a1c = np.conj(t.a.order(1))
-    d = np.zeros((N_ORDERS, int(part.sum()), int(part.sum())), dtype=complex)
-    d[0] = np.diag(np.conj(g[part]))
-    d[1] = a1c[np.ix_(part, part)]
-    d[2] = np.conj(t.a.order(2))[np.ix_(part, part)] - v[1] @ a1c[np.ix_(anti, part)]
+    d = np.zeros((N_ORDERS,) + v.shape[1:-1] + (int(part.sum()),), dtype=complex)
+    d[0] = diagonal_stack(np.conj(g[..., part]))
+    d[1] = _sub(a1c, part, part)
+    d[2] = _sub(np.conj(t.a.order(2)), part, part) - v[1] @ _sub(a1c, anti, part)
     return d
 
 
@@ -150,10 +161,10 @@ def fermion_antiparticle_source(t: FermionBogoliubov, v: np.ndarray) -> np.ndarr
     modes, part, anti = _charge_masks(t)
     g = _diagonal_phases(t.a.order(0))
     a1 = t.a.order(1)
-    e = np.zeros((N_ORDERS, int(anti.sum()), int(anti.sum())), dtype=complex)
-    e[0] = np.diag(g[anti])
-    e[1] = a1[np.ix_(anti, anti)]
-    e[2] = t.a.order(2)[np.ix_(anti, anti)] + v[1].T @ a1[np.ix_(part, anti)]
+    e = np.zeros((N_ORDERS,) + v.shape[1:-2] + (int(anti.sum()),) * 2, dtype=complex)
+    e[0] = diagonal_stack(g[..., anti])
+    e[1] = _sub(a1, anti, anti)
+    e[2] = _sub(t.a.order(2), anti, anti) + _t(v[1]) @ _sub(a1, part, anti)
     return e
 
 
@@ -162,11 +173,11 @@ def fermion_pair_scalar(t: FermionBogoliubov, e: np.ndarray, kappa: int, kappa_p
     modes, part, anti = _charge_masks(t)
     ik = list(modes[part]).index(kappa)
     iq = list(modes[anti]).index(kappa_p)
-    ac1 = np.conj(t.a.order(1))[anti][:, part][:, ik]
-    ac2 = np.conj(t.a.order(2))[anti][:, part][:, ik]
-    c = np.zeros(N_ORDERS, dtype=complex)
-    c[1] = ac1 @ e[0][:, iq]
-    c[2] = ac1 @ e[1][:, iq] + ac2 @ e[0][:, iq]
+    ac1 = _sub(np.conj(t.a.order(1)), anti, part)[..., ik]
+    ac2 = _sub(np.conj(t.a.order(2)), anti, part)[..., ik]
+    c = np.zeros(e.shape[:-2], dtype=complex)
+    c[1] = np.sum(ac1 * e[0][..., iq], axis=-1)
+    c[2] = np.sum(ac1 * e[1][..., iq], axis=-1) + np.sum(ac2 * e[0][..., iq], axis=-1)
     return c
 
 
@@ -286,7 +297,7 @@ def boson_particle_state(t: BosonBogoliubov, k: int, observed, full_second_order
     ik = labels.index(k)
     t0 = {}
     for i, m in enumerate(labels):
-        amp = _mul(n, d[:, i, ik])
+        amp = cauchy(n, d[:, i, ik])
         if amp.any():
             t0[(m,)] = amp
 
@@ -319,7 +330,7 @@ def fermion_particle_state(t: FermionBogoliubov, kappa: int, observed, full_seco
     ik = labels.index(kappa)
     t0 = {}
     for i, lab in enumerate(labels):
-        amp = _mul(m, source[:, i, ik])
+        amp = cauchy(m, source[:, i, ik])
         if amp.any():
             t0[(lab,)] = amp
 
@@ -344,7 +355,7 @@ def fermion_pair_state(
     iq = anti.index(kappa_p)
     c0 = fermion_pair_scalar(t, e, kappa, kappa_p)
     t0 = {}
-    amp0 = _mul(m, c0)
+    amp0 = cauchy(m, c0)
     if amp0.any():
         t0[()] = amp0
     for i, p in enumerate(part):
@@ -353,7 +364,7 @@ def fermion_pair_state(
             continue
         for j, q in enumerate(anti):
             # b_p^+ c_q^+|0~> = -|{q, p}> in the ascending-label basis
-            amp = -_mul(m, _mul(dcol, e[:, j, iq]))
+            amp = -cauchy(m, cauchy(dcol, e[:, j, iq]))
             if amp.any():
                 t0[(q, p)] = amp
 

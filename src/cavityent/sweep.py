@@ -7,19 +7,20 @@ figure-style panels plot: the h -> 0 limit of N/h for linear curves and of
 N/h^2 for the parity-suppressed ones, so the numbers do not depend on an
 arbitrary probe h.
 
-Convergence in the mode cutoff is checked by rebuilding a handful of grid
-points at doubled n_max; a curve whose values move by more than
-``CONVERGENCE_GATE`` (relative) is flagged in every one of its rows.
+Trips are assembled, gated and fed to the closed series a chunk of grid
+points at a time (see :mod:`cavityent.blocks`), one species after the other,
+serially.  Convergence in the mode cutoff is checked by rebuilding a handful
+of grid points per curve at doubled n_max, all spot points of one species in
+one batch; a curve whose values move by more than ``CONVERGENCE_GATE``
+(relative) is flagged in every one of its rows.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import io
 import json
-import os
 import sys
 import warnings
 
@@ -105,7 +106,12 @@ class CurveSpec:
             )
 
     def series(self, trip) -> np.ndarray:
-        """Closed-form negativity series (orders h^0, h^1, h^2) at one trip."""
+        """Closed-form negativity series (orders h^0, h^1, h^2 on the last axis).
+
+        ``trip`` is one transformation or a stack of them; the result has
+        shape (..., 3) with the stack axes in front, or is zeros(3) for a
+        curve that vanishes identically.
+        """
         if self.species == "boson":
             if self.state == "vacuum":
                 return negativity.boson_vacuum_closed(trip, self.modes)
@@ -175,21 +181,21 @@ class SweepResult:
         return all(self.converged.values())
 
 
-def _curve_series(request: SweepRequest, grid: np.ndarray, n_max: int) -> np.ndarray:
-    """Closed series for every (u, curve), shape (len(grid), n_curves, 3)."""
-    species = sorted({c.species for c in request.curves})
-    for sp in species:
-        blocks.junction(sp, n_max)
+def _curve_series(curves, grid: np.ndarray, n_max: int) -> np.ndarray:
+    """Closed series for every (u, curve), shape (len(grid), len(curves), 3).
 
-    def at(u: float) -> np.ndarray:
-        trips = {sp: blocks.one_way_trip(sp, n_max, u) for sp in species}
-        return np.stack([c.series(trips[c.species]) for c in request.curves])
-
-    out = np.empty((grid.size, len(request.curves), 3))
-    workers = min(8, os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, block in enumerate(pool.map(at, grid)):
-            out[i] = block
+    Walks the grid one species and one chunk of u values at a time; each
+    chunk's trip stack is gated once and shared by that species' curves.
+    """
+    out = np.empty((grid.size, len(curves), 3))
+    for species in sorted({c.species for c in curves}):
+        cols = [j for j, c in enumerate(curves) if c.species == species]
+        step = blocks.chunk_length(species, n_max)
+        for start in range(0, grid.size, step):
+            chunk = slice(start, start + step)
+            trips = blocks.trip_stack(species, n_max, grid[chunk])
+            for j in cols:
+                out[chunk, j] = curves[j].series(trips)
     return out
 
 
@@ -210,29 +216,30 @@ def _spot_indices(values: np.ndarray, count: int = SPOT_POINTS) -> list[int]:
 
 def run_sweep(request: SweepRequest) -> SweepResult:
     grid = request.grid()
-    table = _curve_series(request, grid, request.n_max)
+    curves = request.curves
+    table = _curve_series(curves, grid, request.n_max)
 
-    powers = {c.name: _curve_power(table[:, j]) for j, c in enumerate(request.curves)}
-    values = np.stack(
-        [table[:, j, powers[c.name]] for j, c in enumerate(request.curves)], axis=1
-    )
+    powers = {c.name: _curve_power(table[:, j]) for j, c in enumerate(curves)}
+    values = np.stack([table[:, j, powers[c.name]] for j, c in enumerate(curves)], axis=1)
 
     deltas: dict[str, float] = {}
-    converged: dict[str, bool] = {}
-    for j, curve in enumerate(request.curves):
-        spots = _spot_indices(values[:, j])
-        fine = _curve_series(
-            dataclasses.replace(request, curves=(curve,)), grid[spots], 2 * request.n_max
-        )
-        delta = 0.0
-        for s, i in enumerate(spots):
-            coarse = values[i, j]
-            refined = fine[s, 0, powers[curve.name]]
-            scale = max(abs(coarse), abs(refined))
-            if scale > 0.0:
-                delta = max(delta, abs(refined - coarse) / scale)
-        deltas[curve.name] = float(delta)
-        converged[curve.name] = bool(delta < CONVERGENCE_GATE)
+    for species in sorted({c.species for c in curves}):
+        cols = [j for j, c in enumerate(curves) if c.species == species]
+        spots = {j: _spot_indices(values[:, j]) for j in cols}
+        points = sorted(set().union(*spots.values()))
+        fine = _curve_series([curves[j] for j in cols], grid[points], 2 * request.n_max)
+        for col, j in enumerate(cols):
+            curve = curves[j]
+            delta = 0.0
+            for i in spots[j]:
+                coarse = values[i, j]
+                refined = fine[points.index(i), col, powers[curve.name]]
+                scale = max(abs(coarse), abs(refined))
+                if scale > 0.0:
+                    delta = max(delta, abs(refined - coarse) / scale)
+            deltas[curve.name] = float(delta)
+    deltas = {c.name: deltas[c.name] for c in curves}
+    converged = {name: bool(delta < CONVERGENCE_GATE) for name, delta in deltas.items()}
 
     rows = [
         Row(

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from cavityent import blocks
-from cavityent.bogoliubov import check_identities, mirror
+from cavityent.bogoliubov import (
+    check_identities,
+    compose,
+    identity_residuals,
+    invert,
+    mirror,
+    weighted_residual,
+)
 from cavityent.series import H2Matrix
 
 BOSON_FIRST = {
@@ -234,3 +241,64 @@ def test_scenario_rejects_unknown_segment():
         blocks.scenario("boson", 12, [("drift", 0.1)])
     with pytest.raises(ValueError):
         blocks.scenario("boson", 12, [])
+
+
+# --- batched trip stacks -------------------------------------------------------
+
+
+def _reference_trip(species, n_max, u):
+    """The trip by explicit composition, J^-1 P(u) J, one u at a time."""
+    j = blocks.junction(species, n_max)
+    return compose(invert(j), compose(blocks.accelerated_phases(species, n_max, u), j))
+
+
+def _families(t):
+    if hasattr(t, "a"):
+        return (t.a.data,)
+    return (t.alpha.data, t.beta.data)
+
+
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_trip_stack_matches_composition(species, rng):
+    # the stack multiplies the orders out in another association than the
+    # composition does, so they agree to complex128 rounding, not bitwise
+    n_max = 40
+    chunk = blocks.chunk_length(species, n_max)
+    us = rng.uniform(-1.0, 2.0, size=chunk + 3)
+    for start in range(0, us.size, chunk):
+        part = us[start:start + chunk]
+        stack = blocks.trip_stack(species, n_max, part)
+        for i, u in enumerate(part):
+            want = _families(_reference_trip(species, n_max, u))
+            single = _families(blocks.one_way_trip(species, n_max, u))
+            for got_all, ref, one in zip(_families(stack), want, single):
+                got = got_all[:, i]
+                assert np.array_equal(one, got)
+                for k in range(3):
+                    scale = np.max(np.abs(ref[k]))
+                    assert np.max(np.abs(got[k] - ref[k])) <= 1e-13 * scale, (u, k)
+
+
+def test_chunk_length_bounds_one_stack():
+    for species, n_max in (("boson", 40), ("fermion", 40), ("boson", 56), ("fermion", 112)):
+        n = n_max if species == "boson" else 2 * n_max
+        chunk = blocks.chunk_length(species, n_max)
+        assert chunk >= 1
+        assert chunk == 1 or 3 * chunk * n * n * 16 <= blocks.STACK_BYTES
+
+
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_batched_gate_matches_per_trip_residuals(species, rng):
+    n_max = 40
+    window = blocks.interior_window(species, n_max)
+    us = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 2.0, size=5)])
+    batched = identity_residuals(blocks.trip_stack(species, n_max, us), window=window)
+    per_trip = [identity_residuals(_reference_trip(species, n_max, u), window=window) for u in us]
+    for name, r in batched.items():
+        assert r.shape == (3, us.size)
+        want = np.stack([p[name] for p in per_trip], axis=1)
+        np.testing.assert_allclose(r, want, rtol=1e-6, atol=1e-14)
+    worst = max(weighted_residual(r) for r in batched.values())
+    want_worst = max(weighted_residual(r) for p in per_trip for r in p.values())
+    assert worst == pytest.approx(want_worst, rel=1e-6)
+    assert 0.0 < worst < 5e-8

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cavityent import cache, cli, sweep
+from cavityent import blocks, cache, cli, oracles, sweep
 from cavityent.sweep import CSV_COLUMNS
 
 
@@ -94,3 +94,15 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "cavityent" in capsys.readouterr().out
+
+
+def test_sweep_unreached_accuracy_exits_invariant(monkeypatch, capsys):
+    # stands in for the junction drift check failing at a large n_max
+    def drifted(species, n_max, ladder=None):
+        raise oracles.ConvergenceError("junction zeroth order drifted by 1.10e-09")
+
+    monkeypatch.setattr(blocks, "build_junction", drifted)
+    monkeypatch.setattr(blocks, "_cache", {})
+    assert cli.main(["sweep", "fig1a", "--steps", "3"]) == cli.EXIT_INVARIANT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "drifted by 1.10e-09" in err[0]

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from cavityent import sweep
+from cavityent import blocks, cli, sweep
+from cavityent.bogoliubov import BosonBogoliubov, FermionBogoliubov, InvariantViolation
+from cavityent.series import H2Matrix
 from cavityent.sweep import (
     CSV_COLUMNS,
     ConfigError,
@@ -231,3 +233,61 @@ def test_config_digest_is_sha256():
     assert sweep.config_digest("abc") == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+# --- batched engine --------------------------------------------------------------
+
+
+STACK_CURVES = (
+    CurveSpec("bv14", "boson", "vacuum", (1, 4)),
+    CurveSpec("bv13", "boson", "vacuum", (1, 3)),
+    CurveSpec("bp14", "boson", "one-particle", (1, 4), 1),
+    CurveSpec("bp13", "boson", "one-particle", (1, 3), 1),
+    CurveSpec("fv2m1", "fermion", "vacuum", (2, -1)),
+    CurveSpec("fv1m1", "fermion", "vacuum", (1, -1)),
+    CurveSpec("fp14", "fermion", "one-particle", (1, 4), 1),
+    CurveSpec("fpm1m3", "fermion", "one-particle", (-1, -3), -1),
+    CurveSpec("fpair2m1", "fermion", "pair", (2, -1)),
+)
+
+
+def test_closed_series_on_a_stack_match_single_trips():
+    # the grid holds the zeros at u = 0 and 1, where the closed forms switch
+    # branch, next to points where they do not
+    us = np.linspace(0.0, 1.0, 7)
+    for curve in STACK_CURVES:
+        stack = blocks.trip_stack(curve.species, 40, us)
+        got = np.broadcast_to(curve.series(stack), (us.size, 3))
+        want = np.stack([curve.series(blocks.one_way_trip(curve.species, 40, u)) for u in us])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def _perturbed_junction(monkeypatch, species):
+    """Make blocks.junction hand out a junction whose in-window first-order
+    block is off by 1e-3 in one entry, past its own gate."""
+    real = blocks.junction
+
+    def junction(sp, n_max, ladder=None, gate_tol=5e-8):
+        j = real(sp, n_max, ladder, gate_tol)
+        if sp != species:
+            return j
+        i, k = (int(np.flatnonzero(j.modes == m)[0]) for m in (2, 3))
+        if sp == "boson":
+            data = j.alpha.data.copy()
+            data[1, i, k] += 1e-3
+            return BosonBogoliubov(H2Matrix(data), j.beta, j.modes)
+        data = j.a.data.copy()
+        data[1, i, k] += 1e-3
+        return FermionBogoliubov(H2Matrix(data), j.modes)
+
+    monkeypatch.setattr(blocks, "junction", junction)
+
+
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_trip_gate_catches_a_perturbed_junction(monkeypatch, capsys, species):
+    _perturbed_junction(monkeypatch, species)
+    curves = tuple(c for c in SMALL_CURVES if c.species == species)
+    with pytest.raises(InvariantViolation):
+        run_sweep(SweepRequest(curves=curves, steps=5, n_max=40))
+    assert cli.main(["sweep", "fig1a", "--steps", "5"]) == cli.EXIT_INVARIANT
+    assert "invariant violation" in capsys.readouterr().err

@@ -4,7 +4,9 @@ A trip is assembled from two ingredient types:
 
 * the junction J between the inertial and the uniformly accelerated mode
   bases, whose h^1 and h^2 blocks are extracted from the exact overlap
-  quadrature (independent of any printed series coefficients);
+  quadrature (independent of any printed series coefficients), one
+  quadrature call over the whole h ladder per species, memoized in the
+  process and never stored on disk;
 * diagonal free-evolution phases, either for an accelerated segment of
   dimensionless duration u or for an inertial coast of angle theta.
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import cache, oracles
+from . import oracles
 from .bogoliubov import (
     BosonBogoliubov,
     FermionBogoliubov,
@@ -71,8 +73,8 @@ def junction(species: str, n_max: int, ladder=None, gate_tol: float = 5e-8):
     geometric ladder, using the mirror symmetry to split even and odd orders.
     The zeroth order is the identity by construction (asserted, then snapped
     exactly).  Structural identities are gated on the interior window before
-    the result is released; results are cached per (species, n_max, ladder),
-    and on disk as well when the cache directory variable is set.
+    the result is released; results are memoized per (species, n_max,
+    ladder) for the life of the process.
     """
     if ladder is None:
         ladder = DEFAULT_LADDER
@@ -81,26 +83,26 @@ def junction(species: str, n_max: int, ladder=None, gate_tol: float = 5e-8):
     if key in _cache:
         return _cache[key]
 
-    result = cache.load(species, n_max, ladder)
-    if result is None:
-        result = build_junction(species, n_max, ladder)
-        cache.store(species, n_max, ladder, result)
+    result = build_junction(species, n_max, ladder)
     check_identities(result, tol=gate_tol, window=interior_window(species, n_max))
     _cache[key] = result
     return result
 
 
 def build_junction(species: str, n_max: int, ladder=None):
-    """Extract the junction blocks from the overlap quadrature, uncached."""
+    """Extract the junction blocks from the overlap quadrature, unmemoized.
+
+    Each species makes one quadrature call for the whole ladder.
+    """
     if ladder is None:
         ladder = DEFAULT_LADDER
     ladder = np.asarray(ladder, dtype=float)
     if species == "boson":
         modes = boson_modes(n_max)
-        stacked = np.array([np.stack(oracles.boson_overlaps(h, n_max)) for h in ladder])
+        alpha, beta = oracles.boson_overlaps(ladder, n_max)
         signs = (-1.0) ** modes
-        calpha, _ = oracles.extract_orders_mirrored(stacked[:, 0], signs, ladder)
-        cbeta, _ = oracles.extract_orders_mirrored(stacked[:, 1], signs, ladder)
+        calpha, _ = oracles.extract_orders_mirrored(alpha, signs, ladder)
+        cbeta, _ = oracles.extract_orders_mirrored(beta, signs, ladder)
         drift = max(
             float(np.max(np.abs(calpha[0] - np.eye(n_max)))),
             float(np.max(np.abs(cbeta[0]))),
@@ -112,7 +114,7 @@ def build_junction(species: str, n_max: int, ladder=None):
         result = BosonBogoliubov(alpha, beta, modes)
     elif species == "fermion":
         modes = fermion_modes(n_max)
-        stacked = np.array([oracles.fermion_overlaps(h, n_max) for h in ladder])
+        stacked = oracles.fermion_overlaps(ladder, n_max)
         c, _ = oracles.extract_orders_mirrored(stacked, (-1.0) ** (modes % 2), ladder)
         drift = float(np.max(np.abs(c[0] - np.eye(2 * n_max))))
         if drift > 1e-9:

@@ -1,27 +1,25 @@
 """Command line front end.
 
-Three subcommands:
+Two subcommands:
 
 * ``sweep``: run a configured u sweep and write CSV or JSON rows.
 * ``check``: run the structural invariant suites and report each one.
-* ``oracle``: regenerate or validate the on-disk junction coefficient cache.
 
 Exit codes: 0 success, 2 configuration error, 3 convergence gate failure,
-4 invariant violation (including cache validation mismatch, and a numerical
-routine that cannot reach its accuracy target, such as a junction whose
-zeroth order drifts at a large n_max).
+4 invariant violation (including a numerical routine that cannot reach its
+accuracy target, such as a junction whose zeroth order drifts at a large
+n_max).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import pathlib
 import sys
 
 import numpy as np
 
-from . import blocks, cache, negativity, oracles, states, sweep
+from . import blocks, negativity, oracles, states, sweep
 from ._version import __version__
 from .bogoliubov import InvariantViolation
 from .config import PRESETS, load_config, parse_config, preset_text
@@ -57,16 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the structural invariant suites")
     p_check.add_argument("--nmax", type=int, default=40)
     p_check.add_argument("--h", type=float, default=0.01)
-
-    p_oracle = sub.add_parser("oracle", help="manage the junction coefficient cache")
-    group = p_oracle.add_mutually_exclusive_group()
-    group.add_argument("--regen", action="store_true", help="rebuild and overwrite")
-    group.add_argument("--validate", action="store_true", help="compare against a rebuild")
-    p_oracle.add_argument("--nmax", type=int, default=40)
-    p_oracle.add_argument(
-        "--cache-dir", default=None,
-        help=f"cache directory (default: ${cache.ENV_VAR})",
-    )
     return parser
 
 
@@ -102,17 +90,18 @@ def _cmd_sweep(args) -> int:
 
 def _check_lines(n_max: int, h_probe: float):
     """Yield (ok, label, detail) triples for the invariant suite."""
-    for species in ("boson", "fermion"):
-        interior = n_max // 2
-        worst = 0.0
-        for h in (0.08, 0.04, 0.02, 0.01):
-            if species == "boson":
-                a, b = oracles.boson_overlaps(h, n_max)
-                worst = max(worst, oracles.overlap_identity_residuals(a, b, interior))
-            else:
-                a = oracles.fermion_overlaps(h, n_max)
-                worst = max(worst, oracles.fermion_identity_residual(a, interior))
-        yield worst < 1e-8, f"{species} finite-h overlap identities", f"max {worst:.2e}"
+    ladder = np.array([0.08, 0.04, 0.02, 0.01])
+    interior = n_max // 2
+    alphas, betas = oracles.boson_overlaps(ladder, n_max)
+    worst = max(
+        oracles.overlap_identity_residuals(a, b, interior) for a, b in zip(alphas, betas)
+    )
+    yield worst < 1e-8, "boson finite-h overlap identities", f"max {worst:.2e}"
+    worst = max(
+        oracles.fermion_identity_residual(a, interior)
+        for a in oracles.fermion_overlaps(ladder, n_max)
+    )
+    yield worst < 1e-8, "fermion finite-h overlap identities", f"max {worst:.2e}"
 
     bj = blocks.junction("boson", n_max)
     m = blocks.boson_modes(n_max)
@@ -193,45 +182,12 @@ def _cmd_check(args) -> int:
     return EXIT_INVARIANT if failed else EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    root = pathlib.Path(args.cache_dir) if args.cache_dir else cache.cache_root()
-    if root is None:
-        print(f"no cache directory: set {cache.ENV_VAR} or pass --cache-dir", file=sys.stderr)
-        return EXIT_CONFIG
-
-    ladder = blocks.DEFAULT_LADDER
-    status = EXIT_OK
-    for species in ("boson", "fermion"):
-        path = cache.junction_path(root, species, args.nmax, ladder)
-        regen = args.regen or (not args.validate and not path.is_file())
-        if regen:
-            t = blocks.build_junction(species, args.nmax, ladder)
-            cache.write_junction(path, t, species, args.nmax, ladder)
-            print(f"wrote {path}")
-            continue
-        try:
-            stored = cache.read_junction(path)
-        except (OSError, cache.CacheError) as exc:
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
-            status = EXIT_INVARIANT
-            continue
-        fresh = blocks.build_junction(species, args.nmax, ladder)
-        deviation = cache.compare(stored, fresh)
-        ok = deviation < 1e-10
-        print(f"{'ok  ' if ok else 'FAIL'} {path} (max deviation {deviation:.2e})")
-        if not ok:
-            status = EXIT_INVARIANT
-    return status
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
             return _cmd_sweep(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return _cmd_oracle(args)
+        return _cmd_check(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

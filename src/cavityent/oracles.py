@@ -1,27 +1,23 @@
 """Independent numerical routes backing the perturbative machinery.
 
-Three tools live here:
+Two tools live here:
 
 * exact junction overlaps at finite h, evaluated by composite Gauss-Legendre
-  quadrature of the mode-function inner products (no series expansion at all);
+  quadrature of the mode-function inner products (no series expansion at
+  all), for one h or for a whole ladder of h values in one pass;
 * order extraction, which turns a function of h into h^0, h^1, h^2
   coefficients by polynomial fitting on a geometric ladder of h values, plus
-  a slower Richardson route used to cross-check the fits;
-* small brute-force Fock spaces in which travelled states can be rebuilt by
-  solving the defining annihilation conditions directly.
+  a slower Richardson route used to cross-check the fits.
 
-The quadrature feeds the production junction blocks; everything else exists
-so the analytic formulas can be tested against something that does not share
-their derivation.
+The quadrature and the mirrored extraction feed the production junction
+blocks; everything else exists so the analytic formulas can be tested
+against something that does not share their derivation.  The brute-force
+Fock spaces that back the state expansions live in :mod:`cavityent.fock`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .geometry import CavityGeometry
 
@@ -45,45 +41,64 @@ def gauss_panels(n_panels: int, nodes_per_panel: int = 12):
     return xi, wi
 
 
-def _boson_overlaps_once(h: float, n_max: int, n_panels: int):
-    geo = CavityGeometry(h)
-    a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
+def _ladder(h) -> list[CavityGeometry]:
+    """Geometry of each h of a scalar or 1-D ladder."""
+    ladder = np.atleast_1d(np.asarray(h, dtype=float))
+    if ladder.ndim != 1:
+        raise ValueError(f"h must be a scalar or a 1-D ladder, got shape {ladder.shape}")
+    return [CavityGeometry(x) for x in ladder]
+
+
+def _boson_overlaps_once(ladder, n_max: int, n_panels: int) -> np.ndarray:
+    """(alpha, beta) of every h, shape (2, len(ladder), n, n), at one panel count."""
     xi, wi = gauss_panels(n_panels)
-    x = a * (1.0 + r * xi)
-    ell = np.log1p(r * xi)
-
     n = np.arange(1, n_max + 1)
-    rindler = np.sin(np.pi * np.outer(n, ell) / big_l)     # accelerated shapes
-    inertial = np.sin(np.pi * np.outer(n, xi))
-
-    p = (rindler * wi) @ inertial.T                        # plain overlap
-    q = (rindler * (wi / x)) @ inertial.T                  # weighted by 1/x
-
+    inertial = np.sin(np.pi * np.outer(n, xi))             # shared by the ladder
     inv_root = 1.0 / np.sqrt(n)
     col = n[None, :].astype(float)
-    row = n[:, None] / big_l
-    alpha = inv_root[:, None] * (col * p + row * q) * inv_root[None, :]
-    beta = inv_root[:, None] * (col * p - row * q) * inv_root[None, :]
-    return alpha, beta
+    # one h at a time: tables for the whole ladder at once would hold four
+    # times the memory for no gain in speed
+    out = np.empty((2, len(ladder), n_max, n_max))
+    for k, geo in enumerate(ladder):
+        a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
+        x = a * (1.0 + r * xi)
+        ell = np.log1p(r * xi)
+        rindler = np.sin(np.pi * np.outer(n, ell) / big_l)  # accelerated shapes
+        p = (rindler * wi) @ inertial.T                     # plain overlap
+        q = (rindler * (wi / x)) @ inertial.T               # weighted by 1/x
+        row = n[:, None] / big_l
+        out[0, k] = inv_root[:, None] * (col * p + row * q) * inv_root[None, :]
+        out[1, k] = inv_root[:, None] * (col * p - row * q) * inv_root[None, :]
+    return out
 
 
-def _fermion_overlaps_once(h: float, n_max: int, n_panels: int):
-    geo = CavityGeometry(h)
-    a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
+def _fermion_overlaps_once(ladder, n_max: int, n_panels: int) -> np.ndarray:
+    """Overlap matrix of every h, shape (len(ladder), 2 n_max, 2 n_max), at one
+    panel count.
+
+    Trig tables are formed for kappa >= 0 only.  Mode -1 - j has frequency
+    -(j + 1/2), the exact negative of mode j's, so its cos rows equal mode j's
+    and its sin rows are their negatives.  With C and S the cos.cos and
+    sin.sin products over kappa >= 0, the blocks of the full matrix are
+    therefore C + S where both labels share a sign and C - S where they
+    differ, with the kappa < 0 indices reversed.
+    """
     xi, wi = gauss_panels(n_panels)
-    x = a * (1.0 + r * xi)
-    ell = np.log1p(r * xi)
-
-    kappa = np.arange(-n_max, n_max)
-    omega = (kappa + 0.5) * np.pi                          # inertial frequencies
-    capital = (kappa + 0.5) * np.pi / big_l                # accelerated frequencies
-
-    weight = wi / np.sqrt(big_l * x)
-    cos_r = np.cos(np.outer(capital, ell))
-    sin_r = np.sin(np.outer(capital, ell))
-    cos_i = np.cos(np.outer(omega, xi))
+    omega = (np.arange(n_max) + 0.5) * np.pi               # inertial frequencies
+    cos_i = np.cos(np.outer(omega, xi))                    # shared by the ladder
     sin_i = np.sin(np.outer(omega, xi))
-    return (cos_r * weight) @ cos_i.T + (sin_r * weight) @ sin_i.T
+    out = np.empty((len(ladder), 2 * n_max, 2 * n_max))
+    for k, geo in enumerate(ladder):
+        a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
+        x = a * (1.0 + r * xi)
+        ell = np.log1p(r * xi)
+        phase = np.outer(omega / big_l, ell)               # accelerated frequency x ell
+        weight = wi / np.sqrt(big_l * x)
+        c = (np.cos(phase) * weight) @ cos_i.T
+        s = (np.sin(phase) * weight) @ sin_i.T
+        same, differ = c + s, c - s
+        out[k] = np.block([[same[::-1, ::-1], differ[::-1, :]], [differ[:, ::-1], same]])
+    return out
 
 
 def _converged(compute, n_panels: int, tol: float, max_doublings: int = 4):
@@ -97,23 +112,31 @@ def _converged(compute, n_panels: int, tol: float, max_doublings: int = 4):
     raise ConvergenceError(f"quadrature did not converge to {tol:.1e}")
 
 
-def boson_overlaps(h: float, n_max: int, tol: float = 1e-12):
+def boson_overlaps(h, n_max: int, tol: float = 1e-12):
     """Exact junction matrices (alpha, beta) at finite h for modes 1..n_max.
 
     Row m, column n is the overlap of accelerated mode m with inertial mode n
-    on the junction slice.  Both matrices are real in this convention.
+    on the junction slice.  Both matrices are real in this convention.  ``h``
+    is a scalar or a 1-D ladder; for a ladder both matrices carry a leading
+    ladder axis, and the whole ladder converges as one: every panel doubling
+    must move no entry of any h by ``tol`` or more.
     """
-
-    def compute(n_panels):
-        return np.stack(_boson_overlaps_once(h, n_max, n_panels))
-
-    out = _converged(compute, max(16, n_max), tol)
+    ladder = _ladder(h)
+    out = _converged(lambda p: _boson_overlaps_once(ladder, n_max, p), max(16, n_max), tol)
+    if np.ndim(h) == 0:
+        out = out[:, 0]
     return out[0], out[1]
 
 
-def fermion_overlaps(h: float, n_max: int, tol: float = 1e-12) -> np.ndarray:
-    """Exact junction matrix at finite h for modes kappa = -n_max..n_max-1."""
-    return _converged(lambda p: _fermion_overlaps_once(h, n_max, p), max(16, n_max), tol)
+def fermion_overlaps(h, n_max: int, tol: float = 1e-12) -> np.ndarray:
+    """Exact junction matrix at finite h for modes kappa = -n_max..n_max-1.
+
+    ``h`` is a scalar or a 1-D ladder, which gives a leading ladder axis and
+    converges as one, as in :func:`boson_overlaps`.
+    """
+    ladder = _ladder(h)
+    out = _converged(lambda p: _fermion_overlaps_once(ladder, n_max, p), max(16, n_max), tol)
+    return out[0] if np.ndim(h) == 0 else out
 
 
 def overlap_identity_residuals(alpha: np.ndarray, beta: np.ndarray, interior: int) -> float:
@@ -240,234 +263,3 @@ def richardson_orders(sample, f0: np.ndarray, top: float = 0.02, levels: int = 5
     c1 = accelerate([(f - f0) / h for f, h in zip(fs, hs)])
     c2 = accelerate([(f - f0 - c1 * h) / h**2 for f, h in zip(fs, hs)])
     return c1, c2
-
-
-# ---------------------------------------------------------------------------
-# brute-force Fock spaces
-
-
-def _enumerate_occupations(n_modes: int, mode_cap: int, total_cap: int):
-    occs = []
-
-    def recurse(prefix, remaining):
-        if len(prefix) == n_modes:
-            occs.append(tuple(prefix))
-            return
-        for k in range(min(mode_cap, remaining) + 1):
-            recurse(prefix + [k], remaining - k)
-
-    recurse([], total_cap)
-    return occs
-
-
-@dataclass
-class BosonFockWindow:
-    """Truncated Fock space over a small window of modes.
-
-    The domain basis keeps occupation vectors with per-mode occupancy at most
-    ``mode_cap`` and total occupancy at most ``total_cap``; ladder operators
-    map into a slightly larger image basis so that nothing silently falls off
-    the edge when conditions are checked.
-    """
-
-    modes: tuple[int, ...]
-    mode_cap: int = 4
-    total_cap: int = 6
-    domain: list = field(init=False)
-    image: list = field(init=False)
-    domain_index: dict = field(init=False)
-    image_index: dict = field(init=False)
-
-    def __post_init__(self):
-        self.modes = tuple(self.modes)
-        n = len(self.modes)
-        self.domain = _enumerate_occupations(n, self.mode_cap, self.total_cap)
-        self.image = _enumerate_occupations(n, self.mode_cap + 1, self.total_cap + 1)
-        self.domain_index = {occ: i for i, occ in enumerate(self.domain)}
-        self.image_index = {occ: i for i, occ in enumerate(self.image)}
-
-    def lower(self, slot: int) -> sp.csr_matrix:
-        """Annihilation operator for mode ``self.modes[slot]``, domain -> image."""
-        rows, cols, vals = [], [], []
-        for j, occ in enumerate(self.domain):
-            if occ[slot] == 0:
-                continue
-            target = occ[:slot] + (occ[slot] - 1,) + occ[slot + 1:]
-            rows.append(self.image_index[target])
-            cols.append(j)
-            vals.append(np.sqrt(occ[slot]))
-        shape = (len(self.image), len(self.domain))
-        return sp.csr_matrix((vals, (rows, cols)), shape=shape)
-
-    def raise_(self, slot: int) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        for j, occ in enumerate(self.domain):
-            target = occ[:slot] + (occ[slot] + 1,) + occ[slot + 1:]
-            idx = self.image_index.get(target)
-            if idx is None:
-                continue
-            rows.append(idx)
-            cols.append(j)
-            vals.append(np.sqrt(occ[slot] + 1))
-        shape = (len(self.image), len(self.domain))
-        return sp.csr_matrix((vals, (rows, cols)), shape=shape)
-
-    def amplitude(self, vec: np.ndarray, occ: tuple, basis: str = "domain") -> complex:
-        index = self.domain_index if basis == "domain" else self.image_index
-        return complex(vec[index[tuple(occ)]])
-
-
-def boson_travelled_vacuum(window: BosonFockWindow, alpha: np.ndarray, beta: np.ndarray):
-    """State of the pre-travel vacuum in the post-travel basis, by least squares.
-
-    The pre-travel annihilation operators in the post-travel window are
-    a_n = sum_m alpha[m, n] b_m + conj(beta[m, n]) b_m^+; the vacuum is the
-    (gauge-fixed) minimiser of the summed condition norms.  Returns the
-    normalised vector and the residual per unit norm, which measures how much
-    the window truncation bites.
-    """
-    n_w = len(window.modes)
-    lowers = [window.lower(s) for s in range(n_w)]
-    raises = [window.raise_(s) for s in range(n_w)]
-    conditions = []
-    for n in range(n_w):
-        op = sp.csr_matrix((len(window.image), len(window.domain)), dtype=complex)
-        for m in range(n_w):
-            op = op + alpha[m, n] * lowers[m] + np.conj(beta[m, n]) * raises[m]
-        conditions.append(op)
-    tall = sp.vstack(conditions).tocsc()
-
-    vac = window.domain_index[(0,) * n_w]
-    keep = np.ones(len(window.domain), dtype=bool)
-    keep[vac] = False
-    a_free = tall[:, keep]
-    rhs = -tall[:, vac].toarray().ravel()
-    normal = (a_free.conj().T @ a_free).tocsc()
-    psi_free = spla.spsolve(normal, a_free.conj().T @ rhs)
-
-    psi = np.zeros(len(window.domain), dtype=complex)
-    psi[vac] = 1.0
-    psi[keep] = psi_free
-    residual = float(np.linalg.norm(tall @ psi) / np.linalg.norm(psi))
-    return psi / np.linalg.norm(psi), residual
-
-
-def boson_apply_pre_travel_creation(
-    window: BosonFockWindow, alpha: np.ndarray, beta: np.ndarray, slot: int, psi: np.ndarray
-) -> np.ndarray:
-    """Apply a pre-travel creation operator to a window vector.
-
-    a_k^+ = sum_m conj(alpha[m, k]) b_m^+ + beta[m, k] b_m.  The result lives
-    in the image basis; normalise before comparing amplitudes.
-    """
-    out = np.zeros(len(window.image), dtype=complex)
-    for m in range(len(window.modes)):
-        out += np.conj(alpha[m, slot]) * (window.raise_(m) @ psi)
-        out += beta[m, slot] * (window.lower(m) @ psi)
-    return out
-
-
-@dataclass
-class FermionFockWindow:
-    """Complete Fock space over a window of fermion modes (kappa labels).
-
-    Basis states are bitmasks over ``kappas`` in ascending order; a creation
-    operator for slot j carries the usual sign (-1)^(number of occupied
-    slots before j).
-    """
-
-    kappas: tuple[int, ...]
-
-    def __post_init__(self):
-        self.kappas = tuple(self.kappas)
-        if list(self.kappas) != sorted(self.kappas):
-            raise ValueError("kappas must be ascending")
-        self.n = len(self.kappas)
-        self.dim = 1 << self.n
-
-    def create(self, slot: int) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        bit = 1 << slot
-        below = bit - 1
-        for state in range(self.dim):
-            if state & bit:
-                continue
-            sign = -1.0 if bin(state & below).count("1") % 2 else 1.0
-            rows.append(state | bit)
-            cols.append(state)
-            vals.append(sign)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
-
-    def annihilate(self, slot: int) -> sp.csr_matrix:
-        return self.create(slot).T
-
-    def post_travel_op(self, slot: int) -> sp.csr_matrix:
-        """The operator multiplying mode ``slot`` in a field expansion.
-
-        Particle modes (kappa >= 0) contribute their annihilation operator,
-        antiparticle modes their creation operator.
-        """
-        if self.kappas[slot] >= 0:
-            return self.annihilate(slot)
-        return self.create(slot)
-
-    def index(self, occupied) -> int:
-        state = 0
-        for kappa in occupied:
-            state |= 1 << self.kappas.index(kappa)
-        return state
-
-
-def fermion_travelled_vacuum(window: FermionFockWindow, a: np.ndarray):
-    """Pre-travel vacuum in the post-travel window basis, by least squares.
-
-    Conditions: for every particle column n, sum_m a[m, n] c_m psi = 0 and
-    for every antiparticle column q, sum_m conj(a[m, q]) c_m^+ psi = 0, with
-    c_m the post-travel operator of slot m.
-    """
-    ops = [window.post_travel_op(s) for s in range(window.n)]
-    conditions = []
-    for n, kappa in enumerate(window.kappas):
-        op = sp.csr_matrix((window.dim, window.dim), dtype=complex)
-        if kappa >= 0:
-            for m in range(window.n):
-                op = op + a[m, n] * ops[m]
-        else:
-            for m in range(window.n):
-                op = op + np.conj(a[m, n]) * ops[m].conj().T
-        conditions.append(op)
-    tall = sp.vstack(conditions).tocsc()
-
-    vac = 0
-    keep = np.ones(window.dim, dtype=bool)
-    keep[vac] = False
-    a_free = tall[:, keep]
-    rhs = -tall[:, vac].toarray().ravel()
-    normal = (a_free.conj().T @ a_free).tocsc()
-    psi_free = spla.spsolve(normal, a_free.conj().T @ rhs)
-
-    psi = np.zeros(window.dim, dtype=complex)
-    psi[vac] = 1.0
-    psi[keep] = psi_free
-    residual = float(np.linalg.norm(tall @ psi) / np.linalg.norm(psi))
-    return psi / np.linalg.norm(psi), residual
-
-
-def fermion_apply_pre_travel_creation(
-    window: FermionFockWindow, a: np.ndarray, column: int, psi: np.ndarray
-) -> np.ndarray:
-    """Apply a pre-travel creation operator (column index into ``a``).
-
-    For a particle column this is sum_m conj(a[m, col]) c_m^+; for an
-    antiparticle column the pre-travel field relation gives
-    sum_m a[m, col] c_m instead (the adjoint of the annihilation condition).
-    """
-    kappa = window.kappas[column]
-    out = np.zeros(window.dim, dtype=complex)
-    ops = [window.post_travel_op(s) for s in range(window.n)]
-    for m in range(window.n):
-        if kappa >= 0:
-            out += np.conj(a[m, column]) * (ops[m].conj().T @ psi)
-        else:
-            out += a[m, column] * (ops[m] @ psi)
-    return out

@@ -11,8 +11,11 @@ Trips are assembled, gated and fed to the closed series a chunk of grid
 points at a time (see :mod:`cavityent.blocks`), one species after the other,
 serially.  Convergence in the mode cutoff is checked by rebuilding a handful
 of grid points per curve at doubled n_max, all spot points of one species in
-one batch; a curve whose values move by more than ``CONVERGENCE_GATE``
-(relative) is flagged in every one of its rows.
+one batch; a curve whose values move by more than ``CONVERGENCE_GATE`` of
+the curve's largest |value| on the grid is flagged in every one of its rows.
+Measuring against the curve's scale rather than the local value keeps spot
+points that land on a zero of the curve, where both cutoffs hold only
+truncation noise, from firing the gate.
 """
 
 from __future__ import annotations
@@ -230,14 +233,11 @@ def run_sweep(request: SweepRequest) -> SweepResult:
         fine = _curve_series([curves[j] for j in cols], grid[points], 2 * request.n_max)
         for col, j in enumerate(cols):
             curve = curves[j]
-            delta = 0.0
-            for i in spots[j]:
-                coarse = values[i, j]
-                refined = fine[points.index(i), col, powers[curve.name]]
-                scale = max(abs(coarse), abs(refined))
-                if scale > 0.0:
-                    delta = max(delta, abs(refined - coarse) / scale)
-            deltas[curve.name] = float(delta)
+            scale = float(np.max(np.abs(values[:, j])))
+            coarse = values[spots[j], j]
+            refined = fine[[points.index(i) for i in spots[j]], col, powers[curve.name]]
+            delta = float(np.max(np.abs(refined - coarse))) / scale if scale > 0.0 else 0.0
+            deltas[curve.name] = delta
     deltas = {c.name: deltas[c.name] for c in curves}
     converged = {name: bool(delta < CONVERGENCE_GATE) for name, delta in deltas.items()}
 

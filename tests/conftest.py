@@ -13,13 +13,6 @@ from cavityent import blocks
 RNG_SEED = 20260814
 
 
-@pytest.fixture(autouse=True)
-def _no_disk_cache(monkeypatch):
-    # Keep the suite hermetic: never read or write a user-level cache
-    # directory.  Cache tests opt back in through tmp_path.
-    monkeypatch.delenv("CAVITYENT_CACHE_DIR", raising=False)
-
-
 @pytest.fixture(scope="session")
 def boson_junction():
     return blocks.junction("boson", 40)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from cavityent import blocks, config, negativity, oracles, states, sweep
+from cavityent import blocks, config, fock, negativity, oracles, states, sweep
 from cavityent.bogoliubov import BosonBogoliubov, FermionBogoliubov, check_identities
 from cavityent.series import H2Matrix
 
@@ -78,8 +78,8 @@ def test_state_expansions_match_fock_references():
     phases = np.diag(np.exp(-2j * np.pi * modes * U))
     a_tot = aj.T @ phases @ aj - bj.T @ phases.conj() @ bj
     b_tot = aj.T @ phases @ bj - bj.T @ phases.conj() @ aj
-    window = oracles.BosonFockWindow(tuple(modes))
-    vacuum, residual = oracles.boson_travelled_vacuum(window, a_tot, b_tot)
+    window = fock.BosonFockWindow(tuple(modes))
+    vacuum, residual = fock.boson_travelled_vacuum(window, a_tot, b_tot)
     assert residual < 1e-5
     trip = blocks.one_way_trip("boson", nw, U, gate_tol=1e-3)
 
@@ -94,7 +94,7 @@ def test_state_expansions_match_fock_references():
     dev = np.abs(_gauge(boson_vector(state, window.domain)) - _gauge(vacuum))
     assert dev.max() < STATE_TOL, f"boson vacuum deviates by {dev.max():.2e}"
 
-    excited = oracles.boson_apply_pre_travel_creation(window, a_tot, b_tot, 0, vacuum)
+    excited = fock.boson_apply_pre_travel_creation(window, a_tot, b_tot, 0, vacuum)
     state = states.boson_particle_state(trip, 1, (1, 4), full_second_order=True)
     dev = np.abs(_gauge(boson_vector(state, window.image)) - _gauge(excited))
     assert dev.max() < STATE_TOL, f"boson particle deviates by {dev.max():.2e}"
@@ -104,8 +104,8 @@ def test_state_expansions_match_fock_references():
     fj = oracles.fermion_overlaps(h, nf)
     fphases = np.diag(np.exp(-2j * np.pi * (kappas + 0.5) * U))
     f_tot = fj.T @ fphases @ fj
-    fwindow = oracles.FermionFockWindow(tuple(kappas))
-    fvacuum, residual = oracles.fermion_travelled_vacuum(fwindow, f_tot)
+    fwindow = fock.FermionFockWindow(tuple(kappas))
+    fvacuum, residual = fock.fermion_travelled_vacuum(fwindow, f_tot)
     assert residual < 1e-5
     ftrip = blocks.one_way_trip("fermion", nf, U, gate_tol=1e-3)
 
@@ -116,18 +116,18 @@ def test_state_expansions_match_fock_references():
         return out
 
     col = {k: int(np.flatnonzero(kappas == k)[0]) for k in (1, -2)}
-    staged = oracles.fermion_apply_pre_travel_creation(fwindow, f_tot, col[-2], fvacuum)
+    staged = fock.fermion_apply_pre_travel_creation(fwindow, f_tot, col[-2], fvacuum)
     cases = [
         ("vacuum", states.fermion_vacuum_state(ftrip, (1, -2), full_second_order=True), fvacuum),
         (
             "one-particle",
             states.fermion_particle_state(ftrip, 1, (1, -2), full_second_order=True),
-            oracles.fermion_apply_pre_travel_creation(fwindow, f_tot, col[1], fvacuum),
+            fock.fermion_apply_pre_travel_creation(fwindow, f_tot, col[1], fvacuum),
         ),
         (
             "pair",
             states.fermion_pair_state(ftrip, 1, -2, (1, -2), full_second_order=True),
-            oracles.fermion_apply_pre_travel_creation(fwindow, f_tot, col[1], staged),
+            fock.fermion_apply_pre_travel_creation(fwindow, f_tot, col[1], staged),
         ),
     ]
     for family, state, reference in cases:

@@ -1,10 +1,15 @@
 """Command line entry points and exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from cavityent import blocks, cache, cli, oracles, sweep
+import cavityent
+from cavityent import blocks, cli, oracles, sweep
 from cavityent.sweep import CSV_COLUMNS
 
 
@@ -62,31 +67,23 @@ def test_check_reports_all_ok(capsys):
     assert out.count("ok  ") >= 5
 
 
-def test_oracle_requires_cache_location(capsys, monkeypatch):
-    monkeypatch.delenv(cache.ENV_VAR, raising=False)
-    assert cli.main(["oracle"]) == cli.EXIT_CONFIG
-    assert cache.ENV_VAR in capsys.readouterr().err
-
-
-def test_oracle_regen_validate_cycle(tmp_path, capsys):
-    base = ["oracle", "--nmax", "12", "--cache-dir", str(tmp_path)]
-    assert cli.main(base) == cli.EXIT_OK
-    assert len(list(tmp_path.iterdir())) == 2  # one table per species
-    assert cli.main(base + ["--validate"]) == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert out.count("ok  ") == 2
-
-
-def test_oracle_validate_detects_tampering(tmp_path, capsys):
-    base = ["oracle", "--nmax", "12", "--cache-dir", str(tmp_path)]
-    assert cli.main(base) == cli.EXIT_OK
-    victim = sorted(tmp_path.iterdir())[0]
-    text = victim.read_text().splitlines()
-    head, tail = text[-1].rsplit(" ", 2)[0], text[-1].rsplit(" ", 2)[1:]
-    text[-1] = f"{head} {float(tail[0]) + 1e-6:.17g} {tail[1]}"
-    victim.write_text("\n".join(text) + "\n")
-    assert cli.main(base + ["--validate"]) == cli.EXIT_INVARIANT
-    assert "FAIL" in capsys.readouterr().out
+def test_sweep_and_check_never_import_scipy(tmp_path):
+    # scipy backs only cavityent.fock, the Fock oracle of the tests; a fresh
+    # interpreter keeps it out of sys.modules through both subcommands
+    script = "\n".join([
+        "import sys",
+        "import cavityent",
+        "from cavityent import cli",
+        f"assert cli.main(['sweep', 'fig1a', '--steps', '5', '--out', {str(tmp_path / 'a.csv')!r}]) == 0",
+        "assert cli.main(['check']) == 0",
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+    ])
+    src = pathlib.Path(cavityent.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_version_flag(capsys):

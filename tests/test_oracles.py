@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cavityent import oracles
+from cavityent import fock, oracles
+from cavityent.geometry import CavityGeometry
 
 
 # --- order extraction ------------------------------------------------------
@@ -92,11 +93,63 @@ def test_overlaps_are_real():
     assert np.isrealobj(oracles.fermion_overlaps(0.05, 5))
 
 
+# the ladder of `cavityent check`, whose per-h residuals must not move
+CHECK_LADDER = np.array([0.08, 0.04, 0.02, 0.01])
+
+
+def test_boson_ladder_call_matches_per_h_calls():
+    alphas, betas = oracles.boson_overlaps(CHECK_LADDER, 24)
+    assert alphas.shape == betas.shape == (4, 24, 24)
+    for h, alpha, beta in zip(CHECK_LADDER, alphas, betas):
+        single_alpha, single_beta = oracles.boson_overlaps(h, 24)
+        np.testing.assert_array_equal(alpha, single_alpha)
+        np.testing.assert_array_equal(beta, single_beta)
+
+
+def test_fermion_ladder_call_matches_per_h_calls():
+    stack = oracles.fermion_overlaps(CHECK_LADDER, 24)
+    assert stack.shape == (4, 48, 48)
+    for h, a in zip(CHECK_LADDER, stack):
+        np.testing.assert_array_equal(a, oracles.fermion_overlaps(h, 24))
+
+
+@pytest.mark.parametrize("h", [0.05, 0.3])
+def test_mirrored_fermion_overlaps_match_four_table_formula(h):
+    # reference: cos and sin tables over the full kappa range, no mirroring
+    n_max, n_panels = 12, 20
+    geo = CavityGeometry(h)
+    xi, wi = oracles.gauss_panels(n_panels)
+    x = geo.left_wall * (1.0 + geo.wall_ratio * xi)
+    ell = np.log1p(geo.wall_ratio * xi)
+    kappa = np.arange(-n_max, n_max)
+    omega = (kappa + 0.5) * np.pi
+    capital = (kappa + 0.5) * np.pi / geo.log_ratio
+    weight = wi / np.sqrt(geo.log_ratio * x)
+    direct = (
+        (np.cos(np.outer(capital, ell)) * weight) @ np.cos(np.outer(omega, xi)).T
+        + (np.sin(np.outer(capital, ell)) * weight) @ np.sin(np.outer(omega, xi)).T
+    )
+    mirrored = oracles._fermion_overlaps_once(oracles._ladder(h), n_max, n_panels)[0]
+    # the same sums, but BLAS may block the half-size products differently
+    np.testing.assert_allclose(mirrored, direct, rtol=0.0, atol=8 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("overlaps", [oracles.boson_overlaps, oracles.fermion_overlaps])
+def test_ladder_call_raises_when_tolerance_is_out_of_reach(overlaps):
+    with pytest.raises(oracles.ConvergenceError):
+        overlaps(CHECK_LADDER, 8, tol=1e-20)
+
+
+def test_overlaps_reject_a_two_dimensional_h():
+    with pytest.raises(ValueError):
+        oracles.fermion_overlaps(CHECK_LADDER.reshape(2, 2), 8)
+
+
 # --- bosonic Fock window ---------------------------------------------------
 
 
 def test_boson_window_ladder_matrix_elements():
-    w = oracles.BosonFockWindow((1, 2, 3))
+    w = fock.BosonFockWindow((1, 2, 3))
     psi = np.zeros(len(w.domain))
     occ = (1, 0, 2)
     psi[w.domain.index(occ)] = 1.0
@@ -109,16 +162,16 @@ def test_boson_window_ladder_matrix_elements():
 
 
 def test_boson_window_respects_caps():
-    w = oracles.BosonFockWindow((1, 2), mode_cap=2, total_cap=3)
+    w = fock.BosonFockWindow((1, 2), mode_cap=2, total_cap=3)
     assert (2, 2) not in w.domain  # total above cap
     assert (0, 3) not in w.domain  # single mode above cap
     assert (2, 1) in w.domain
 
 
 def test_boson_travelled_vacuum_finite_h():
-    w = oracles.BosonFockWindow(tuple(range(1, 7)))
+    w = fock.BosonFockWindow(tuple(range(1, 7)))
     alpha, beta = oracles.boson_overlaps(0.01, 6)
-    psi, residual = oracles.boson_travelled_vacuum(w, alpha, beta)
+    psi, residual = fock.boson_travelled_vacuum(w, alpha, beta)
     assert residual < 1e-5
     assert np.linalg.norm(psi) == pytest.approx(1.0)
     vac = w.amplitude(psi, (0,) * 6)
@@ -129,7 +182,7 @@ def test_boson_travelled_vacuum_finite_h():
 
 
 def test_fermion_window_car_algebra():
-    w = oracles.FermionFockWindow((-1, 0, 1))
+    w = fock.FermionFockWindow((-1, 0, 1))
     n = len(w.kappas)
     eye = np.eye(2**n)
     cs = [w.annihilate(s).toarray() for s in range(n)]
@@ -144,7 +197,7 @@ def test_fermion_window_car_algebra():
 
 
 def test_fermion_window_index_matches_create():
-    w = oracles.FermionFockWindow((-2, -1, 0, 1))
+    w = fock.FermionFockWindow((-2, -1, 0, 1))
     vac = np.zeros(2 ** len(w.kappas))
     vac[w.index(())] = 1.0
     one = w.create(2) @ vac
@@ -154,15 +207,15 @@ def test_fermion_window_index_matches_create():
 
 
 def test_fermion_post_travel_op_by_charge():
-    w = oracles.FermionFockWindow((-1, 0, 1))
+    w = fock.FermionFockWindow((-1, 0, 1))
     # annihilation for particle labels, creation for antiparticle labels
     assert (w.post_travel_op(1) != w.annihilate(1)).nnz == 0
     assert (w.post_travel_op(0) != w.create(0)).nnz == 0
 
 
 def test_fermion_travelled_vacuum_finite_h():
-    w = oracles.FermionFockWindow(tuple(range(-3, 3)))
+    w = fock.FermionFockWindow(tuple(range(-3, 3)))
     a = oracles.fermion_overlaps(0.01, 3)
-    psi, residual = oracles.fermion_travelled_vacuum(w, a)
+    psi, residual = fock.fermion_travelled_vacuum(w, a)
     assert residual < 1e-5
     assert np.linalg.norm(psi) == pytest.approx(1.0)

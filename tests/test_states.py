@@ -10,7 +10,7 @@ below 10 h^3 at h = 0.01.
 import numpy as np
 import pytest
 
-from cavityent import blocks, oracles, states
+from cavityent import blocks, fock, oracles, states
 from cavityent.series import N_ORDERS
 
 U = 0.3
@@ -38,8 +38,8 @@ def boson_reference():
     phases = np.diag(np.exp(-2j * np.pi * modes * U))
     a_tot = aj.T @ phases @ aj - bj.T @ phases.conj() @ bj
     b_tot = aj.T @ phases @ bj - bj.T @ phases.conj() @ aj
-    window = oracles.BosonFockWindow(tuple(modes))
-    vacuum, residual = oracles.boson_travelled_vacuum(window, a_tot, b_tot)
+    window = fock.BosonFockWindow(tuple(modes))
+    vacuum, residual = fock.boson_travelled_vacuum(window, a_tot, b_tot)
     assert residual < 1e-5
     trip = blocks.one_way_trip("boson", nw, U, gate_tol=1e-3)
     return modes, window, a_tot, b_tot, vacuum, trip
@@ -63,7 +63,7 @@ def test_boson_vacuum_matches_fock_reference(boson_reference):
 
 def test_boson_particle_matches_fock_reference(boson_reference):
     modes, window, a_tot, b_tot, vacuum, trip = boson_reference
-    excited = oracles.boson_apply_pre_travel_creation(window, a_tot, b_tot, 0, vacuum)
+    excited = fock.boson_apply_pre_travel_creation(window, a_tot, b_tot, 0, vacuum)
     state = states.boson_particle_state(trip, 1, (1, 4), full_second_order=True)
     got = _gauge(_boson_series_vector(state, modes, window.image))
     want = _gauge(excited)
@@ -80,8 +80,8 @@ def fermion_reference():
     aj = oracles.fermion_overlaps(H, nf)
     phases = np.diag(np.exp(-2j * np.pi * (kappas + 0.5) * U))
     a_tot = aj.T @ phases @ aj
-    window = oracles.FermionFockWindow(tuple(kappas))
-    vacuum, residual = oracles.fermion_travelled_vacuum(window, a_tot)
+    window = fock.FermionFockWindow(tuple(kappas))
+    vacuum, residual = fock.fermion_travelled_vacuum(window, a_tot)
     assert residual < 1e-5
     trip = blocks.one_way_trip("fermion", nf, U, gate_tol=1e-3)
     return kappas, window, a_tot, vacuum, trip
@@ -105,7 +105,7 @@ def test_fermion_vacuum_matches_fock_reference(fermion_reference):
 def test_fermion_particle_matches_fock_reference(fermion_reference, kappa):
     kappas, window, a_tot, vacuum, trip = fermion_reference
     col = int(np.flatnonzero(kappas == kappa)[0])
-    excited = oracles.fermion_apply_pre_travel_creation(window, a_tot, col, vacuum)
+    excited = fock.fermion_apply_pre_travel_creation(window, a_tot, col, vacuum)
     state = states.fermion_particle_state(trip, kappa, (1, -2), full_second_order=True)
     got = _gauge(_fermion_series_vector(state, window))
     assert np.max(np.abs(got - _gauge(excited))) < TOL
@@ -114,8 +114,8 @@ def test_fermion_particle_matches_fock_reference(fermion_reference, kappa):
 def test_fermion_pair_matches_fock_reference(fermion_reference):
     kappas, window, a_tot, vacuum, trip = fermion_reference
     cols = {k: int(np.flatnonzero(kappas == k)[0]) for k in (1, -2)}
-    staged = oracles.fermion_apply_pre_travel_creation(window, a_tot, cols[-2], vacuum)
-    excited = oracles.fermion_apply_pre_travel_creation(window, a_tot, cols[1], staged)
+    staged = fock.fermion_apply_pre_travel_creation(window, a_tot, cols[-2], vacuum)
+    excited = fock.fermion_apply_pre_travel_creation(window, a_tot, cols[1], staged)
     state = states.fermion_pair_state(trip, 1, -2, (1, -2), full_second_order=True)
     got = _gauge(_fermion_series_vector(state, window))
     assert np.max(np.abs(got - _gauge(excited))) < TOL

@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from cavityent import blocks, cli, sweep
+from cavityent import blocks, cli, config, sweep
 from cavityent.bogoliubov import BosonBogoliubov, FermionBogoliubov, InvariantViolation
 from cavityent.series import H2Matrix
 from cavityent.sweep import (
@@ -172,6 +173,48 @@ def test_sweep_is_periodic_in_u():
     values = [row.value for row in run_sweep(request).rows]
     # u = 0 .. 2 in steps of 0.25: the second period repeats the first
     assert values[:4] == pytest.approx(values[4:8], abs=1e-12)
+
+
+# --- convergence gate ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("steps", [3, 4])
+def test_gate_ignores_spot_points_on_the_zeros(tmp_path, steps):
+    # on 3 and 4 point grids the spot points include u = 0 and u = 1, where
+    # both cutoffs hold only truncation noise: measured against the local
+    # value, that noise read as a delta of 0.88
+    out = tmp_path / "rows.json"
+    assert cli.main(["sweep", "fig1b", "--steps", str(steps), "--out", str(out)]) == cli.EXIT_OK
+    curves = json.loads(out.read_text())["metadata"]["curves"]
+    assert all(info["convergence_delta"] < sweep.CONVERGENCE_GATE for info in curves.values())
+
+
+def test_gate_still_fails_an_unconverged_curve():
+    curve = CurveSpec("fermion-pair-1m1", "fermion", "pair", (1, -1))
+    result = run_sweep(SweepRequest(curves=(curve,), steps=21, n_max=40))
+    assert not result.all_converged
+    assert result.deltas[curve.name] == pytest.approx(0.8755, abs=1e-4)
+
+
+@pytest.mark.parametrize("name,reference", [("fig1a", "fig1a.csv"), ("fig1b", "fig1b.json")])
+def test_preset_rows_match_recorded_reference(name, reference):
+    # the rows the benchmark records for the presets: the gate keeps every row
+    # converged, and values stay within 1e-12 of their curve's largest |value|
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference" / reference
+    want = load_rows(path.read_text())
+    got = load_rows(emit(run_sweep(config.load_config(name))))
+    assert len(got) == len(want)
+
+    def curve(row):
+        return row["species"], row["state"], row["mode_a"], row["mode_b"]
+
+    scale = {}
+    for row in want:
+        scale[curve(row)] = max(scale.get(curve(row), 0.0), abs(row["negativity_normalized"]))
+    for row, ref in zip(got, want):
+        value, ref_value = row.pop("negativity_normalized"), ref.pop("negativity_normalized")
+        assert row == ref
+        assert abs(value - ref_value) <= 1e-12 * scale[curve(ref)]
 
 
 # --- serialization -------------------------------------------------------------

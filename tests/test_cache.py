@@ -1,10 +1,11 @@
-"""On-disk junction tables: round trip, corruption handling, integration."""
+"""Junction coefficient tables on disk: round trip, corruption handling, compare."""
 
 import numpy as np
 import pytest
 
-from cavityent import blocks, cache
-from cavityent.bogoliubov import InvariantViolation
+from cavityent import blocks, tables
+from cavityent.bogoliubov import BosonBogoliubov
+from cavityent.series import H2Matrix
 
 N_SMALL = 12
 
@@ -14,33 +15,27 @@ def small_junction():
     return blocks.build_junction("boson", N_SMALL)
 
 
-def _drop_memoized(species=None):
-    for key in [k for k in blocks._cache if species is None or k[0] == species]:
-        if key[1] == N_SMALL:
-            del blocks._cache[key]
-
-
 def test_round_trip_is_bit_exact(tmp_path, small_junction):
     path = tmp_path / "junction.txt"
-    cache.write_junction(path, small_junction, "boson", N_SMALL, blocks.DEFAULT_LADDER)
-    loaded = cache.read_junction(path)
+    tables.write_junction(path, small_junction, "boson", N_SMALL, blocks.DEFAULT_LADDER)
+    loaded = tables.read_junction(path)
     assert np.array_equal(loaded.alpha.data, small_junction.alpha.data)
     assert np.array_equal(loaded.beta.data, small_junction.beta.data)
     assert np.array_equal(loaded.modes, small_junction.modes)
-    assert cache.compare(loaded, small_junction) == 0.0
+    assert tables.compare(loaded, small_junction) == 0.0
 
 
 def test_fermion_round_trip(tmp_path):
     t = blocks.build_junction("fermion", 8)
     path = tmp_path / "junction.txt"
-    cache.write_junction(path, t, "fermion", 8, blocks.DEFAULT_LADDER)
-    loaded = cache.read_junction(path)
+    tables.write_junction(path, t, "fermion", 8, blocks.DEFAULT_LADDER)
+    loaded = tables.read_junction(path)
     assert np.array_equal(loaded.a.data, t.a.data)
 
 
 def test_table_is_human_readable(tmp_path, small_junction):
     path = tmp_path / "junction.txt"
-    cache.write_junction(path, small_junction, "boson", N_SMALL, blocks.DEFAULT_LADDER)
+    tables.write_junction(path, small_junction, "boson", N_SMALL, blocks.DEFAULT_LADDER)
     text = path.read_text()
     assert text.startswith("# junction coefficient table")
     assert "species family order m n re im" in text
@@ -51,85 +46,30 @@ def test_table_is_human_readable(tmp_path, small_junction):
 
 def test_corrupted_table_is_rejected(tmp_path, small_junction):
     path = tmp_path / "junction.txt"
-    cache.write_junction(path, small_junction, "boson", N_SMALL, blocks.DEFAULT_LADDER)
+    tables.write_junction(path, small_junction, "boson", N_SMALL, blocks.DEFAULT_LADDER)
     lines = path.read_text().splitlines()
     lines[-1] = lines[-1].rsplit(" ", 2)[0] + " nan 0"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(cache.CacheError):
-        cache.read_junction(path)
+    with pytest.raises(tables.TableError):
+        tables.read_junction(path)
 
 
 @pytest.mark.parametrize("keep", [4, 20])
 def test_truncated_table_is_rejected(tmp_path, small_junction, keep):
     path = tmp_path / "junction.txt"
-    cache.write_junction(path, small_junction, "boson", N_SMALL, blocks.DEFAULT_LADDER)
+    tables.write_junction(path, small_junction, "boson", N_SMALL, blocks.DEFAULT_LADDER)
     body = path.read_text().splitlines()
     path.write_text("\n".join(body[:keep]) + "\n")
-    with pytest.raises(cache.CacheError):
-        cache.read_junction(path)
-
-
-def test_load_without_cache_dir_is_none():
-    assert cache.cache_root() is None
-    assert cache.load("boson", N_SMALL, blocks.DEFAULT_LADDER) is None
-
-
-def test_store_and_load_through_env(tmp_path, monkeypatch, small_junction):
-    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-    stored = cache.store("boson", N_SMALL, blocks.DEFAULT_LADDER, small_junction)
-    assert stored is not None and stored.exists()
-    loaded = cache.load("boson", N_SMALL, blocks.DEFAULT_LADDER)
-    assert loaded is not None
-    assert cache.compare(loaded, small_junction) == 0.0
-    # a different ladder is a different table
-    assert cache.load("boson", N_SMALL, blocks.DEFAULT_LADDER[:3]) is None
-
-
-def test_load_survives_corruption(tmp_path, monkeypatch, small_junction):
-    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-    stored = cache.store("boson", N_SMALL, blocks.DEFAULT_LADDER, small_junction)
-    stored.write_text(stored.read_text()[: -40])
-    assert cache.load("boson", N_SMALL, blocks.DEFAULT_LADDER) is None
-
-
-def test_junction_uses_disk_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-    try:
-        first = blocks.junction("boson", N_SMALL, gate_tol=1e-3)
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        _drop_memoized("boson")
-        again = blocks.junction("boson", N_SMALL, gate_tol=1e-3)
-        assert cache.compare(first, again) == 0.0
-    finally:
-        _drop_memoized("boson")
-
-
-def test_junction_gate_still_guards_cached_tables(tmp_path, monkeypatch, small_junction):
-    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-    bad = small_junction.beta.data.copy()
-    bad[1, 1, 2] += 1e-3
-    from cavityent.bogoliubov import BosonBogoliubov
-    from cavityent.series import H2Matrix
-
-    tampered = BosonBogoliubov(small_junction.alpha, H2Matrix(bad), small_junction.modes)
-    cache.store("boson", N_SMALL, blocks.DEFAULT_LADDER, tampered)
-    try:
-        with pytest.raises(InvariantViolation):
-            blocks.junction("boson", N_SMALL, gate_tol=1e-6)
-    finally:
-        _drop_memoized("boson")
+    with pytest.raises(tables.TableError):
+        tables.read_junction(path)
 
 
 def test_compare_reports_deviation(small_junction):
     other = blocks.build_junction("boson", N_SMALL)
-    assert cache.compare(small_junction, other) == 0.0
+    assert tables.compare(small_junction, other) == 0.0
     bumped = other.beta.data.copy()
     bumped[2, 0, 1] += 2.5e-7
-    from cavityent.bogoliubov import BosonBogoliubov
-    from cavityent.series import H2Matrix
-
-    assert cache.compare(
+    assert tables.compare(
         small_junction,
         BosonBogoliubov(other.alpha, H2Matrix(bumped), other.modes),
     ) == pytest.approx(2.5e-7)

@@ -25,7 +25,6 @@ from .negativity import (
     negativity_at,
     partial_transpose,
 )
-from .series import H2Matrix, H2Series
 from .states import (
     StateExpansion,
     boson_particle_state,
@@ -67,8 +66,6 @@ __all__ = [
     "leading_order",
     "negativity_at",
     "partial_transpose",
-    "H2Matrix",
-    "H2Series",
     "StateExpansion",
     "boson_particle_state",
     "boson_vacuum_state",

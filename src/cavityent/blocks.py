@@ -16,7 +16,9 @@ evolve, match back.  Sweeps need it on a whole grid of u, so
 as (3, len(u), n, n) order stacks written directly in the junction orders
 (the junction's zeroth order is exactly the identity, so only the products
 of two first-order blocks cost n^3), and runs the trip identity gate on the
-whole stack.  :func:`one_way_trip` is the same code for a single u.  Callers
+whole stack; below ``MIN_N_MAX`` some u of the period fails that gate, so
+sweeps and ``cavityent check`` reject such cutoffs up front.
+:func:`one_way_trip` is the same code for a single u.  Callers
 walk a grid in chunks of :func:`chunk_length` points, serially: one chunk's
 stacks fit in a few MiB whatever n is.  Longer chains (coast and arc
 segments) compose through the second-order algebra in
@@ -34,7 +36,7 @@ from .bogoliubov import (
     check_identities,
     compose,
 )
-from .series import H2Matrix, diagonal_stack
+from .series import diagonal_stack
 
 DEFAULT_LADDER = oracles.geometric_ladder(top=0.02, count=4)
 
@@ -47,6 +49,14 @@ DEFAULT_LADDER = oracles.geometric_ladder(top=0.02, count=4)
 # has already released, and the sweep is as fast as with larger chunks:
 # 13 u values per chunk at n = 40, 3 at n = 80, 1 from n = 105 on.
 STACK_BYTES = 1 << 20
+
+# Smallest n_max from which every trip passes the 5e-8 gate over a whole u
+# period, both species.  The residual is the truncated mode tail and falls
+# roughly as n_max^-3, but not monotonically: worst weighted trip residual on
+# 401 points of [0, 1] (boson / fermion) is 3.77e-8 / 4.81e-8 at 27,
+# 4.20e-8 / 5.24e-8 at 28, 2.33e-8 / 5.24e-8 at 29, 2.58e-8 / 5.69e-8 at 30,
+# 2.58e-8 / 3.25e-8 at 31, and at most 3.77e-8 (fermion, 34) from 31 to 59.
+MIN_N_MAX = 31
 
 _cache: dict[tuple, object] = {}
 
@@ -66,37 +76,32 @@ def interior_window(species: str, n_max: int) -> tuple[int, int]:
     return (-(n_max // 2), n_max // 2)
 
 
-def junction(species: str, n_max: int, ladder=None, gate_tol: float = 5e-8):
+def junction(species: str, n_max: int, gate_tol: float = 5e-8):
     """Junction transformation from the inertial onto the accelerated basis.
 
-    Blocks are extracted from the finite-h overlap quadrature sampled on a
-    geometric ladder, using the mirror symmetry to split even and odd orders.
-    The zeroth order is the identity by construction (asserted, then snapped
-    exactly).  Structural identities are gated on the interior window before
-    the result is released; results are memoized per (species, n_max,
-    ladder) for the life of the process.
+    Blocks are extracted from the finite-h overlap quadrature sampled on
+    ``DEFAULT_LADDER``, using the mirror symmetry to split even and odd
+    orders.  The zeroth order is the identity by construction (asserted, then
+    snapped exactly).  Structural identities are gated on the interior window
+    before the result is released; results are memoized per (species, n_max)
+    for the life of the process.
     """
-    if ladder is None:
-        ladder = DEFAULT_LADDER
-    ladder = np.asarray(ladder, dtype=float)
-    key = (species, n_max, tuple(np.round(ladder, 12)))
+    key = (species, n_max)
     if key in _cache:
         return _cache[key]
 
-    result = build_junction(species, n_max, ladder)
+    result = build_junction(species, n_max)
     check_identities(result, tol=gate_tol, window=interior_window(species, n_max))
     _cache[key] = result
     return result
 
 
-def build_junction(species: str, n_max: int, ladder=None):
+def build_junction(species: str, n_max: int):
     """Extract the junction blocks from the overlap quadrature, unmemoized.
 
-    Each species makes one quadrature call for the whole ladder.
+    Each species makes one quadrature call for the whole ``DEFAULT_LADDER``.
     """
-    if ladder is None:
-        ladder = DEFAULT_LADDER
-    ladder = np.asarray(ladder, dtype=float)
+    ladder = DEFAULT_LADDER
     if species == "boson":
         modes = boson_modes(n_max)
         alpha, beta = oracles.boson_overlaps(ladder, n_max)
@@ -109,9 +114,8 @@ def build_junction(species: str, n_max: int, ladder=None):
         )
         if drift > 1e-9:
             raise oracles.ConvergenceError(f"junction zeroth order drifted by {drift:.2e}")
-        alpha = H2Matrix.from_orders(np.eye(n_max), calpha[1], calpha[2])
-        beta = H2Matrix.from_orders(np.zeros((n_max, n_max)), cbeta[1], cbeta[2])
-        result = BosonBogoliubov(alpha, beta, modes)
+        calpha[0], cbeta[0] = np.eye(n_max), 0.0
+        result = BosonBogoliubov(calpha, cbeta, modes)
     elif species == "fermion":
         modes = fermion_modes(n_max)
         stacked = oracles.fermion_overlaps(ladder, n_max)
@@ -119,9 +123,8 @@ def build_junction(species: str, n_max: int, ladder=None):
         drift = float(np.max(np.abs(c[0] - np.eye(2 * n_max))))
         if drift > 1e-9:
             raise oracles.ConvergenceError(f"junction zeroth order drifted by {drift:.2e}")
-        result = FermionBogoliubov(
-            H2Matrix.from_orders(np.eye(2 * n_max), c[1], c[2]), modes
-        )
+        c[0] = np.eye(2 * n_max)
+        result = FermionBogoliubov(c, modes)
     else:
         raise ValueError(f"unknown species {species!r}")
     return result
@@ -183,8 +186,8 @@ def trip_stack(species: str, n_max: int, u, gate_tol: float = 5e-8):
     # numpy multiplies a transposed 2-D operand into a stack without BLAS,
     # about 30x slower, so adjoints that meet a stack are made contiguous
     if species == "boson":
-        a1, a2 = j.alpha.order(1), j.alpha.order(2)
-        b1, b2 = j.beta.order(1), j.beta.order(2)
+        a1, a2 = j.alpha[1], j.alpha[2]
+        b1, b2 = j.beta[1], j.beta[2]
         a1h, b1t, b2t = a1.conj().T, b1.T, b2.T
         # all four n^3 terms come from one product: with M = [alpha1 beta1],
         # M^+ G M holds alpha1^+ G alpha1 and alpha1^+ G beta1 in its top
@@ -204,16 +207,16 @@ def trip_stack(species: str, n_max: int, u, gate_tol: float = 5e-8):
             gc * b1 - b1t * np.conj(gr),
             gc * b2 + top[..., n:] - b2t * np.conj(gr) - bottom[..., :n],
         ])
-        trip = BosonBogoliubov(H2Matrix(alpha), H2Matrix(beta), j.modes)
+        trip = BosonBogoliubov(alpha, beta, j.modes)
     else:
-        a1, a2 = j.a.order(1), j.a.order(2)
+        a1, a2 = j.a[1], j.a[2]
         a1h = np.ascontiguousarray(a1.conj().T)
         a = np.stack([
             diagonal_stack(g),
             a1h * gr + gc * a1,
             a2.conj().T * gr + a1h @ (gc * a1) + gc * a2,
         ])
-        trip = FermionBogoliubov(H2Matrix(a), j.modes)
+        trip = FermionBogoliubov(a, j.modes)
     check_identities(trip, tol=gate_tol, window=interior_window(species, n_max))
     return trip
 

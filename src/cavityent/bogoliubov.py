@@ -11,10 +11,11 @@ and a fermionic one through a single matrix,
     new_m = sum_n a[m, n] old_n.
 
 Both carry explicit mode labels so that phases, mirror conjugation and
-composition cannot silently mix up index conventions.  All matrices are
-``H2Matrix`` series in the acceleration parameter h; a stack of
-transformations (one per grid point u) keeps its stack axes between the
-order axis and the two mode axes.
+composition cannot silently mix up index conventions.  Every matrix is a
+second-order series in the acceleration parameter h, held as a complex
+array of shape (3, n, n) with the order on the leading axis (see
+:mod:`cavityent.series`); a stack of transformations (one per grid point u)
+keeps its stack axes between the order axis and the two mode axes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import N_ORDERS, H2Matrix, cauchy
+from .series import N_ORDERS, cauchy, diagonal_stack
 
 
 class InvariantViolation(RuntimeError):
@@ -35,36 +36,63 @@ def _check_labels(a, b):
         raise ValueError("cannot combine transformations with different mode labels")
 
 
+def _orders(x, n: int, name: str) -> np.ndarray:
+    """``x`` as a complex order array, rejected unless it is (3, ..., n, n)."""
+    arr = np.asarray(x, dtype=complex)
+    if arr.ndim < 3 or arr.shape[0] != N_ORDERS or arr.shape[-2:] != (n, n):
+        raise ValueError(
+            f"{name} must have shape ({N_ORDERS}, ..., {n}, {n}) for {n} mode labels, "
+            f"got {arr.shape}"
+        )
+    return arr
+
+
+def _phase_orders(phases) -> np.ndarray:
+    """Order array of diag(phases): the phases at h^0, nothing at h^1 and h^2."""
+    d = diagonal_stack(np.asarray(phases, dtype=complex))
+    return np.stack([d, np.zeros_like(d), np.zeros_like(d)])
+
+
+def _dag(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
+def _tr(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
+def _prod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return cauchy(x, y, np.matmul)
+
+
 @dataclass(frozen=True)
 class BosonBogoliubov:
     """Bosonic transformation (alpha, beta) between two sets of cavity modes."""
 
-    alpha: H2Matrix
-    beta: H2Matrix
+    alpha: np.ndarray
+    beta: np.ndarray
     modes: np.ndarray
 
     def __post_init__(self):
         modes = np.asarray(self.modes, dtype=int)
         object.__setattr__(self, "modes", modes)
-        n = modes.size
-        if self.alpha.shape[-2:] != (n, n) or self.beta.shape != self.alpha.shape:
-            raise ValueError("alpha/beta shapes do not match the mode labels")
-
-    @property
-    def n_modes(self) -> int:
-        return self.modes.size
+        alpha = _orders(self.alpha, modes.size, "alpha")
+        beta = _orders(self.beta, modes.size, "beta")
+        if beta.shape != alpha.shape:
+            raise ValueError(f"alpha {alpha.shape} and beta {beta.shape} differ in shape")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @classmethod
     def identity(cls, modes) -> "BosonBogoliubov":
-        modes = np.asarray(modes, dtype=int)
-        n = modes.size
-        return cls(H2Matrix.identity(n), H2Matrix.zeros(n), modes)
+        return cls.from_phases(modes, np.ones(np.size(modes)))
 
     @classmethod
     def from_phases(cls, modes, phases) -> "BosonBogoliubov":
         """Pure phase rotation new_m = g_m old_m (free evolution of each mode)."""
-        modes = np.asarray(modes, dtype=int)
-        return cls(H2Matrix.diagonal(phases), H2Matrix.zeros(modes.size), modes)
+        alpha = _phase_orders(phases)
+        return cls(alpha, np.zeros_like(alpha), modes)
 
 
 @dataclass(frozen=True)
@@ -75,49 +103,41 @@ class FermionBogoliubov:
     kappa < 0 antiparticle modes.
     """
 
-    a: H2Matrix
+    a: np.ndarray
     modes: np.ndarray
 
     def __post_init__(self):
         modes = np.asarray(self.modes, dtype=int)
         object.__setattr__(self, "modes", modes)
-        n = modes.size
-        if self.a.shape[-2:] != (n, n):
-            raise ValueError("matrix shape does not match the mode labels")
-
-    @property
-    def n_modes(self) -> int:
-        return self.modes.size
+        object.__setattr__(self, "a", _orders(self.a, modes.size, "a"))
 
     @classmethod
     def identity(cls, modes) -> "FermionBogoliubov":
-        modes = np.asarray(modes, dtype=int)
-        return cls(H2Matrix.identity(modes.size), modes)
+        return cls.from_phases(modes, np.ones(np.size(modes)))
 
     @classmethod
     def from_phases(cls, modes, phases) -> "FermionBogoliubov":
-        modes = np.asarray(modes, dtype=int)
-        return cls(H2Matrix.diagonal(phases), modes)
+        return cls(_phase_orders(phases), modes)
 
 
 def compose(second, first):
     """Transformation equivalent to applying ``first`` and then ``second``."""
     _check_labels(second, first)
     if isinstance(second, BosonBogoliubov) and isinstance(first, BosonBogoliubov):
-        alpha = second.alpha @ first.alpha + second.beta @ first.beta.conj()
-        beta = second.alpha @ first.beta + second.beta @ first.alpha.conj()
+        alpha = _prod(second.alpha, first.alpha) + _prod(second.beta, np.conj(first.beta))
+        beta = _prod(second.alpha, first.beta) + _prod(second.beta, np.conj(first.alpha))
         return BosonBogoliubov(alpha, beta, second.modes)
     if isinstance(second, FermionBogoliubov) and isinstance(first, FermionBogoliubov):
-        return FermionBogoliubov(second.a @ first.a, second.modes)
+        return FermionBogoliubov(_prod(second.a, first.a), second.modes)
     raise TypeError("cannot compose transformations of different species")
 
 
 def invert(t):
     """Inverse transformation (exact for any transformation satisfying the identities)."""
     if isinstance(t, BosonBogoliubov):
-        return BosonBogoliubov(t.alpha.H, -t.beta.T, t.modes)
+        return BosonBogoliubov(_dag(t.alpha), -_tr(t.beta), t.modes)
     if isinstance(t, FermionBogoliubov):
-        return FermionBogoliubov(t.a.H, t.modes)
+        return FermionBogoliubov(_dag(t.a), t.modes)
     raise TypeError(f"not a transformation: {t!r}")
 
 
@@ -132,11 +152,9 @@ def mirror(t):
     s = np.where(np.asarray(t.modes) % 2 == 0, 1.0, -1.0)
     outer = s[:, None] * s[None, :]
     if isinstance(t, BosonBogoliubov):
-        return BosonBogoliubov(
-            H2Matrix(t.alpha.data * outer), H2Matrix(t.beta.data * outer), t.modes
-        )
+        return BosonBogoliubov(t.alpha * outer, t.beta * outer, t.modes)
     if isinstance(t, FermionBogoliubov):
-        return FermionBogoliubov(H2Matrix(t.a.data * outer), t.modes)
+        return FermionBogoliubov(t.a * outer, t.modes)
     raise TypeError(f"not a transformation: {t!r}")
 
 
@@ -166,15 +184,6 @@ def identity_residuals(t, window=None) -> dict[str, np.ndarray]:
     idx = _window_slice(t.modes, window)
     diag = np.arange(idx.size)
 
-    def dag(x: np.ndarray) -> np.ndarray:
-        return np.conj(np.swapaxes(x, -1, -2))
-
-    def tr(x: np.ndarray) -> np.ndarray:
-        return np.swapaxes(x, -1, -2)
-
-    def prod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return cauchy(x, y, np.matmul)
-
     def less_eye(x: np.ndarray) -> np.ndarray:
         x[0, ..., diag, diag] -= 1.0
         return x
@@ -183,19 +192,19 @@ def identity_residuals(t, window=None) -> dict[str, np.ndarray]:
         return np.max(np.abs(r), axis=(-2, -1))
 
     if isinstance(t, BosonBogoliubov):
-        ar, br = t.alpha.data[..., idx, :], t.beta.data[..., idx, :]
-        ac, bc = t.alpha.data[..., idx], t.beta.data[..., idx]
+        ar, br = t.alpha[..., idx, :], t.beta[..., idx, :]
+        ac, bc = t.alpha[..., idx], t.beta[..., idx]
         return {
-            "number_left": peak(less_eye(prod(ar, dag(ar)) - prod(br, dag(br)))),
-            "pair_left": peak(prod(ar, tr(br)) - prod(br, tr(ar))),
-            "number_right": peak(less_eye(prod(dag(ac), ac) - prod(tr(bc), np.conj(bc)))),
-            "pair_right": peak(prod(dag(ac), bc) - prod(tr(bc), np.conj(ac))),
+            "number_left": peak(less_eye(_prod(ar, _dag(ar)) - _prod(br, _dag(br)))),
+            "pair_left": peak(_prod(ar, _tr(br)) - _prod(br, _tr(ar))),
+            "number_right": peak(less_eye(_prod(_dag(ac), ac) - _prod(_tr(bc), np.conj(bc)))),
+            "pair_right": peak(_prod(_dag(ac), bc) - _prod(_tr(bc), np.conj(ac))),
         }
     if isinstance(t, FermionBogoliubov):
-        ar, ac = t.a.data[..., idx, :], t.a.data[..., idx]
+        ar, ac = t.a[..., idx, :], t.a[..., idx]
         return {
-            "unitary_left": peak(less_eye(prod(ar, dag(ar)))),
-            "unitary_right": peak(less_eye(prod(dag(ac), ac))),
+            "unitary_left": peak(less_eye(_prod(ar, _dag(ar)))),
+            "unitary_right": peak(less_eye(_prod(_dag(ac), ac))),
         }
     raise TypeError(f"not a transformation: {t!r}")
 

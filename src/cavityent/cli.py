@@ -5,7 +5,8 @@ Two subcommands:
 * ``sweep``: run a configured u sweep and write CSV or JSON rows.
 * ``check``: run the structural invariant suites and report each one.
 
-Exit codes: 0 success, 2 configuration error, 3 convergence gate failure,
+Exit codes: 0 success, 2 configuration error (including an n_max below
+``blocks.MIN_N_MAX``, for either subcommand), 3 convergence gate failure,
 4 invariant violation (including a numerical routine that cannot reach its
 accuracy target, such as a junction whose zeroth order drifts at a large
 n_max).
@@ -39,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="run a u sweep from a config file or preset")
+    # no abbreviated flags: an unknown flag such as --h must fail, not mean --help
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="run a u sweep from a config or preset")
     p_sweep.add_argument(
         "config", help=f"config path or preset name ({', '.join(PRESETS)})"
     )
@@ -49,12 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: csv, or json when --out ends in .json)",
     )
     p_sweep.add_argument("--nmax", type=int, default=None, help="override n_max")
-    p_sweep.add_argument("--h", type=float, default=None, help="override the probe h")
     p_sweep.add_argument("--steps", type=int, default=None, help="override grid steps")
 
-    p_check = sub.add_parser("check", help="run the structural invariant suites")
+    p_check = sub.add_parser("check", allow_abbrev=False, help="run the structural invariant suites")
     p_check.add_argument("--nmax", type=int, default=40)
-    p_check.add_argument("--h", type=float, default=0.01)
     return parser
 
 
@@ -63,8 +63,6 @@ def _cmd_sweep(args) -> int:
     overrides = {}
     if args.nmax is not None:
         overrides["n_max"] = args.nmax
-    if args.h is not None:
-        overrides["h"] = args.h
     if args.steps is not None:
         overrides["steps"] = args.steps
     if overrides:
@@ -88,44 +86,49 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _check_lines(n_max: int, h_probe: float):
+def _check_lines(n_max: int):
     """Yield (ok, label, detail) triples for the invariant suite."""
-    ladder = np.array([0.08, 0.04, 0.02, 0.01])
-    interior = n_max // 2
+    ladder = oracles.geometric_ladder(top=0.08, count=4)
+    # the overlap residual is the truncated mode tail at the interior window,
+    # which falls as about n_max^-3 (8.9e-9 at 40, 2.7e-9 at 60, 1.15e-9 at
+    # 80): the tolerance is 1e-8 from n_max 40 up and follows that law below
+    tol = 1e-8 * max(1.0, (40 / n_max) ** 3)
+    interior = blocks.interior_window("boson", n_max)[1]
     alphas, betas = oracles.boson_overlaps(ladder, n_max)
     worst = max(
         oracles.overlap_identity_residuals(a, b, interior) for a, b in zip(alphas, betas)
     )
-    yield worst < 1e-8, "boson finite-h overlap identities", f"max {worst:.2e}"
+    yield worst < tol, "boson finite-h overlap identities", f"max {worst:.2e}"
+    interior = blocks.interior_window("fermion", n_max)[1]
     worst = max(
         oracles.fermion_identity_residual(a, interior)
         for a in oracles.fermion_overlaps(ladder, n_max)
     )
-    yield worst < 1e-8, "fermion finite-h overlap identities", f"max {worst:.2e}"
+    yield worst < tol, "fermion finite-h overlap identities", f"max {worst:.2e}"
 
     bj = blocks.junction("boson", n_max)
     m = blocks.boson_modes(n_max)
     same = (m[:, None] + m[None, :]) % 2 == 0
-    dust = float(np.max(np.abs(bj.beta.order(1)[same])))
+    dust = float(np.max(np.abs(bj.beta[1][same])))
     yield dust < 1e-10, "boson beta(1) parity zeros", f"max {dust:.2e}"
     off = same & ~np.eye(n_max, dtype=bool)
-    dust = float(np.max(np.abs(bj.alpha.order(1)[off])))
+    dust = float(np.max(np.abs(bj.alpha[1][off])))
     yield dust < 1e-10, "boson alpha(1) parity zeros", f"max {dust:.2e}"
 
     fj = blocks.junction("fermion", n_max)
     km = blocks.fermion_modes(n_max)
     same = (km[:, None] - km[None, :]) % 2 == 0
     off = same & ~np.eye(2 * n_max, dtype=bool)
-    dust = float(np.max(np.abs(fj.a.order(1)[off])))
+    dust = float(np.max(np.abs(fj.a[1][off])))
     yield dust < 1e-10, "fermion a(1) parity zeros", f"max {dust:.2e}"
 
     u = 0.3
     trip = blocks.one_way_trip("boson", n_max, u)
     i, j = 0, 3
-    beta_pred = 2 * abs(bj.beta.order(1)[i, j]) * abs(np.sin(np.pi * (m[i] + m[j]) * u))
-    alpha_pred = 2 * abs(bj.alpha.order(1)[i, j]) * abs(np.sin(np.pi * (m[j] - m[i]) * u))
-    db = abs(abs(trip.beta.order(1)[i, j]) - beta_pred)
-    da = abs(abs(trip.alpha.order(1)[i, j]) - alpha_pred)
+    beta_pred = 2 * abs(bj.beta[1, i, j]) * abs(np.sin(np.pi * (m[i] + m[j]) * u))
+    alpha_pred = 2 * abs(bj.alpha[1, i, j]) * abs(np.sin(np.pi * (m[j] - m[i]) * u))
+    db = abs(abs(trip.beta[1, i, j]) - beta_pred)
+    da = abs(abs(trip.alpha[1, i, j]) - alpha_pred)
     yield max(da, db) < 1e-10, "assembled first-order interference", f"max {max(da, db):.2e}"
 
     worst = 0.0
@@ -136,14 +139,13 @@ def _check_lines(n_max: int, h_probe: float):
         worst = max(worst, float(np.max(np.abs(s_a - s_b))))
     yield worst < 1e-8, "period-1 recurrence of preset curves", f"max {worst:.2e}"
 
-    probes = (h_probe, h_probe / 2, h_probe / 4)
     worst = 0.0
     all_ok = True
     for curve, build in _crosscheck_states():
         trip = blocks.one_way_trip(curve.species, n_max, u)
         closed = negativity.leading_from_series(curve.series(trip))
         rho = states.reduce_to_pair(build(trip))
-        numeric = negativity.leading_order(rho, probes)
+        numeric = negativity.leading_order(rho)
         rel = abs(numeric.coefficient - closed.coefficient) / abs(closed.coefficient)
         worst = max(worst, rel)
         if numeric.power != closed.power or rel >= 0.01:
@@ -174,8 +176,9 @@ def _crosscheck_states():
 
 
 def _cmd_check(args) -> int:
+    sweep.check_n_max(args.nmax)
     failed = False
-    for ok, label, detail in _check_lines(args.nmax, args.h):
+    for ok, label, detail in _check_lines(args.nmax):
         status = "ok  " if ok else "FAIL"
         print(f"{status} {label} ({detail})")
         failed = failed or not ok

@@ -1,10 +1,11 @@
 """Sweep configuration files.
 
 The format is flat INI text: one ``[sweep]`` section for the grid and cutoff
-settings, and one ``[curve:NAME]`` section per curve.  Unknown sections or
-keys are rejected rather than ignored, so a typo cannot silently change what
-gets computed.  Two presets ship with the package and can be named in place
-of a config path on the command line.
+settings (``u_start``, ``u_stop``, ``steps``, ``n_max``; no value of h, since
+sweeps report the h -> 0 coefficients), and one ``[curve:NAME]`` section per
+curve.  Unknown sections or keys are rejected rather than ignored, so a typo
+cannot silently change what gets computed.  Two presets ship with the
+package and can be named in place of a config path on the command line.
 
 Example::
 
@@ -24,7 +25,7 @@ from importlib import resources
 
 from .sweep import ConfigError, CurveSpec, SweepRequest, config_digest
 
-SWEEP_KEYS = {"u_start", "u_stop", "steps", "n_max", "h", "template"}
+SWEEP_KEYS = {"u_start", "u_stop", "steps", "n_max"}
 CURVE_KEYS = {"species", "state", "modes", "excite"}
 PRESETS = ("fig1a", "fig1b")
 
@@ -69,8 +70,6 @@ def parse_config(text: str) -> SweepRequest:
                 "u_stop": _get(body, "u_stop", float, 1.0, "[sweep]"),
                 "steps": _get(body, "steps", int, 101, "[sweep]"),
                 "n_max": _get(body, "n_max", int, 40, "[sweep]"),
-                "h": _get(body, "h", float, 0.01, "[sweep]"),
-                "template": body.get("template", "single-arc"),
             }
         elif section.startswith("curve:"):
             name = section[len("curve:"):].strip()

@@ -97,10 +97,6 @@ def leading_from_series(series: np.ndarray, floor: float = 1e-12) -> LeadingOrde
     return LeadingOrder(power=0, coefficient=0.0, converged=True)
 
 
-def series_value(series: np.ndarray, h: float) -> float:
-    return float(np.polynomial.polynomial.polyval(h, np.asarray(series, dtype=float)))
-
-
 # ---------------------------------------------------------------------------
 # closed route, shared pieces
 #
@@ -172,7 +168,7 @@ def boson_particle_closed(t, k: int, pair) -> np.ndarray:
     labels = [int(m) for m in t.modes]
     ik, ikp = labels.index(k), labels.index(kp)
     rest = _others(labels, (k, kp))
-    g = np.diagonal(t.alpha.order(0), axis1=-2, axis2=-1)
+    g = np.diagonal(t.alpha[0], axis1=-2, axis2=-1)
 
     amp_k = cauchy(n, d[:, ..., ik, ik])
     amp_kp = cauchy(n, d[:, ..., ikp, ik])

@@ -5,14 +5,15 @@ Two tools live here:
 * exact junction overlaps at finite h, evaluated by composite Gauss-Legendre
   quadrature of the mode-function inner products (no series expansion at
   all), for one h or for a whole ladder of h values in one pass;
-* order extraction, which turns a function of h into h^0, h^1, h^2
-  coefficients by polynomial fitting on a geometric ladder of h values, plus
-  a slower Richardson route used to cross-check the fits.
+* order extraction, which turns the overlaps on a geometric ladder of h
+  values into h^0, h^1, h^2 coefficients, splitting even and odd orders
+  exactly through the mirror symmetry.
 
 The quadrature and the mirrored extraction feed the production junction
-blocks; everything else exists so the analytic formulas can be tested
-against something that does not share their derivation.  The brute-force
-Fock spaces that back the state expansions live in :mod:`cavityent.fock`.
+blocks; the finite-h identity residuals let ``cavityent check`` and the
+tests hold the overlaps against something that does not share the series
+derivation.  The brute-force Fock spaces that back the state expansions
+live in :mod:`cavityent.fock`.
 """
 
 from __future__ import annotations
@@ -170,38 +171,6 @@ def geometric_ladder(top: float = 0.04, count: int = 7, ratio: float = 0.5) -> n
     return top * ratio ** np.arange(count)
 
 
-def extract_orders(values: np.ndarray, ladder: np.ndarray, degree: int | None = None):
-    """Fit a polynomial in h through samples on a ladder and return orders 0..2.
-
-    ``values`` has shape (len(ladder), ...).  The fit uses the scaled variable
-    h / max(ladder) to keep the Vandermonde system well behaved.  Returns
-    (c, info) where c has shape (3, ...) and info reports the largest
-    deviation of the samples from the quadratic part alone, which estimates
-    the size of the discarded h^3 tail.
-    """
-    ladder = np.asarray(ladder, dtype=float)
-    values = np.asarray(values)
-    if degree is None:
-        degree = len(ladder) - 1
-    if degree >= len(ladder):
-        raise ValueError("polynomial degree must be below the number of ladder points")
-    scale = ladder.max()
-    t = ladder / scale
-    vand = np.vander(t, degree + 1, increasing=True)
-    flat = values.reshape(len(ladder), -1)
-    coef, *_ = np.linalg.lstsq(vand, flat, rcond=None)
-    powers = scale ** np.arange(degree + 1)
-    coef = coef / powers[:, None]
-    c = coef[:3].reshape((3,) + values.shape[1:])
-    quad = (
-        c[0][None, ...]
-        + np.multiply.outer(ladder, c[1])
-        + np.multiply.outer(ladder**2, c[2])
-    )
-    info = {"series_residual": float(np.max(np.abs(values - quad)))}
-    return c, info
-
-
 def extract_orders_mirrored(values: np.ndarray, signs: np.ndarray, ladder: np.ndarray):
     """Order extraction that exploits the mirror (reflection) symmetry.
 
@@ -237,29 +206,3 @@ def extract_orders_mirrored(values: np.ndarray, signs: np.ndarray, ladder: np.nd
         if len(ladder) > 1 else 0.0,
     }
     return c, info
-
-
-def richardson_orders(sample, f0: np.ndarray, top: float = 0.02, levels: int = 5):
-    """First and second order of ``sample(h)`` about h = 0 by Richardson tables.
-
-    Deliberately independent of the polynomial fitting above: repeated
-    extrapolation of divided differences on a ratio-2 ladder.  ``f0`` is the
-    exact h = 0 value.  Returns (c1, c2).
-    """
-    hs = top * 0.5 ** np.arange(levels)
-    f0 = np.asarray(f0, dtype=float)
-    fs = [np.asarray(sample(h)) for h in hs]
-
-    def accelerate(rows):
-        table = [np.asarray(r, dtype=float) for r in rows]
-        for j in range(1, len(table)):
-            factor = 2.0**j
-            table = [
-                (factor * table[i + 1] - table[i]) / (factor - 1.0)
-                for i in range(len(table) - 1)
-            ]
-        return table[0]
-
-    c1 = accelerate([(f - f0) / h for f, h in zip(fs, hs)])
-    c2 = accelerate([(f - f0 - c1 * h) / h**2 for f, h in zip(fs, hs)])
-    return c1, c2

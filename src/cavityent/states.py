@@ -81,10 +81,10 @@ def boson_pair_matrix(t: BosonBogoliubov) -> np.ndarray:
     can be read off the upper triangle directly.  Any asymmetry beyond the
     consistency identities would already have tripped the transformation gate.
     """
-    g = _diagonal_phases(t.alpha.order(0))
+    g = _diagonal_phases(t.alpha[0])
     ginv = np.conj(g)
-    a1 = t.alpha.order(1)
-    b1, b2 = t.beta.order(1), t.beta.order(2)
+    a1 = t.alpha[1]
+    b1, b2 = t.beta[1], t.beta[2]
     v = np.zeros((N_ORDERS,) + b1.shape, dtype=complex)
     v[1] = -np.conj(b1) * ginv[..., None, :]
     v[2] = (
@@ -103,11 +103,11 @@ def boson_norm_factor(v: np.ndarray) -> np.ndarray:
 
 def boson_source_matrix(t: BosonBogoliubov, v: np.ndarray) -> np.ndarray:
     """Order stack of D, with D[:, k] the one-particle source for mode k."""
-    g = _diagonal_phases(t.alpha.order(0))
+    g = _diagonal_phases(t.alpha[0])
     d = np.zeros((N_ORDERS,) + v[1].shape, dtype=complex)
     d[0] = diagonal_stack(np.conj(g))
-    d[1] = np.conj(t.alpha.order(1))
-    d[2] = np.conj(t.alpha.order(2)) + _t(v[1]) @ t.beta.order(1)
+    d[1] = np.conj(t.alpha[1])
+    d[2] = np.conj(t.alpha[2]) + _t(v[1]) @ t.beta[1]
     return d
 
 
@@ -128,8 +128,8 @@ def fermion_pair_matrix(t: FermionBogoliubov) -> np.ndarray:
     antiparticle labels ascending.
     """
     modes, part, anti = _charge_masks(t)
-    g = _diagonal_phases(t.a.order(0))
-    a1, a2 = t.a.order(1), t.a.order(2)
+    g = _diagonal_phases(t.a[0])
+    a1, a2 = t.a[1], t.a[2]
     gp = np.conj(g[..., part])[..., :, None]
     v = np.zeros((N_ORDERS,) + a1.shape[:-2] + (int(part.sum()), int(anti.sum())), dtype=complex)
     v[1] = -gp * _t(_sub(a1, anti, part))
@@ -147,24 +147,24 @@ def fermion_norm_factor(v: np.ndarray) -> np.ndarray:
 def fermion_particle_source(t: FermionBogoliubov, v: np.ndarray) -> np.ndarray:
     """D with D[:, kappa-column] the source for a travelled particle."""
     modes, part, anti = _charge_masks(t)
-    g = _diagonal_phases(t.a.order(0))
-    a1c = np.conj(t.a.order(1))
+    g = _diagonal_phases(t.a[0])
+    a1c = np.conj(t.a[1])
     d = np.zeros((N_ORDERS,) + v.shape[1:-1] + (int(part.sum()),), dtype=complex)
     d[0] = diagonal_stack(np.conj(g[..., part]))
     d[1] = _sub(a1c, part, part)
-    d[2] = _sub(np.conj(t.a.order(2)), part, part) - v[1] @ _sub(a1c, anti, part)
+    d[2] = _sub(np.conj(t.a[2]), part, part) - v[1] @ _sub(a1c, anti, part)
     return d
 
 
 def fermion_antiparticle_source(t: FermionBogoliubov, v: np.ndarray) -> np.ndarray:
     """E with E[:, kappa-column] the source for a travelled antiparticle."""
     modes, part, anti = _charge_masks(t)
-    g = _diagonal_phases(t.a.order(0))
-    a1 = t.a.order(1)
+    g = _diagonal_phases(t.a[0])
+    a1 = t.a[1]
     e = np.zeros((N_ORDERS,) + v.shape[1:-2] + (int(anti.sum()),) * 2, dtype=complex)
     e[0] = diagonal_stack(g[..., anti])
     e[1] = _sub(a1, anti, anti)
-    e[2] = _sub(t.a.order(2), anti, anti) + _t(v[1]) @ _sub(a1, part, anti)
+    e[2] = _sub(t.a[2], anti, anti) + _t(v[1]) @ _sub(a1, part, anti)
     return e
 
 
@@ -173,8 +173,8 @@ def fermion_pair_scalar(t: FermionBogoliubov, e: np.ndarray, kappa: int, kappa_p
     modes, part, anti = _charge_masks(t)
     ik = list(modes[part]).index(kappa)
     iq = list(modes[anti]).index(kappa_p)
-    ac1 = _sub(np.conj(t.a.order(1)), anti, part)[..., ik]
-    ac2 = _sub(np.conj(t.a.order(2)), anti, part)[..., ik]
+    ac1 = _sub(np.conj(t.a[1]), anti, part)[..., ik]
+    ac2 = _sub(np.conj(t.a[2]), anti, part)[..., ik]
     c = np.zeros(e.shape[:-2], dtype=complex)
     c[1] = np.sum(ac1 * e[0][..., iq], axis=-1)
     c[2] = np.sum(ac1 * e[1][..., iq], axis=-1) + np.sum(ac2 * e[0][..., iq], axis=-1)

@@ -4,8 +4,10 @@ A sweep walks a u grid for a set of curves (species, in-state, observed mode
 pair), evaluates the closed-form negativity series at each point and reports
 the coefficient at the curve's leading power.  That is the quantity the
 figure-style panels plot: the h -> 0 limit of N/h for linear curves and of
-N/h^2 for the parity-suppressed ones, so the numbers do not depend on an
-arbitrary probe h.
+N/h^2 for the parity-suppressed ones, so a sweep takes no value of h at
+all.  A request is validated up front: its n_max must be at least
+``blocks.MIN_N_MAX``, below which some trip of the u period fails the
+identity gate.
 
 Trips are assembled, gated and fed to the closed series a chunk of grid
 points at a time (see :mod:`cavityent.blocks`), one species after the other,
@@ -129,6 +131,15 @@ class CurveSpec:
         return negativity.fermion_pair_closed(trip, kappa, kappa_p)
 
 
+def check_n_max(n_max: int) -> None:
+    """Raise :class:`ConfigError` for a cutoff below ``blocks.MIN_N_MAX``."""
+    if n_max < blocks.MIN_N_MAX:
+        raise ConfigError(
+            f"n_max {n_max} is below {blocks.MIN_N_MAX}, the smallest cutoff "
+            "whose trips pass the identity gate over a whole u period"
+        )
+
+
 @dataclasses.dataclass(frozen=True)
 class SweepRequest:
     """A validated sweep: curves plus grid and cutoff choices."""
@@ -138,8 +149,6 @@ class SweepRequest:
     u_stop: float = 1.0
     steps: int = 101
     n_max: int = 40
-    h: float = 0.01
-    template: str = "single-arc"
     config_sha256: str = ""
 
     def __post_init__(self):
@@ -149,14 +158,7 @@ class SweepRequest:
             raise ConfigError("curve names must be unique")
         if self.steps < 2:
             raise ConfigError("a u grid needs at least 2 steps")
-        if self.n_max < 8:
-            raise ConfigError("n_max below 8 leaves no interior window")
-        if not 0.0 < self.h < 2.0:
-            raise ConfigError("the probe h must lie in (0, 2)")
-        if self.template != "single-arc":
-            raise ConfigError(
-                f"unknown scenario template {self.template!r} (only single-arc here)"
-            )
+        check_n_max(self.n_max)
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.u_start, self.u_stop, self.steps)
@@ -277,9 +279,7 @@ def _metadata(result: SweepResult) -> dict:
     return {
         "version": __version__,
         "config_sha256": req.config_sha256,
-        "template": req.template,
         "n_max": req.n_max,
-        "h": req.h,
         "u_start": req.u_start,
         "u_stop": req.u_stop,
         "steps": req.steps,

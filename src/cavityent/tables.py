@@ -15,7 +15,7 @@ import numpy as np
 
 from .blocks import boson_modes, fermion_modes
 from .bogoliubov import BosonBogoliubov, FermionBogoliubov
-from .series import N_ORDERS, H2Matrix
+from .series import N_ORDERS
 
 FORMAT_VERSION = 1
 
@@ -24,7 +24,7 @@ class TableError(RuntimeError):
     """A table file cannot be read back as written."""
 
 
-def _families(t) -> dict[str, H2Matrix]:
+def _families(t) -> dict[str, np.ndarray]:
     if isinstance(t, BosonBogoliubov):
         return {"alpha": t.alpha, "beta": t.beta}
     if isinstance(t, FermionBogoliubov):
@@ -37,8 +37,8 @@ def write_junction(path: pathlib.Path, t, species: str, n_max: int, ladder) -> N
     modes = np.asarray(t.modes)
     body = []
     for family, mat in _families(t).items():
-        for order, i, j in zip(*np.nonzero(mat.data)):
-            z = mat.data[order, i, j]
+        for order, i, j in zip(*np.nonzero(mat)):
+            z = mat[order, i, j]
             body.append(
                 f"{species} {family} {order} {modes[i]} {modes[j]} {z.real:.17g} {z.imag:.17g}"
             )
@@ -107,8 +107,8 @@ def read_junction(path: pathlib.Path):
         if not np.all(np.isfinite(tables[fam].view(float))):
             raise TableError(f"{path}: non-finite coefficient in {fam}")
     if species == "boson":
-        return BosonBogoliubov(H2Matrix(tables["alpha"]), H2Matrix(tables["beta"]), modes)
-    return FermionBogoliubov(H2Matrix(tables["a"]), modes)
+        return BosonBogoliubov(tables["alpha"], tables["beta"], modes)
+    return FermionBogoliubov(tables["a"], modes)
 
 
 def compare(t_a, t_b) -> float:
@@ -116,4 +116,4 @@ def compare(t_a, t_b) -> float:
     fam_a, fam_b = _families(t_a), _families(t_b)
     if fam_a.keys() != fam_b.keys() or not np.array_equal(t_a.modes, t_b.modes):
         raise TableError("transformations are not comparable")
-    return max(float(np.max(np.abs(fam_a[f].data - fam_b[f].data))) for f in fam_a)
+    return max(float(np.max(np.abs(fam_a[f] - fam_b[f]))) for f in fam_a)

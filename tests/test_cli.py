@@ -50,6 +50,31 @@ def test_sweep_rejects_bad_override(capsys):
     assert cli.main(["sweep", "fig1a", "--steps", "1"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [["sweep", "fig1a"], ["check"]], ids=["sweep", "check"])
+def test_cutoff_below_the_trip_gate_floor_is_a_config_error(argv, capsys):
+    assert cli.main(argv + ["--nmax", str(blocks.MIN_N_MAX - 1)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and str(blocks.MIN_N_MAX) in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep", "fig1a", "--h", "0.5"], ["check", "--h", "0.01"]], ids=["sweep", "check"]
+)
+def test_removed_h_flag_is_rejected(argv, capsys):
+    # with abbreviations allowed, argparse reads --h as --help and exits 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --h" in capsys.readouterr().err
+
+
+def test_check_passes_below_the_default_cutoff(capsys):
+    # the overlap residual at n_max 32 (1.5e-8 / 1.7e-8) is the truncated
+    # tail, above the n_max-40 tolerance of 1e-8 but within its n^-3 law
+    assert cli.main(["check", "--nmax", "32"]) == cli.EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_sweep_convergence_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sweep, "CONVERGENCE_GATE", 0.0)
     out = tmp_path / "rows.csv"
@@ -95,7 +120,7 @@ def test_version_flag(capsys):
 
 def test_sweep_unreached_accuracy_exits_invariant(monkeypatch, capsys):
     # stands in for the junction drift check failing at a large n_max
-    def drifted(species, n_max, ladder=None):
+    def drifted(species, n_max):
         raise oracles.ConvergenceError("junction zeroth order drifted by 1.10e-09")
 
     monkeypatch.setattr(blocks, "build_junction", drifted)

@@ -16,7 +16,7 @@ modes = 1, 4
 def test_minimal_config_gets_defaults():
     req = config.parse_config(MINIMAL)
     assert (req.u_start, req.u_stop, req.steps) == (0.0, 1.0, 101)
-    assert (req.n_max, req.h, req.template) == (40, 0.01, "single-arc")
+    assert req.n_max == 40
     assert len(req.curves) == 1
     assert req.curves[0].name == "boson-vacuum-14"
     assert req.curves[0].modes == (1, 4)
@@ -24,9 +24,9 @@ def test_minimal_config_gets_defaults():
 
 
 def test_sweep_section_overrides():
-    text = "[sweep]\nsteps = 11\nn_max = 32\nh = 0.005\nu_stop = 2.0\n" + MINIMAL
+    text = "[sweep]\nsteps = 11\nn_max = 32\nu_stop = 2.0\n" + MINIMAL
     req = config.parse_config(text)
-    assert (req.steps, req.n_max, req.h, req.u_stop) == (11, 32, 0.005, 2.0)
+    assert (req.steps, req.n_max, req.u_stop) == (11, 32, 2.0)
 
 
 def test_excite_key_parsed():
@@ -39,6 +39,8 @@ def test_excite_key_parsed():
     "text",
     [
         "[sweep]\nstepz = 3\n" + MINIMAL,  # unknown sweep key
+        "[sweep]\nh = 0.01\n" + MINIMAL,  # sweeps report h -> 0 coefficients
+        "[sweep]\ntemplate = single-arc\n" + MINIMAL,  # one scenario only
         MINIMAL + "colour = red\n",  # unknown curve key
         "[general]\nx = 1\n" + MINIMAL,  # unknown section
         "[curve:]\nspecies = boson\nstate = vacuum\nmodes = 1, 4\n",  # unnamed
@@ -59,7 +61,7 @@ def test_preset_fig1a():
     req = config.load_config("fig1a")
     names = [c.name for c in req.curves]
     assert len(names) == 4
-    assert req.steps == 101 and req.n_max == 40 and req.h == 0.01
+    assert req.steps == 101 and req.n_max == 40
     species = {c.species for c in req.curves}
     assert species == {"boson", "fermion"}
     # the linear-order panel mixes vacuum and one-particle curves

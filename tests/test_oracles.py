@@ -15,24 +15,6 @@ def test_geometric_ladder():
     assert np.allclose(lad, [0.04, 0.02, 0.01])
 
 
-def test_extract_orders_recovers_cubic(rng):
-    coeffs = rng.normal(size=(4, 3, 3))
-    ladder = oracles.geometric_ladder(top=0.02, count=4)
-    values = np.array([sum(c * h**k for k, c in enumerate(coeffs)) for h in ladder])
-    c, info = oracles.extract_orders(values, ladder)
-    assert np.allclose(c, coeffs[:3], atol=1e-10)
-    # the reported tail estimates the dropped h^3 contribution
-    assert info["series_residual"] == pytest.approx(
-        np.max(np.abs(coeffs[3])) * ladder[0] ** 3, rel=1e-6
-    )
-
-
-def test_extract_orders_rejects_overfitting():
-    ladder = oracles.geometric_ladder(count=3)
-    with pytest.raises(ValueError):
-        oracles.extract_orders(np.zeros((3, 2, 2)), ladder, degree=3)
-
-
 def test_mirrored_extraction_is_exact_through_fourth_order(rng):
     # Entries whose sign product is +1 carry even powers only, the others
     # odd powers only; that is exactly the structure the mirror trick uses.
@@ -50,17 +32,6 @@ def test_mirrored_extraction_is_exact_through_fourth_order(rng):
     # through h^7, so polynomial data of degree 4 is recovered exactly
     assert np.allclose(c, coeffs[:3], atol=1e-8)
     assert info["even_tail"] + info["odd_tail"] > 0.0
-
-
-def test_richardson_orders_match_polynomial(rng):
-    coeffs = rng.normal(size=5)
-
-    def sample(h):
-        return np.polynomial.polynomial.polyval(h, coeffs)
-
-    c1, c2 = oracles.richardson_orders(sample, coeffs[0])
-    assert c1 == pytest.approx(coeffs[1], abs=1e-9)
-    assert c2 == pytest.approx(coeffs[2], abs=1e-6)
 
 
 # --- quadrature overlaps ---------------------------------------------------

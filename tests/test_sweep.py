@@ -9,7 +9,6 @@ import pytest
 
 from cavityent import blocks, cli, config, sweep
 from cavityent.bogoliubov import BosonBogoliubov, FermionBogoliubov, InvariantViolation
-from cavityent.series import H2Matrix
 from cavityent.sweep import (
     CSV_COLUMNS,
     ConfigError,
@@ -94,7 +93,7 @@ def test_request_needs_curves_and_unique_names():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("steps", 1), ("n_max", 7), ("h", 0.0), ("h", 2.0), ("template", "round-trip")],
+    [("steps", 1), ("n_max", 7), ("n_max", blocks.MIN_N_MAX - 1)],
 )
 def test_request_field_validation(field, value):
     with pytest.raises(ConfigError):
@@ -244,8 +243,10 @@ def test_json_metadata(small_result):
     payload = json.loads(emit(small_result, fmt="json"))
     meta = payload["metadata"]
     assert meta["n_max"] == 32
-    assert meta["template"] == "single-arc"
-    assert "timestamp" not in meta
+    assert set(meta) == {
+        "version", "config_sha256", "n_max", "u_start", "u_stop", "steps",
+        "convergence_gate", "spot_points", "curves",
+    }
     assert set(meta["curves"]) == {c.name for c in SMALL_CURVES}
     for info in meta["curves"].values():
         assert info["converged"] is True
@@ -310,18 +311,18 @@ def _perturbed_junction(monkeypatch, species):
     block is off by 1e-3 in one entry, past its own gate."""
     real = blocks.junction
 
-    def junction(sp, n_max, ladder=None, gate_tol=5e-8):
-        j = real(sp, n_max, ladder, gate_tol)
+    def junction(sp, n_max, gate_tol=5e-8):
+        j = real(sp, n_max, gate_tol)
         if sp != species:
             return j
         i, k = (int(np.flatnonzero(j.modes == m)[0]) for m in (2, 3))
         if sp == "boson":
-            data = j.alpha.data.copy()
-            data[1, i, k] += 1e-3
-            return BosonBogoliubov(H2Matrix(data), j.beta, j.modes)
-        data = j.a.data.copy()
-        data[1, i, k] += 1e-3
-        return FermionBogoliubov(H2Matrix(data), j.modes)
+            alpha = j.alpha.copy()
+            alpha[1, i, k] += 1e-3
+            return BosonBogoliubov(alpha, j.beta, j.modes)
+        a = j.a.copy()
+        a[1, i, k] += 1e-3
+        return FermionBogoliubov(a, j.modes)
 
     monkeypatch.setattr(blocks, "junction", junction)
 

@@ -45,6 +45,21 @@ def test_matrix_scalar_and_series_multiplication(rng):
     assert np.allclose(shifted[2], a[1])
 
 
+def test_matrix_identity_and_zeros(rng):
+    # Identity series: the unit matrix at h^0 and nothing at h^1, h^2.
+    e = np.zeros((N_ORDERS, 3, 3))
+    e[0] = np.eye(3)
+    a = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    assert np.allclose(cauchy(e, a, np.matmul), a)
+    assert np.allclose(cauchy(a, e, np.matmul), a)
+    # A non-square zero series annihilates from either side.
+    z = np.zeros((N_ORDERS, 2, 3))
+    left = cauchy(z, a, np.matmul)
+    assert left.shape == (N_ORDERS, 2, 3)
+    assert not left.any()
+    assert not cauchy(a, z.swapaxes(-1, -2), np.matmul).any()
+
+
 def test_diagonal_stack_places_last_axis_on_diagonals():
     g = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     d = diagonal_stack(g)

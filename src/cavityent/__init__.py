@@ -10,9 +10,9 @@ from .bogoliubov import (
     invert,
     mirror,
 )
-from .blocks import DEFAULT_LADDER, build_junction, junction, one_way_trip, scenario
+from .blocks import DEFAULT_LADDER, build_junction, junction, one_way_trip
 from .config import load_config, parse_config, preset_text
-from .geometry import CavityGeometry, coast_angle, phase_parameter
+from .geometry import CavityGeometry, phase_parameter
 from .negativity import (
     LeadingOrder,
     boson_particle_closed,
@@ -49,12 +49,10 @@ __all__ = [
     "build_junction",
     "junction",
     "one_way_trip",
-    "scenario",
     "load_config",
     "parse_config",
     "preset_text",
     "CavityGeometry",
-    "coast_angle",
     "phase_parameter",
     "LeadingOrder",
     "boson_particle_closed",

@@ -1,16 +1,16 @@
-"""Junction blocks and travel scenarios.
+"""Junction blocks and the one-way trip.
 
-A trip is assembled from two ingredient types:
+The paper's trip is inertial, then uniformly accelerated for a dimensionless
+duration u, then inertial again.  It is assembled from two ingredient types:
 
 * the junction J between the inertial and the uniformly accelerated mode
   bases, whose h^1 and h^2 blocks are extracted from the exact overlap
   quadrature (independent of any printed series coefficients), one
   quadrature call over the whole h ladder per species, memoized in the
   process and never stored on disk;
-* diagonal free-evolution phases, either for an accelerated segment of
-  dimensionless duration u or for an inertial coast of angle theta.
+* the diagonal free-evolution phases of the accelerated segment.
 
-The basic one-way trip is J^-1 P(u) J: match onto the accelerated basis,
+The one-way trip is J^-1 P(u) J: match onto the accelerated basis,
 evolve, match back.  Sweeps need it on a whole grid of u, so
 :func:`trip_stack` assembles the trip orders for a block of u values at once,
 as (3, len(u), n, n) order stacks written directly in the junction orders
@@ -20,9 +20,9 @@ whole stack; below ``MIN_N_MAX`` some u of the period fails that gate, so
 sweeps and ``cavityent check`` reject such cutoffs up front.
 :func:`one_way_trip` is the same code for a single u.  Callers
 walk a grid in chunks of :func:`chunk_length` points, serially: one chunk's
-stacks fit in a few MiB whatever n is.  Longer chains (coast and arc
-segments) compose through the second-order algebra in
-:mod:`cavityent.bogoliubov`.
+stacks fit in a few MiB whatever n is.  :func:`accelerated_phases` with
+:func:`cavityent.bogoliubov.compose` and ``invert`` gives the same trip by
+explicit composition, the independent reference for :func:`trip_stack`.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracles
-from .bogoliubov import (
-    BosonBogoliubov,
-    FermionBogoliubov,
-    check_identities,
-    compose,
-)
+from .bogoliubov import BosonBogoliubov, FermionBogoliubov, check_identities
 from .series import diagonal_stack
 
 DEFAULT_LADDER = oracles.geometric_ladder(top=0.02, count=4)
@@ -50,7 +45,10 @@ DEFAULT_LADDER = oracles.geometric_ladder(top=0.02, count=4)
 # 13 u values per chunk at n = 40, 3 at n = 80, 1 from n = 105 on.
 STACK_BYTES = 1 << 20
 
-# Smallest n_max from which every trip passes the 5e-8 gate over a whole u
+# Weighted identity residual above which a junction or a trip is rejected.
+GATE_TOL = 5e-8
+
+# Smallest n_max from which every trip passes the GATE_TOL gate over a whole u
 # period, both species.  The residual is the truncated mode tail and falls
 # roughly as n_max^-3, but not monotonically: worst weighted trip residual on
 # 401 points of [0, 1] (boson / fermion) is 3.77e-8 / 4.81e-8 at 27,
@@ -76,7 +74,7 @@ def interior_window(species: str, n_max: int) -> tuple[int, int]:
     return (-(n_max // 2), n_max // 2)
 
 
-def junction(species: str, n_max: int, gate_tol: float = 5e-8):
+def junction(species: str, n_max: int):
     """Junction transformation from the inertial onto the accelerated basis.
 
     Blocks are extracted from the finite-h overlap quadrature sampled on
@@ -91,7 +89,7 @@ def junction(species: str, n_max: int, gate_tol: float = 5e-8):
         return _cache[key]
 
     result = build_junction(species, n_max)
-    check_identities(result, tol=gate_tol, window=interior_window(species, n_max))
+    check_identities(result, tol=GATE_TOL, window=interior_window(species, n_max))
     _cache[key] = result
     return result
 
@@ -152,16 +150,7 @@ def accelerated_phases(species: str, n_max: int, u: float):
     return FermionBogoliubov.from_phases(fermion_modes(n_max), phases)
 
 
-def coast_phases(species: str, n_max: int, theta: float):
-    """Free evolution in the inertial basis through phase angle theta."""
-    if species == "boson":
-        modes = boson_modes(n_max)
-        return BosonBogoliubov.from_phases(modes, np.exp(-1j * modes * theta))
-    modes = fermion_modes(n_max)
-    return FermionBogoliubov.from_phases(modes, np.exp(-1j * (modes + 0.5) * theta))
-
-
-def trip_stack(species: str, n_max: int, u, gate_tol: float = 5e-8):
+def trip_stack(species: str, n_max: int, u):
     """One-way trips J^-1 P(u) J for every u in ``u``, to second order.
 
     ``u`` may be a scalar or an array; the result's matrices have shape
@@ -179,7 +168,7 @@ def trip_stack(species: str, n_max: int, u, gate_tol: float = 5e-8):
     Every trip passes the identity gate on the interior window before the
     stack is released.
     """
-    j = junction(species, n_max, gate_tol=gate_tol)
+    j = junction(species, n_max)
     g = _accelerated_phase_vector(species, n_max, u)
     gc = g[..., :, None]  # G @ X == gc * X
     gr = g[..., None, :]  # X @ G == X * gr
@@ -217,32 +206,11 @@ def trip_stack(species: str, n_max: int, u, gate_tol: float = 5e-8):
             a2.conj().T * gr + a1h @ (gc * a1) + gc * a2,
         ])
         trip = FermionBogoliubov(a, j.modes)
-    check_identities(trip, tol=gate_tol, window=interior_window(species, n_max))
+    check_identities(trip, tol=GATE_TOL, window=interior_window(species, n_max))
     return trip
 
 
-def one_way_trip(species: str, n_max: int, u: float, gate_tol: float = 5e-8):
-    """Inertial -> accelerated (duration u) -> inertial, to second order.
+def one_way_trip(species: str, n_max: int, u: float):
+    """Inertial -> accelerated (duration u) -> inertial: :func:`trip_stack` at one u."""
+    return trip_stack(species, n_max, float(u))
 
-    Relates the mode basis after the trip to the one before it.  The zeroth
-    order is the diagonal of accelerated phases; the first and second orders
-    mix modes through the junction blocks.  This is :func:`trip_stack` at a
-    single u.
-    """
-    return trip_stack(species, n_max, float(u), gate_tol=gate_tol)
-
-
-def scenario(species: str, n_max: int, segments, gate_tol: float = 5e-8):
-    """Chain of ("coast", theta) and ("arc", u) segments, earliest first."""
-    total = None
-    for kind, value in segments:
-        if kind == "coast":
-            step = coast_phases(species, n_max, value)
-        elif kind == "arc":
-            step = one_way_trip(species, n_max, value, gate_tol=gate_tol)
-        else:
-            raise ValueError(f"unknown segment kind {kind!r}")
-        total = step if total is None else compose(step, total)
-    if total is None:
-        raise ValueError("scenario needs at least one segment")
-    return total

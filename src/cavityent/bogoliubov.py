@@ -85,10 +85,6 @@ class BosonBogoliubov:
         object.__setattr__(self, "beta", beta)
 
     @classmethod
-    def identity(cls, modes) -> "BosonBogoliubov":
-        return cls.from_phases(modes, np.ones(np.size(modes)))
-
-    @classmethod
     def from_phases(cls, modes, phases) -> "BosonBogoliubov":
         """Pure phase rotation new_m = g_m old_m (free evolution of each mode)."""
         alpha = _phase_orders(phases)
@@ -110,10 +106,6 @@ class FermionBogoliubov:
         modes = np.asarray(self.modes, dtype=int)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "a", _orders(self.a, modes.size, "a"))
-
-    @classmethod
-    def identity(cls, modes) -> "FermionBogoliubov":
-        return cls.from_phases(modes, np.ones(np.size(modes)))
 
     @classmethod
     def from_phases(cls, modes, phases) -> "FermionBogoliubov":

@@ -6,10 +6,10 @@ Two subcommands:
 * ``check``: run the structural invariant suites and report each one.
 
 Exit codes: 0 success, 2 configuration error (including an n_max below
-``blocks.MIN_N_MAX``, for either subcommand), 3 convergence gate failure,
-4 invariant violation (including a numerical routine that cannot reach its
-accuracy target, such as a junction whose zeroth order drifts at a large
-n_max).
+``blocks.MIN_N_MAX``, for either subcommand, and a curve label outside the
+cutoff's modes), 3 convergence gate failure, 4 invariant violation
+(including a numerical routine that cannot reach its accuracy target, such
+as a junction whose zeroth order drifts at a large n_max).
 """
 
 from __future__ import annotations
@@ -131,12 +131,8 @@ def _check_lines(n_max: int):
     da = abs(abs(trip.alpha[1, i, j]) - alpha_pred)
     yield max(da, db) < 1e-10, "assembled first-order interference", f"max {max(da, db):.2e}"
 
-    worst = 0.0
-    for curve in _preset_curves():
-        sp = curve.species
-        s_a = curve.series(blocks.one_way_trip(sp, n_max, 0.37))
-        s_b = curve.series(blocks.one_way_trip(sp, n_max, 1.37))
-        worst = max(worst, float(np.max(np.abs(s_a - s_b))))
+    s_a, s_b = sweep.curve_series(_preset_curves(), np.array([0.37, 1.37]), n_max)
+    worst = float(np.max(np.abs(s_a - s_b)))
     yield worst < 1e-8, "period-1 recurrence of preset curves", f"max {worst:.2e}"
 
     worst = 0.0

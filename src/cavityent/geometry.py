@@ -64,7 +64,3 @@ def phase_parameter(h: float, tau: float) -> float:
     """
     return h * tau / (4.0 * np.arctanh(0.5 * h))
 
-
-def coast_angle(tau: float) -> float:
-    """Phase angle theta of an inertial segment: mode n picks up exp(-i n theta)."""
-    return np.pi * tau

@@ -1,6 +1,6 @@
 """Travelled-state expansions over the post-trip number basis.
 
-A scenario transformation fixes how the mode operators before a trip relate
+A trip's transformation fixes how the mode operators before the trip relate
 to those after it.  Any state prepared before the trip therefore has an
 expansion over the post-trip Fock basis; to second order in h this is a
 pair condensate dressed with the transported excitation content,
@@ -38,7 +38,7 @@ from .series import N_ORDERS, cauchy, diagonal_stack
 def _diagonal_phases(m0: np.ndarray) -> np.ndarray:
     g = np.diagonal(m0, axis1=-2, axis2=-1).copy()
     if not np.all(np.abs(m0 - diagonal_stack(g)) <= 1e-12):
-        raise ValueError("zeroth order is not diagonal; not a scenario transformation")
+        raise ValueError("zeroth order is not diagonal; not a trip transformation")
     return g
 
 
@@ -405,7 +405,9 @@ def reduce_to_pair(state: StateExpansion) -> np.ndarray:
     a, b = state.observed
     d = LOCAL_DIM[state.species]
     fermion = state.species == "fermion"
-    groups: dict[tuple, np.ndarray] = {}
+    # v[:, g] holds the orders of the observed-pair vector of the g-th traced factor
+    groups: dict[tuple, int] = {}
+    v = np.zeros((N_ORDERS, len(state.amps), d * d), dtype=complex)
     for key, amp in state.amps.items():
         na = key.count(a)
         nb = key.count(b)
@@ -416,13 +418,7 @@ def reduce_to_pair(state: StateExpansion) -> np.ndarray:
             hops = na * bisect_left(rest, a) + nb * bisect_left(rest, b)
             if hops % 2:
                 amp = -amp
-        vec = groups.get(rest)
-        if vec is None:
-            vec = groups.setdefault(rest, np.zeros((N_ORDERS, d * d), dtype=complex))
-        vec[:, na * d + nb] += amp
-    rho = np.zeros((N_ORDERS, d * d, d * d), dtype=complex)
-    for vec in groups.values():
-        for order in range(N_ORDERS):
-            for i in range(order + 1):
-                rho[order] += np.outer(vec[i], np.conj(vec[order - i]))
-    return rho
+        v[:, groups.setdefault(rest, len(groups)), na * d + nb] += amp
+    # rho sums vec vec^+ over the G traced factors: one truncated product
+    v = v[:, : len(groups)]
+    return cauchy(v, np.conj(v), lambda x, y: x.T @ y)

@@ -7,7 +7,7 @@ figure-style panels plot: the h -> 0 limit of N/h for linear curves and of
 N/h^2 for the parity-suppressed ones, so a sweep takes no value of h at
 all.  A request is validated up front: its n_max must be at least
 ``blocks.MIN_N_MAX``, below which some trip of the u period fails the
-identity gate.
+identity gate, and every curve's mode labels must exist at that cutoff.
 
 Trips are assembled, gated and fed to the closed series a chunk of grid
 points at a time (see :mod:`cavityent.blocks`), one species after the other,
@@ -159,6 +159,15 @@ class SweepRequest:
         if self.steps < 2:
             raise ConfigError("a u grid needs at least 2 steps")
         check_n_max(self.n_max)
+        for curve in self.curves:
+            modes = blocks.boson_modes if curve.species == "boson" else blocks.fermion_modes
+            lo, hi = modes(self.n_max)[[0, -1]]
+            for m in curve.modes:
+                if not lo <= m <= hi:
+                    raise ConfigError(
+                        f"curve {curve.name}: mode label {m} lies outside the "
+                        f"{curve.species} labels {lo}..{hi} at n_max {self.n_max}"
+                    )
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.u_start, self.u_stop, self.steps)
@@ -186,7 +195,7 @@ class SweepResult:
         return all(self.converged.values())
 
 
-def _curve_series(curves, grid: np.ndarray, n_max: int) -> np.ndarray:
+def curve_series(curves, grid: np.ndarray, n_max: int) -> np.ndarray:
     """Closed series for every (u, curve), shape (len(grid), len(curves), 3).
 
     Walks the grid one species and one chunk of u values at a time; each
@@ -222,7 +231,7 @@ def _spot_indices(values: np.ndarray, count: int = SPOT_POINTS) -> list[int]:
 def run_sweep(request: SweepRequest) -> SweepResult:
     grid = request.grid()
     curves = request.curves
-    table = _curve_series(curves, grid, request.n_max)
+    table = curve_series(curves, grid, request.n_max)
 
     powers = {c.name: _curve_power(table[:, j]) for j, c in enumerate(curves)}
     values = np.stack([table[:, j, powers[c.name]] for j, c in enumerate(curves)], axis=1)
@@ -232,7 +241,7 @@ def run_sweep(request: SweepRequest) -> SweepResult:
         cols = [j for j, c in enumerate(curves) if c.species == species]
         spots = {j: _spot_indices(values[:, j]) for j in cols}
         points = sorted(set().union(*spots.values()))
-        fine = _curve_series([curves[j] for j in cols], grid[points], 2 * request.n_max)
+        fine = curve_series([curves[j] for j in cols], grid[points], 2 * request.n_max)
         for col, j in enumerate(cols):
             curve = curves[j]
             scale = float(np.max(np.abs(values[:, j])))

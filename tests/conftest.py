@@ -2,13 +2,17 @@
 
 The junction builds are the expensive part of the suite, so the standard
 transformations are computed once per session and handed out read-only.
-Tests that need a different truncation build their own at a small n_max.
+Tests that need a different truncation build their own at a small n_max
+through ``composed_trip``.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from cavityent import blocks
+from cavityent.bogoliubov import compose, invert
 
 RNG_SEED = 20260814
 
@@ -31,6 +35,25 @@ def boson_trip():
 @pytest.fixture(scope="session")
 def fermion_trip():
     return blocks.one_way_trip("fermion", 40, 0.3)
+
+
+@pytest.fixture(scope="session")
+def composed_trip():
+    """``trip(species, n_max, u)``: the one-way trip J^-1 P(u) J by explicit
+    composition.
+
+    This is the independent reference route for ``blocks.trip_stack``.  It
+    gates neither the junction nor the trip, so it also builds the trips of
+    the truncated-Fock tests, whose n_max lies below ``blocks.MIN_N_MAX``.
+    """
+
+    junction = functools.cache(blocks.build_junction)
+
+    def trip(species, n_max, u):
+        j = junction(species, n_max)
+        return compose(invert(j), compose(blocks.accelerated_phases(species, n_max, u), j))
+
+    return trip
 
 
 @pytest.fixture()

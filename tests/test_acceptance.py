@@ -68,7 +68,7 @@ def _gauge(vec):
     return vec * np.exp(-1j * np.angle(vec[k]))
 
 
-def test_state_expansions_match_fock_references():
+def test_state_expansions_match_fock_references(composed_trip):
     h = 0.01
 
     nw = 8
@@ -80,7 +80,7 @@ def test_state_expansions_match_fock_references():
     window = fock.BosonFockWindow(tuple(modes))
     vacuum, residual = fock.boson_travelled_vacuum(window, a_tot, b_tot)
     assert residual < 1e-5
-    trip = blocks.one_way_trip("boson", nw, U, gate_tol=1e-3)
+    trip = composed_trip("boson", nw, U)
 
     def boson_vector(state, basis):
         out = np.zeros(len(basis), dtype=complex)
@@ -106,7 +106,7 @@ def test_state_expansions_match_fock_references():
     fwindow = fock.FermionFockWindow(tuple(kappas))
     fvacuum, residual = fock.fermion_travelled_vacuum(fwindow, f_tot)
     assert residual < 1e-5
-    ftrip = blocks.one_way_trip("fermion", nf, U, gate_tol=1e-3)
+    ftrip = composed_trip("fermion", nf, U)
 
     def fermion_vector(state):
         out = np.zeros(2 ** len(fwindow.kappas), dtype=complex)

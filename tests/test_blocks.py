@@ -10,14 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityent import blocks
 from cavityent.bogoliubov import (
     BosonBogoliubov,
     check_identities,
-    compose,
     identity_residuals,
-    invert,
     mirror,
     weighted_residual,
 )
@@ -199,15 +199,24 @@ def test_fermion_trip_interference_amplitudes(fermion_junction, fermion_trip):
         )
 
 
-def test_boson_trip_is_periodic(boson_trip):
-    shifted = blocks.one_way_trip("boson", 40, 1.3)
-    assert np.allclose(shifted.alpha, boson_trip.alpha, atol=1e-12)
-    assert np.allclose(shifted.beta, boson_trip.beta, atol=1e-12)
+# u + 1 rounds differently from u, which moves each phase by up to about
+# 1e-13; the orders are compared at np.allclose's default relative tolerance
+PERIOD_U = st.floats(0.0, 1.0, exclude_max=True)
 
 
-def test_fermion_trip_flips_sign_after_one_period(fermion_trip):
-    shifted = blocks.one_way_trip("fermion", 40, 1.3)
-    assert np.allclose(shifted.a, -fermion_trip.a, atol=1e-12)
+@settings(max_examples=20, deadline=None)
+@given(u=PERIOD_U)
+def test_boson_trip_is_periodic(u):
+    trips = blocks.trip_stack("boson", 40, [u, u + 1.0])
+    assert np.allclose(trips.alpha[:, 1], trips.alpha[:, 0], atol=1e-12)
+    assert np.allclose(trips.beta[:, 1], trips.beta[:, 0], atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(u=PERIOD_U)
+def test_fermion_trip_flips_sign_after_one_period(u):
+    trips = blocks.trip_stack("fermion", 40, [u, u + 1.0])
+    assert np.allclose(trips.a[:, 1], -trips.a[:, 0], atol=1e-12)
 
 
 def test_trip_at_unit_u_is_identity_in_interior():
@@ -215,41 +224,14 @@ def test_trip_at_unit_u_is_identity_in_interior():
     modes = blocks.boson_modes(40)
     lo, hi = blocks.interior_window("boson", 40)
     sel = (modes >= lo) & (modes <= hi)
-    dev = (t.alpha - BosonBogoliubov.identity(modes).alpha)[:, sel][:, :, sel]
+    eye = BosonBogoliubov.from_phases(modes, np.ones(modes.size))
+    dev = (t.alpha - eye.alpha)[:, sel][:, :, sel]
     assert np.max(np.abs(dev[:2])) < 1e-10
     assert np.max(np.abs(dev[2])) < 1e-5  # truncated-ladder tail
     assert np.max(np.abs(t.beta[:, sel][:, :, sel])) < 1e-5
 
 
-def test_scenario_single_arc_matches_trip(boson_trip):
-    s = blocks.scenario("boson", 40, [("arc", 0.3)])
-    assert np.allclose(s.alpha, boson_trip.alpha)
-    assert np.allclose(s.beta, boson_trip.beta)
-
-
-def test_scenario_chains_in_order(fermion_trip):
-    from cavityent.bogoliubov import compose
-
-    theta = 0.7
-    s = blocks.scenario("fermion", 40, [("coast", theta), ("arc", 0.3)])
-    want = compose(fermion_trip, blocks.coast_phases("fermion", 40, theta))
-    assert np.allclose(s.a, want.a, atol=1e-14)
-
-
-def test_scenario_rejects_unknown_segment():
-    with pytest.raises(ValueError):
-        blocks.scenario("boson", 12, [("drift", 0.1)])
-    with pytest.raises(ValueError):
-        blocks.scenario("boson", 12, [])
-
-
 # --- batched trip stacks -------------------------------------------------------
-
-
-def _reference_trip(species, n_max, u):
-    """The trip by explicit composition, J^-1 P(u) J, one u at a time."""
-    j = blocks.junction(species, n_max)
-    return compose(invert(j), compose(blocks.accelerated_phases(species, n_max, u), j))
 
 
 def _families(t):
@@ -259,7 +241,7 @@ def _families(t):
 
 
 @pytest.mark.parametrize("species", ["boson", "fermion"])
-def test_trip_stack_matches_composition(species, rng):
+def test_trip_stack_matches_composition(species, rng, composed_trip):
     # the stack multiplies the orders out in another association than the
     # composition does, so they agree to complex128 rounding, not bitwise
     n_max = 40
@@ -269,7 +251,7 @@ def test_trip_stack_matches_composition(species, rng):
         part = us[start:start + chunk]
         stack = blocks.trip_stack(species, n_max, part)
         for i, u in enumerate(part):
-            want = _families(_reference_trip(species, n_max, u))
+            want = _families(composed_trip(species, n_max, u))
             single = _families(blocks.one_way_trip(species, n_max, u))
             for got_all, ref, one in zip(_families(stack), want, single):
                 got = got_all[:, i]
@@ -288,12 +270,12 @@ def test_chunk_length_bounds_one_stack():
 
 
 @pytest.mark.parametrize("species", ["boson", "fermion"])
-def test_batched_gate_matches_per_trip_residuals(species, rng):
+def test_batched_gate_matches_per_trip_residuals(species, rng, composed_trip):
     n_max = 40
     window = blocks.interior_window(species, n_max)
     us = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 2.0, size=5)])
     batched = identity_residuals(blocks.trip_stack(species, n_max, us), window=window)
-    per_trip = [identity_residuals(_reference_trip(species, n_max, u), window=window) for u in us]
+    per_trip = [identity_residuals(composed_trip(species, n_max, u), window=window) for u in us]
     for name, r in batched.items():
         assert r.shape == (3, us.size)
         want = np.stack([p[name] for p in per_trip], axis=1)

@@ -101,7 +101,7 @@ def test_invert_then_compose_is_identity(rng):
     for make in (_synthetic_boson, _synthetic_fermion):
         t = make(rng)
         round_trip = compose(invert(t), t)
-        eye = type(t).identity(MODES)
+        eye = type(t).from_phases(MODES, np.ones(N))
         if isinstance(t, BosonBogoliubov):
             assert np.max(np.abs(round_trip.alpha - eye.alpha)) < 1e-12
             assert np.max(np.abs(round_trip.beta)) < 1e-12
@@ -172,7 +172,8 @@ def test_from_phases_builders():
     assert not b.alpha[1:].any() and not b.beta.any()
     f = FermionBogoliubov.from_phases(MODES, phases)
     check_identities(f, tol=1e-12)
-    for t in (BosonBogoliubov.identity(MODES), FermionBogoliubov.identity(MODES)):
+    ones = np.ones(N)
+    for t in (BosonBogoliubov.from_phases(MODES, ones), FermionBogoliubov.from_phases(MODES, ones)):
         orders = t.alpha if isinstance(t, BosonBogoliubov) else t.a
         assert np.array_equal(orders[0], np.eye(N)) and not orders[1:].any()
 

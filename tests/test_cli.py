@@ -58,6 +58,28 @@ def test_cutoff_below_the_trip_gate_floor_is_a_config_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "species,modes,label",
+    [("boson", "1, 50", "50"), ("fermion", "45, -1", "45")],
+    ids=["boson", "fermion"],
+)
+def test_curve_label_beyond_the_cutoff_is_a_config_error(tmp_path, capsys, species, modes, label):
+    path = tmp_path / "far.cfg"
+    path.write_text(f"[curve:far]\nspecies = {species}\nstate = vacuum\nmodes = {modes}\n")
+    assert cli.main(["sweep", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: curve far: mode label " + label)
+    assert "n_max 40" in err
+
+
+def test_cutoff_override_rechecks_curve_labels(tmp_path, capsys):
+    path = tmp_path / "deep.cfg"
+    path.write_text("[curve:deep]\nspecies = boson\nstate = vacuum\nmodes = 1, 35\n")
+    assert cli.main(["sweep", str(path), "--nmax", "34"]) == cli.EXIT_CONFIG
+    assert "mode label 35" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv", [["sweep", "fig1a", "--h", "0.5"], ["check", "--h", "0.01"]], ids=["sweep", "check"]
 )
 def test_removed_h_flag_is_rejected(argv, capsys):

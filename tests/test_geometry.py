@@ -5,7 +5,6 @@ import pytest
 from cavityent.geometry import (
     PERTURBATIVE_LIMIT,
     CavityGeometry,
-    coast_angle,
     phase_parameter,
 )
 
@@ -55,8 +54,3 @@ def test_phase_parameter_formula():
 def test_phase_parameter_small_h_limit():
     # u -> tau/2 as the walls recede
     assert phase_parameter(1e-6, 1.0) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_coast_angle():
-    assert coast_angle(2.0) == pytest.approx(2 * math.pi)
-    assert coast_angle(0.0) == 0.0

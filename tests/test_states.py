@@ -10,7 +10,7 @@ below 10 h^3 at h = 0.01.
 import numpy as np
 import pytest
 
-from cavityent import blocks, fock, oracles, states
+from cavityent import fock, oracles, states
 from cavityent.series import N_ORDERS
 
 U = 0.3
@@ -31,7 +31,7 @@ def _gauge(vec):
 
 
 @pytest.fixture(scope="module")
-def boson_reference():
+def boson_reference(composed_trip):
     nw = 8
     modes = np.arange(1, nw + 1)
     aj, bj = oracles.boson_overlaps(H, nw)
@@ -41,7 +41,7 @@ def boson_reference():
     window = fock.BosonFockWindow(tuple(modes))
     vacuum, residual = fock.boson_travelled_vacuum(window, a_tot, b_tot)
     assert residual < 1e-5
-    trip = blocks.one_way_trip("boson", nw, U, gate_tol=1e-3)
+    trip = composed_trip("boson", nw, U)
     return modes, window, a_tot, b_tot, vacuum, trip
 
 
@@ -74,7 +74,7 @@ def test_boson_particle_matches_fock_reference(boson_reference):
 
 
 @pytest.fixture(scope="module")
-def fermion_reference():
+def fermion_reference(composed_trip):
     nf = 6
     kappas = np.arange(-nf, nf)
     aj = oracles.fermion_overlaps(H, nf)
@@ -83,7 +83,7 @@ def fermion_reference():
     window = fock.FermionFockWindow(tuple(kappas))
     vacuum, residual = fock.fermion_travelled_vacuum(window, a_tot)
     assert residual < 1e-5
-    trip = blocks.one_way_trip("fermion", nf, U, gate_tol=1e-3)
+    trip = composed_trip("fermion", nf, U)
     return kappas, window, a_tot, vacuum, trip
 
 
@@ -151,8 +151,8 @@ def test_reduced_matrix_shape_and_hermiticity(boson_trip, fermion_trip):
         assert abs(np.trace(rho[1])) < 1e-12
 
 
-def test_generation_filter_matches_full_expansion():
-    trip = blocks.one_way_trip("boson", 12, U, gate_tol=1e-3)
+def test_generation_filter_matches_full_expansion(composed_trip):
+    trip = composed_trip("boson", 12, U)
     full = states.boson_vacuum_state(trip, (1, 4), full_second_order=True)
     cut = states.boson_vacuum_state(trip, (1, 4))
     assert len(cut.amps) < len(full.amps)
@@ -161,8 +161,8 @@ def test_generation_filter_matches_full_expansion():
     )
 
 
-def test_generation_filter_matches_full_expansion_fermion():
-    trip = blocks.one_way_trip("fermion", 8, U, gate_tol=1e-3)
+def test_generation_filter_matches_full_expansion_fermion(composed_trip):
+    trip = composed_trip("fermion", 8, U)
     full = states.fermion_pair_state(trip, 2, -1, (2, -1), full_second_order=True)
     cut = states.fermion_pair_state(trip, 2, -1, (2, -1))
     assert len(cut.amps) < len(full.amps)
@@ -206,3 +206,11 @@ def test_reduce_drops_overfull_occupations():
     lean = states.reduce_to_pair(states.StateExpansion("boson", (1, 4), base))
     fat = states.reduce_to_pair(states.StateExpansion("boson", (1, 4), with_overfull))
     assert np.array_equal(lean, fat)
+
+
+def test_reduce_without_surviving_keys_is_zero():
+    overfull = {(1, 1, 1, 1): np.array([0, 0, 1.0], dtype=complex)}
+    for amps in ({}, overfull):
+        rho = states.reduce_to_pair(states.StateExpansion("boson", (1, 4), amps))
+        assert rho.shape == (N_ORDERS, 16, 16) and rho.dtype == complex
+        assert not rho.any()

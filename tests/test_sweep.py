@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityent import blocks, cli, config, sweep
 from cavityent.bogoliubov import BosonBogoliubov, FermionBogoliubov, InvariantViolation
@@ -98,6 +101,22 @@ def test_request_needs_curves_and_unique_names():
 def test_request_field_validation(field, value):
     with pytest.raises(ConfigError):
         SweepRequest(curves=(_curve(),), **{field: value})
+
+
+@pytest.mark.parametrize(
+    "species,modes,label",
+    [("boson", (1, 41), 41), ("fermion", (40, -1), 40), ("fermion", (0, -41), -41)],
+    ids=["boson", "fermion-particle", "fermion-antiparticle"],
+)
+def test_request_rejects_labels_beyond_the_cutoff(species, modes, label):
+    curve = _curve(name="far", species=species, modes=modes)
+    with pytest.raises(ConfigError, match=f"curve far: mode label {label} lies outside"):
+        SweepRequest(curves=(curve,), n_max=40)
+
+
+def test_request_accepts_the_outermost_labels():
+    SweepRequest(curves=(_curve(modes=(1, 40)),), n_max=40)
+    SweepRequest(curves=(_curve(species="fermion", modes=(39, -40)),), n_max=40)
 
 
 def test_grid_endpoints():
@@ -306,13 +325,47 @@ def test_closed_series_on_a_stack_match_single_trips():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
+@pytest.fixture(scope="module")
+def period_trips():
+    grid = np.linspace(0.0, 1.0, 21)
+    return {sp: blocks.trip_stack(sp, 40, grid) for sp in ("boson", "fermion")}
+
+
+@st.composite
+def interior_curves(draw):
+    """Curves of every family whose labels lie in the interior window at n_max 40."""
+    species = draw(st.sampled_from(["boson", "fermion"]))
+    lo, hi = blocks.interior_window(species, 40)
+    state = draw(st.sampled_from(sweep.STATES if species == "fermion" else sweep.STATES[:2]))
+    if state == "pair":
+        modes = (draw(st.integers(0, hi)), draw(st.integers(lo, -1)))
+    else:
+        a = draw(st.integers(lo, hi))
+        modes = (a, draw(st.integers(lo, hi).filter(lambda m: m != a)))
+    excite = draw(st.sampled_from(modes)) if state == "one-particle" else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # curves that vanish identically
+        return CurveSpec("c", species, state, modes, excite)
+
+
+@settings(max_examples=40, deadline=None)
+@given(curve=interior_curves(), u=st.floats(0.0, 1.0, exclude_max=True))
+def test_curve_series_repeat_after_one_period(period_trips, curve, u):
+    # measured against the curve's largest |series| over the period, since at
+    # its zeros both values are rounding noise
+    got = curve.series(blocks.trip_stack(curve.species, 40, [u, u + 1.0]))
+    s_u, s_next = np.broadcast_to(got, (2, 3))
+    scale = np.max(np.abs(curve.series(period_trips[curve.species])))
+    assert np.max(np.abs(s_next - s_u)) <= 1e-10 * scale
+
+
 def _perturbed_junction(monkeypatch, species):
     """Make blocks.junction hand out a junction whose in-window first-order
     block is off by 1e-3 in one entry, past its own gate."""
     real = blocks.junction
 
-    def junction(sp, n_max, gate_tol=5e-8):
-        j = real(sp, n_max, gate_tol)
+    def junction(sp, n_max):
+        j = real(sp, n_max)
         if sp != species:
             return j
         i, k = (int(np.flatnonzero(j.modes == m)[0]) for m in (2, 3))

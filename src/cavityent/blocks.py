@@ -10,19 +10,13 @@ duration u, then inertial again.  It is assembled from two ingredient types:
   process and never stored on disk;
 * the diagonal free-evolution phases of the accelerated segment.
 
-The one-way trip is J^-1 P(u) J: match onto the accelerated basis,
-evolve, match back.  Sweeps need it on a whole grid of u, so
-:func:`trip_stack` assembles the trip orders for a block of u values at once,
-as (3, len(u), n, n) order stacks written directly in the junction orders
-(the junction's zeroth order is exactly the identity, so only the products
-of two first-order blocks cost n^3), and runs the trip identity gate on the
-whole stack; below ``MIN_N_MAX`` some u of the period fails that gate, so
-sweeps and ``cavityent check`` reject such cutoffs up front.
-:func:`one_way_trip` is the same code for a single u.  Callers
-walk a grid in chunks of :func:`chunk_length` points, serially: one chunk's
-stacks fit in a few MiB whatever n is.  :func:`accelerated_phases` with
-:func:`cavityent.bogoliubov.compose` and ``invert`` gives the same trip by
-explicit composition, the independent reference for :func:`trip_stack`.
+The one-way trip is J^-1 P(u) J: match onto the accelerated basis, evolve,
+match back.  :func:`trip_rows` gives any of its rows on a whole u grid
+straight from the junction orders; the closed forms read a few rows and
+columns, after :func:`trip_junction` has gated every trip of the u period at
+once.  :func:`trip_stack` assembles and gates whole trips for the numeric
+route and the tests, and :func:`accelerated_phases` with ``compose`` and
+``invert`` gives the same trip by explicit composition, its reference.
 """
 
 from __future__ import annotations
@@ -30,30 +24,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracles
-from .bogoliubov import BosonBogoliubov, FermionBogoliubov, check_identities
-from .series import diagonal_stack
+from .bogoliubov import BosonBogoliubov, FermionBogoliubov, check_identities, check_period
 
 DEFAULT_LADDER = oracles.geometric_ladder(top=0.02, count=4)
-
-# Byte bound on one (3, chunk, n, n) complex order stack.  Assembly, the
-# gate and the closed series hold about a dozen arrays of that size at once
-# (trip orders, block products, windowed gate products, pair matrices).  On
-# a 101-point grid, unchunked stacks would add hundreds of MiB of peak
-# memory at n = 224, and even 4 MiB stacks raised a cold fig1a sweep's peak
-# RSS from 89 to 98 MiB.  At 1 MiB a chunk fits in memory the junction build
-# has already released, and the sweep is as fast as with larger chunks:
-# 13 u values per chunk at n = 40, 3 at n = 80, 1 from n = 105 on.
-STACK_BYTES = 1 << 20
 
 # Weighted identity residual above which a junction or a trip is rejected.
 GATE_TOL = 5e-8
 
-# Smallest n_max from which every trip passes the GATE_TOL gate over a whole u
-# period, both species.  The residual is the truncated mode tail and falls
-# roughly as n_max^-3, but not monotonically: worst weighted trip residual on
-# 401 points of [0, 1] (boson / fermion) is 3.77e-8 / 4.81e-8 at 27,
-# 4.20e-8 / 5.24e-8 at 28, 2.33e-8 / 5.24e-8 at 29, 2.58e-8 / 5.69e-8 at 30,
-# 2.58e-8 / 3.25e-8 at 31, and at most 3.77e-8 (fermion, 34) from 31 to 59.
+# Smallest n_max from which every trip of a whole u period passes the
+# GATE_TOL gate, both species, by the bound of check_period.  The residual is
+# the truncated mode tail and falls roughly as n_max^-3, but not
+# monotonically: the weighted bound (boson / fermion) is 4.20e-8 / 5.24e-8 at
+# 28, 2.58e-8 / 5.69e-8 at 30, 2.58e-8 / 3.25e-8 at 31, at most 3.77e-8
+# (fermion, 34) from 31 to 59, and 5.29e-9 / 6.45e-9 at 56.
 MIN_N_MAX = 31
 
 _cache: dict[tuple, object] = {}
@@ -128,34 +111,30 @@ def build_junction(species: str, n_max: int):
     return result
 
 
-def chunk_length(species: str, n_max: int) -> int:
-    """Grid points per trip stack, so that one order stack stays within STACK_BYTES."""
-    n = n_max if species == "boson" else 2 * n_max
-    return max(1, STACK_BYTES // (3 * n * n * np.dtype(complex).itemsize))
-
-
-def _accelerated_phase_vector(species: str, n_max: int, u) -> np.ndarray:
-    """Phases exp(-i omega_m u) of every mode, shape u.shape + (n,)."""
+def free_phases(species: str, modes, u) -> np.ndarray:
+    """Phases exp(-i omega_m u) of the modes ``modes``, shape u.shape + (n,)."""
     u = np.asarray(u, dtype=float)[..., None]
     if species == "boson":
-        return np.exp(-2j * np.pi * boson_modes(n_max) * u)
-    return np.exp(-2j * np.pi * (fermion_modes(n_max) + 0.5) * u)
+        return np.exp(-2j * np.pi * modes * u)
+    return np.exp(-2j * np.pi * (modes + 0.5) * u)
 
 
 def accelerated_phases(species: str, n_max: int, u: float):
     """Free evolution in the accelerated basis for dimensionless duration u."""
-    phases = _accelerated_phase_vector(species, n_max, u)
-    if species == "boson":
-        return BosonBogoliubov.from_phases(boson_modes(n_max), phases)
-    return FermionBogoliubov.from_phases(fermion_modes(n_max), phases)
+    modes = boson_modes(n_max) if species == "boson" else fermion_modes(n_max)
+    cls = BosonBogoliubov if species == "boson" else FermionBogoliubov
+    return cls.from_phases(modes, free_phases(species, modes, u))
 
 
-def trip_stack(species: str, n_max: int, u):
-    """One-way trips J^-1 P(u) J for every u in ``u``, to second order.
+def trip_rows(j, g, rows) -> tuple[np.ndarray, ...]:
+    """Rows ``rows`` (storage positions) of the trip J^-1 P J at phases ``g``.
 
-    ``u`` may be a scalar or an array; the result's matrices have shape
-    (3,) + u.shape + (n, n).  With G = diag(phases(u)) and junction orders
-    J1, J2 (fermions) or alpha1, alpha2, beta1, beta2 (bosons), the orders are
+    ``g`` holds the phase of every mode on its last axis, any grid axes in
+    front.  Returns the order arrays (a,) for fermions or (alpha, beta) for
+    bosons, each of shape (3,) + g.shape[:-1] + (len(rows), n).  With
+    G = diag(g), junction orders J1, J2 (fermions) or alpha1, alpha2, beta1,
+    beta2 (bosons) and the junction's exact zeroth order (identity, zero
+    beta) multiplied out, the trip orders are
 
     * fermions: G, J1^+ G + G J1, J2^+ G + J1^+ G J1 + G J2;
     * bosons: alpha = G, alpha1^+ G + G alpha1,
@@ -163,49 +142,65 @@ def trip_stack(species: str, n_max: int, u):
       beta = 0, G beta1 - beta1^T conj(G),
       G beta2 + alpha1^+ G beta1 - beta2^T conj(G) - beta1^T conj(G alpha1).
 
-    This is compose(invert(j), compose(accelerated_phases(u), j)) with the
-    junction's exact zeroth order (identity, and zero beta) multiplied out.
-    Every trip passes the identity gate on the interior window before the
-    stack is released.
+    Columns are rows at conj(g): the trip at conj(g) is the adjoint of the
+    trip at g (fermions, boson alpha) or minus its transpose (boson beta).
+    """
+    rows = np.asarray(rows)
+
+    def mul(x, y):  # one BLAS call for the whole grid, not one per grid point
+        return (x.reshape(-1, x.shape[-1]) @ y).reshape(x.shape[:-1] + y.shape[-1:])
+
+    gl = g[..., None, :]  # phase of the column mode
+    gr = g[..., rows, None]  # phase of the row mode
+    t0 = np.zeros(gr.shape[:-1] + g.shape[-1:], dtype=complex)
+    t0[..., np.arange(rows.size), rows] = g[..., rows]
+    if isinstance(j, FermionBogoliubov):
+        a1, a2 = j.a[1], j.a[2]
+        h = np.conj(a1[:, rows]).T * gl  # rows of J1^+ G
+        t2 = np.conj(a2[:, rows]).T * gl + mul(h, a1) + gr * a2[rows]
+        return (np.stack([t0, h + gr * a1[rows], t2]),)
+    a1, a2 = j.alpha[1], j.alpha[2]
+    b1, b2 = j.beta[1], j.beta[2]
+    n = a1.shape[0]
+    # with M = [alpha1 beta1], the rows of alpha1^+ G M hold alpha1^+ G alpha1
+    # and alpha1^+ G beta1, those of beta1^T conj(G M) beta1^T conj(G alpha1)
+    # and beta1^T conj(G beta1)
+    m = np.concatenate([a1, b1], axis=-1)
+    ha = np.conj(a1[:, rows]).T * gl  # rows of alpha1^+ G
+    hb = b1[:, rows].T * np.conj(gl)  # rows of beta1^T conj(G)
+    top, bottom = mul(ha, m), mul(hb, np.conj(m))
+    alpha = np.stack([
+        t0,
+        ha + gr * a1[rows],
+        np.conj(a2[:, rows]).T * gl + top[..., :n] + gr * a2[rows] - bottom[..., n:],
+    ])
+    beta = np.stack([
+        np.zeros_like(t0),
+        gr * b1[rows] - hb,
+        gr * b2[rows] + top[..., n:] - b2[:, rows].T * np.conj(gl) - bottom[..., :n],
+    ])
+    return alpha, beta
+
+
+def trip_junction(species: str, n_max: int):
+    """:func:`junction` once every trip of the u period passes the identity
+    gate (:func:`cavityent.bogoliubov.check_period`, nothing per u)."""
+    j = junction(species, n_max)
+    check_period(j, tol=GATE_TOL, window=interior_window(species, n_max))
+    return j
+
+
+def trip_stack(species: str, n_max: int, u):
+    """One-way trips J^-1 P(u) J for every u in ``u``, to second order.
+
+    ``u`` may be a scalar or an array; the result's matrices have shape
+    (3,) + u.shape + (n, n): every row of :func:`trip_rows`.  Every trip
+    passes the identity gate on the interior window before the stack is
+    released.
     """
     j = junction(species, n_max)
-    g = _accelerated_phase_vector(species, n_max, u)
-    gc = g[..., :, None]  # G @ X == gc * X
-    gr = g[..., None, :]  # X @ G == X * gr
-    # numpy multiplies a transposed 2-D operand into a stack without BLAS,
-    # about 30x slower, so adjoints that meet a stack are made contiguous
-    if species == "boson":
-        a1, a2 = j.alpha[1], j.alpha[2]
-        b1, b2 = j.beta[1], j.beta[2]
-        a1h, b1t, b2t = a1.conj().T, b1.T, b2.T
-        # all four n^3 terms come from one product: with M = [alpha1 beta1],
-        # M^+ G M holds alpha1^+ G alpha1 and alpha1^+ G beta1 in its top
-        # blocks, and the conjugates of beta1^T conj(G) conj(alpha1) and
-        # beta1^T conj(G) conj(beta1) in its bottom ones
-        n = a1.shape[0]
-        m = np.concatenate([a1, b1], axis=-1)
-        mgm = np.ascontiguousarray(m.conj().T) @ (gc * m)
-        top, bottom = mgm[..., :n, :], np.conj(mgm[..., n:, :])
-        alpha = np.stack([
-            diagonal_stack(g),
-            a1h * gr + gc * a1,
-            a2.conj().T * gr + top[..., :n] + gc * a2 - bottom[..., n:],
-        ])
-        beta = np.stack([
-            np.zeros_like(alpha[0]),
-            gc * b1 - b1t * np.conj(gr),
-            gc * b2 + top[..., n:] - b2t * np.conj(gr) - bottom[..., :n],
-        ])
-        trip = BosonBogoliubov(alpha, beta, j.modes)
-    else:
-        a1, a2 = j.a[1], j.a[2]
-        a1h = np.ascontiguousarray(a1.conj().T)
-        a = np.stack([
-            diagonal_stack(g),
-            a1h * gr + gc * a1,
-            a2.conj().T * gr + a1h @ (gc * a1) + gc * a2,
-        ])
-        trip = FermionBogoliubov(a, j.modes)
+    orders = trip_rows(j, free_phases(species, j.modes, u), np.arange(j.modes.size))
+    trip = type(j)(*orders, j.modes)
     check_identities(trip, tol=GATE_TOL, window=interior_window(species, n_max))
     return trip
 

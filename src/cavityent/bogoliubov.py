@@ -150,78 +150,129 @@ def mirror(t):
     raise TypeError(f"not a transformation: {t!r}")
 
 
-def _window_slice(modes: np.ndarray, window) -> np.ndarray:
+def _window_slice(modes: np.ndarray, window) -> slice:
+    """Positions of the (ascending) labels inside ``window``: a view, not a copy."""
     if window is None:
-        return np.arange(modes.size)
-    lo, hi = window
-    return np.flatnonzero((modes >= lo) & (modes <= hi))
+        return slice(None)
+    if np.any(np.diff(modes) <= 0):
+        raise ValueError("a mode window needs ascending mode labels")
+    lo, hi = np.searchsorted(modes, window[0]), np.searchsorted(modes, window[1], side="right")
+    return slice(int(lo), int(hi))
 
 
-def identity_residuals(t, window=None) -> dict[str, np.ndarray]:
-    """Order-by-order residuals of the structural identities.
+def _residual_blocks(t, window=None) -> dict[str, np.ndarray]:
+    """Residual matrices of the identities, orders on the leading axis.
 
     For bosons the left family is alpha alpha^+ - beta beta^+ = 1 together
     with the pair symmetry alpha beta^T = beta alpha^T, and the right family
     is alpha^+ alpha - beta^T conj(beta) = 1 with alpha^+ beta = beta^T
-    conj(alpha).  For fermions both families reduce to unitarity.
-
-    Returns a dict mapping residual names to arrays of per-order maxima,
-    shape (3,) plus any stack axes of ``t``, restricted to the rows and
-    columns whose mode labels fall inside ``window`` (inclusive bounds).
-    Truncating the mode ladder always spoils the identities near the edge,
-    so callers should stay in the interior.  Only the windowed rows (left
-    family) or columns (right family) enter the products, which is exactly
-    the windowed block of the full products.
+    conj(alpha).  For fermions both families reduce to unitarity.  Only the
+    rows (left family) or columns (right family) whose labels fall inside
+    ``window`` (inclusive bounds) enter the products, which gives exactly the
+    windowed block of the full products.  Truncating the mode ladder always
+    spoils the identities near the edge, so callers should stay in the interior.
     """
-    idx = _window_slice(t.modes, window)
-    diag = np.arange(idx.size)
+    sl = _window_slice(t.modes, window)
 
     def less_eye(x: np.ndarray) -> np.ndarray:
-        x[0, ..., diag, diag] -= 1.0
+        diag = np.einsum("...ii->...i", x[0])
+        diag -= 1.0
         return x
 
-    def peak(r: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(r), axis=(-2, -1))
-
     if isinstance(t, BosonBogoliubov):
-        ar, br = t.alpha[..., idx, :], t.beta[..., idx, :]
-        ac, bc = t.alpha[..., idx], t.beta[..., idx]
+        ar, br = t.alpha[..., sl, :], t.beta[..., sl, :]
+        ac, bc = t.alpha[..., sl], t.beta[..., sl]
         return {
-            "number_left": peak(less_eye(_prod(ar, _dag(ar)) - _prod(br, _dag(br)))),
-            "pair_left": peak(_prod(ar, _tr(br)) - _prod(br, _tr(ar))),
-            "number_right": peak(less_eye(_prod(_dag(ac), ac) - _prod(_tr(bc), np.conj(bc)))),
-            "pair_right": peak(_prod(_dag(ac), bc) - _prod(_tr(bc), np.conj(ac))),
+            "number_left": less_eye(_prod(ar, _dag(ar)) - _prod(br, _dag(br))),
+            "pair_left": _prod(ar, _tr(br)) - _prod(br, _tr(ar)),
+            "number_right": less_eye(_prod(_dag(ac), ac) - _prod(_tr(bc), np.conj(bc))),
+            "pair_right": _prod(_dag(ac), bc) - _prod(_tr(bc), np.conj(ac)),
         }
     if isinstance(t, FermionBogoliubov):
-        ar, ac = t.a[..., idx, :], t.a[..., idx]
+        ar, ac = t.a[..., sl, :], t.a[..., sl]
         return {
-            "unitary_left": peak(less_eye(_prod(ar, _dag(ar)))),
-            "unitary_right": peak(less_eye(_prod(_dag(ac), ac))),
+            "unitary_left": less_eye(_prod(ar, _dag(ar))),
+            "unitary_right": less_eye(_prod(_dag(ac), ac)),
         }
     raise TypeError(f"not a transformation: {t!r}")
 
 
-def check_identities(t, tol: float = 1e-8, window=None, h_ref: float = 0.08) -> dict[str, np.ndarray]:
-    """Raise :class:`InvariantViolation` if the identities fail beyond ``tol``.
+def identity_residuals(t, window=None) -> dict[str, np.ndarray]:
+    """Per-order maxima of :func:`_residual_blocks`, shape (3,) plus any stack axes of ``t``."""
+    return {k: np.max(np.abs(r), axis=(-2, -1)) for k, r in _residual_blocks(t, window).items()}
 
-    Per-order residuals are weighted as r0, h_ref r1, h_ref^2 r2, i.e. the
-    size each would have at the largest acceleration of interest.
-    The second-order residual always carries the truncated mode tail, so its
-    raw value is only meaningful once weighted this way.  A stack of
-    transformations passes only if every member does.
+
+def period_residuals(j, window=None) -> dict[str, np.ndarray]:
+    """Per-order bound on the windowed identity residuals of every trip J^-1 P(u) J.
+
+    With eta the metric (1 for fermions, diag(1, -1) on the boson 2n form) and
+    A = J eta J^+ - eta, B = J^+ eta J - eta the junction's residuals, exactly
+    T eta T^+ - eta = eta B eta + eta J^+ eta P A P^+ eta J eta, and
+    T^+ eta T - eta = B + J^+ P^+ eta A eta P J.  A and B start at first order
+    (J's zeroth order is the identity), so order k of a trip residual is B_k
+    plus A_k times p_i conj(p_j) (number, unitary) or p_i p_j (pair), plus
+    second-order cross terms linear in A_1.  A phase of nonzero frequency runs
+    over the unit circle within a period, so the supremum over u is
+    |B_k| + |A_k|, or |B_k + A_k| on the number and unitary diagonals; the
+    cross terms are bounded by 2 max |A_1| (window rows) times the largest
+    column sum of |J_1| (window columns).  Keyed "number" and "pair" for
+    bosons, "unitary" for fermions, each of shape (3,).
     """
-    residuals = identity_residuals(t, window=window)
-    worst_by = {k: weighted_residual(v, h_ref) for k, v in residuals.items()}
+    sl = _window_slice(j.modes, window)
+    res = _residual_blocks(j, window)
+    moving = j.modes[sl, None] != j.modes[None, sl]
+    if isinstance(j, BosonBogoliubov):
+        families = {
+            "number": (res["number_left"], res["number_right"], moving),
+            "pair": (res["pair_left"], res["pair_right"], True),
+        }
+        a1 = (j.alpha[1] + _dag(j.alpha[1]), _tr(j.beta[1]) - j.beta[1])
+        col_sums = np.sum(np.abs(j.alpha[1][:, sl]) + np.abs(j.beta[1][:, sl]), axis=0)
+    else:
+        families = {"unitary": (res["unitary_left"], res["unitary_right"], moving)}
+        a1 = (j.a[1] + _dag(j.a[1]),)
+        col_sums = np.sum(np.abs(j.a[1][:, sl]), axis=0)
+    cross = 2.0 * max(float(np.max(np.abs(x[sl]))) for x in a1) * float(np.max(col_sums))
+    out = {}
+    for name, (a, b, moves) in families.items():
+        out[name] = np.max(np.where(moves, np.abs(a) + np.abs(b), np.abs(a + b)), axis=(-2, -1))
+        out[name][2] += cross
+    return out
+
+
+H_REF = 0.08
+
+
+def _gate(residuals: dict[str, np.ndarray], tol: float, what: str) -> dict[str, np.ndarray]:
+    worst_by = {k: weighted_residual(v) for k, v in residuals.items()}
     worst = max(worst_by.values())
     if worst > tol:
         detail = ", ".join(f"{k}={v:.3e}" for k, v in worst_by.items())
         raise InvariantViolation(
-            f"identity residual {worst:.3e} at h={h_ref} exceeds {tol:.1e} ({detail})"
+            f"{what} residual {worst:.3e} at h={H_REF} exceeds {tol:.1e} ({detail})"
         )
     return residuals
 
 
-def weighted_residual(r: np.ndarray, h_ref: float = 0.08) -> float:
-    """Largest h_ref^k r_k over the orders k and any stack axes of ``r``."""
-    weights = (h_ref ** np.arange(N_ORDERS)).reshape((N_ORDERS,) + (1,) * (r.ndim - 1))
+def check_identities(t, tol: float = 1e-8, window=None) -> dict[str, np.ndarray]:
+    """Raise :class:`InvariantViolation` if the identities fail beyond ``tol``.
+
+    Per-order residuals are weighted as r0, h r1, h^2 r2 with h = ``H_REF``,
+    i.e. the size each would have at the largest acceleration of interest.
+    The second-order residual always carries the truncated mode tail, so its
+    raw value is only meaningful once weighted this way.  A stack of
+    transformations passes only if every member does.
+    """
+    return _gate(identity_residuals(t, window=window), tol, "identity")
+
+
+def check_period(j, tol: float = 1e-8, window=None) -> dict[str, np.ndarray]:
+    """:func:`check_identities` for every trip of the u period at once, by the
+    bound of :func:`period_residuals` on the junction ``j``."""
+    return _gate(period_residuals(j, window=window), tol, "trip identity (whole u period)")
+
+
+def weighted_residual(r: np.ndarray) -> float:
+    """Largest H_REF^k r_k over the orders k and any stack axes of ``r``."""
+    weights = (H_REF ** np.arange(N_ORDERS)).reshape((N_ORDERS,) + (1,) * (r.ndim - 1))
     return float(np.max(r * weights))

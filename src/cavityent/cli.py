@@ -137,9 +137,10 @@ def _check_lines(n_max: int):
 
     worst = 0.0
     all_ok = True
+    junctions = {sp: blocks.trip_junction(sp, n_max) for sp in ("boson", "fermion")}
     for curve, build in _crosscheck_states():
         trip = blocks.one_way_trip(curve.species, n_max, u)
-        closed = negativity.leading_from_series(curve.series(trip))
+        closed = negativity.leading_from_series(curve.series(junctions[curve.species], u))
         rho = states.reduce_to_pair(build(trip))
         numeric = negativity.leading_order(rho)
         rel = abs(numeric.coefficient - closed.coefficient) / abs(closed.coefficient)

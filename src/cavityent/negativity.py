@@ -5,8 +5,9 @@ reduced density matrix orders from :mod:`cavityent.states`, evaluates them at
 small finite h, partially transposes and sums the negative part of the
 spectrum; the leading power and coefficient are then recovered from a probe
 ladder.  The closed route evaluates the perturbative eigenvalue formulas of
-the negative blocks directly from the transformation matrices and returns the
-negativity series without ever building a density matrix.
+the negative blocks directly from the junction, for a whole u grid at once,
+and returns the negativity series without building a trip, a state or a
+density matrix; it imports nothing from :mod:`cavityent.states`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import states
-from .bogoliubov import InvariantViolation
+from . import blocks
+from .bogoliubov import BosonBogoliubov, InvariantViolation
 from .series import cauchy
 
 PROBES = (1e-2, 5e-3, 2.5e-3)
@@ -40,11 +41,11 @@ def partial_transpose(rho: np.ndarray, d: int) -> np.ndarray:
     return np.swapaxes(r, -3, -1).reshape(shape)
 
 
-def negativity_at(rho_orders: np.ndarray, h: float, herm_tol: float = HERMITICITY_TOL) -> float:
+def negativity_at(rho_orders: np.ndarray, h: float) -> float:
     """Negativity of the reduced matrix evaluated at acceleration h."""
     rho = np.polynomial.polynomial.polyval(h, rho_orders)
     drift = float(np.max(np.abs(rho - rho.conj().T)))
-    if drift > herm_tol:
+    if drift > HERMITICITY_TOL:
         raise InvariantViolation(f"reduced matrix drifts from Hermitian by {drift:.3e}")
     d = int(round(np.sqrt(rho.shape[-1])))
     eig = np.linalg.eigvalsh(partial_transpose(rho, d))
@@ -100,10 +101,12 @@ def leading_from_series(series: np.ndarray, floor: float = 1e-12) -> LeadingOrde
 # ---------------------------------------------------------------------------
 # closed route, shared pieces
 #
-# Every closed form accepts one transformation or a stack of them (one per
-# grid point u) and returns the series with the orders on the last axis,
-# shape (..., 3).  A curve that vanishes identically returns zeros(3), which
-# broadcasts over any stack.
+# Every closed form takes a junction J and a u grid (a scalar or any array)
+# and returns the series with the orders on the last axis, u.shape + (3,), or
+# zeros(3) for a curve that vanishes identically.  It reads the entries, rows
+# and norms of the states building blocks it needs from the trip's rows and
+# columns at the observed labels (:func:`cavityent.blocks.trip_rows`): a few
+# (n, n) products per grid, and no (len(u), n, n) array.
 
 
 def _pt_block(d1, d2, x) -> np.ndarray:
@@ -125,61 +128,107 @@ def _pt_block(d1, d2, x) -> np.ndarray:
     )
 
 
-def _others(labels, pair):
-    return [i for i, m in enumerate(labels) if m not in pair]
-
-
 def _weight(x: np.ndarray) -> np.ndarray:
     """Summed squared magnitude over the last axis."""
     return np.sum(np.abs(x) ** 2, axis=-1)
+
+
+def _orders(zeroth, first, second) -> np.ndarray:
+    """Order array (3, ...) from three parts that broadcast together."""
+    return np.stack(np.broadcast_arrays(zeroth, first, second))
+
+
+class TripLines:
+    """Trip rows and columns at ``labels`` (storage positions ``at``) on a u grid.
+
+    ``rows[f][k][..., x, m]`` is entry (at[x], m) of order k of family f (a,
+    or alpha and beta), ``cols[f][k][..., x, m]`` entry (m, at[x]); ``rest``
+    masks every position but ``at``.
+    """
+
+    def __init__(self, j, u, labels):
+        boson = isinstance(j, BosonBogoliubov)
+        self.j = j
+        self.g = blocks.free_phases("boson" if boson else "fermion", j.modes, u)
+        self.at = [list(j.modes).index(int(m)) for m in labels]
+        self.rest = np.ones(j.modes.size, dtype=bool)
+        self.rest[self.at] = False
+        self.rows = blocks.trip_rows(j, self.g, self.at)
+        cols = blocks.trip_rows(j, np.conj(self.g), self.at)
+        self.cols = (np.conj(cols[0]), -cols[1]) if boson else (np.conj(cols[0]),)
+
+    def phase(self, x: int) -> np.ndarray:
+        return self.g[..., self.at[x]]
 
 
 # ---------------------------------------------------------------------------
 # closed route, bosons
 
 
-def boson_vacuum_closed(t, pair) -> np.ndarray:
+class BosonPieces(TripLines):
+    """What the boson closed forms read for the labels (k, kp).
+
+    ``v1``: rows k and kp of the pair matrix's first order; ``v``: orders of
+    the entry V[k, kp]; ``d``: orders of the one-particle sources D[k, k]
+    and D[kp, k], on the last axis; ``d1``: column k of D's first order;
+    ``norm``: orders of the vacuum norm factor.
+    """
+
+    def __init__(self, j, u, k: int, kp: int):
+        super().__init__(j, u, (k, kp))
+        _, (_, b1r, b2r) = self.rows
+        (_, a1c, a2c), (_, b1c, _) = self.cols
+        g, at = self.g, self.at
+        # V = -conj(beta) G^+ + conj(beta1) G^+ alpha1 G^+ at second order, symmetrised
+        gr = np.conj(g[..., at, None])
+        self.v1 = -0.5 * (np.conj(b1r) * np.conj(g[..., None, :]) + np.conj(b1c) * gr)
+        other = at[::-1]
+        hop = np.sum(np.conj(b1r * g[..., None, :]) * a1c[..., ::-1, :], axis=-1)
+        raw2 = (hop - np.conj(b2r[..., [0, 1], other])) * np.conj(g[..., other])
+        self.v = _orders(0.0, self.v1[..., 0, at[1]], 0.5 * np.sum(raw2, axis=-1))
+        # D = conj(alpha) + V1^T beta1 at second order
+        self.d1 = np.conj(a1c[..., 0, :])
+        self.d = _orders(
+            np.stack(np.broadcast_arrays(np.conj(self.phase(0)), 0.0), axis=-1),
+            self.d1[..., at],
+            np.conj(a2c[..., 0, at]) + np.sum(self.v1 * b1c[..., :1, :], axis=-1),
+        )
+        # sum |V1|^2 = 1/2 sum |S|^2 - 1/2 Re(g^T |S|^2 g) with S = beta1 + beta1^T
+        s = np.abs(j.beta[1] + j.beta[1].T) ** 2
+        total = 0.5 * np.sum(s) - 0.5 * np.real(np.sum((g @ s) * g, axis=-1))
+        self.norm = _orders(1.0, 0.0, -0.25 * total)
+
+
+def boson_vacuum_closed(j, u, pair) -> np.ndarray:
     """Negativity series of the travelled vacuum on a mode pair."""
-    k, kp = (int(m) for m in pair)
-    v = states.boson_pair_matrix(t)
-    labels = [int(m) for m in t.modes]
-    ik, ikp = labels.index(k), labels.index(kp)
-    rest = _others(labels, (k, kp))
-    a_k = _weight(v[1][..., ik, rest])
-    a_kp = _weight(v[1][..., ikp, rest])
-    n = states.boson_norm_factor(v)
-    x = cauchy(cauchy(n, n), v[:, ..., ik, ikp])
-    series = _pt_block(a_k, a_kp, x)
+    p = BosonPieces(j, u, *pair)
+    x = cauchy(cauchy(p.norm, p.norm), p.v)
+    series = _pt_block(_weight(p.v1[..., 0, p.rest]), _weight(p.v1[..., 1, p.rest]), x)
     # the (2,0)|(0,2) block closes on the double-pair amplitude
-    series[..., 2] += np.abs(v[1][..., ik, ikp]) ** 2
+    series[..., 2] += np.abs(p.v[1]) ** 2
     return series
 
 
-def boson_particle_closed(t, k: int, pair) -> np.ndarray:
+def boson_particle_closed(j, u, k: int, pair) -> np.ndarray:
     """Negativity series of a travelled one-particle state on (k, partner)."""
     k = int(k)
     pk, pkp = (int(m) for m in pair)
     if k not in (pk, pkp):
         raise ValueError("closed form expects the excited mode in the observed pair")
-    kp = pkp if k == pk else pk
-    v = states.boson_pair_matrix(t)
-    d = states.boson_source_matrix(t, v)
-    n = states.boson_norm_factor(v)
-    labels = [int(m) for m in t.modes]
-    ik, ikp = labels.index(k), labels.index(kp)
-    rest = _others(labels, (k, kp))
-    g = np.diagonal(t.alpha[0], axis1=-2, axis2=-1)
+    pc = BosonPieces(j, u, k, pkp if k == pk else pk)
+    v1k, v1kp = pc.v1[..., 0, pc.rest], pc.v1[..., 1, pc.rest]
+    d1_rest = pc.d1[..., pc.rest]
 
-    amp_k = cauchy(n, d[:, ..., ik, ik])
-    amp_kp = cauchy(n, d[:, ..., ikp, ik])
-    amp_21 = _SQRT2 * cauchy(amp_k, v[:, ..., ik, ikp])
+    amp_k = cauchy(pc.norm, pc.d[..., 0])
+    amp_kp = cauchy(pc.norm, pc.d[..., 1])
+    amp_21 = _SQRT2 * cauchy(amp_k, pc.v)
     p = cauchy(amp_k, np.conj(amp_kp))
     q = cauchy(amp_k, np.conj(amp_21))
 
-    d1 = _weight(v[1][..., ikp, rest])
-    d2 = _weight(d[1][..., rest, ik])
-    d3 = 2.0 * _weight(v[1][..., ik, rest])
-    e2 = _SQRT2 * g[..., ik] * np.sum(d[1][..., rest, ik] * np.conj(v[1][..., ik, rest]), axis=-1)
+    d1 = _weight(v1kp)
+    d2 = _weight(d1_rest)
+    d3 = 2.0 * _weight(v1k)
+    e2 = _SQRT2 * pc.phase(0) * np.sum(d1_rest * np.conj(v1k), axis=-1)
 
     s2 = np.abs(p[1]) ** 2 + np.abs(q[1]) ** 2
     linear = np.sqrt(s2) > FIRST_ORDER_FLOOR
@@ -205,7 +254,7 @@ def boson_particle_closed(t, k: int, pair) -> np.ndarray:
         axis=-1,
     )
     # the (1,2)|(3,0) block rides on the twice-paired amplitude
-    series[..., 2] += np.sqrt(3.0) * np.abs(v[1][..., ik, ikp]) ** 2
+    series[..., 2] += np.sqrt(3.0) * np.abs(pc.v[1]) ** 2
     return series
 
 
@@ -213,27 +262,79 @@ def boson_particle_closed(t, k: int, pair) -> np.ndarray:
 # closed route, fermions
 
 
-def _fermion_pieces(t):
-    v = states.fermion_pair_matrix(t)
-    part, anti = states._fermion_labels(t)
-    m = states.fermion_norm_factor(v)
-    return v, part, anti, m
+class FermionPieces(TripLines):
+    """What the fermion closed forms read at two labels, by their index x in ``labels``.
+
+    Row x of the pair matrix V (particle rows, antiparticle columns) is
+    valid at the antiparticle positions, column x at the particle ones;
+    ``source(e, o)`` is entry (o, e) of the particle source D or the
+    antiparticle source E, whichever carries label e.
+    """
+
+    def __init__(self, j, u, labels):
+        super().__init__(j, u, labels)
+        self.part = j.modes >= 0
+
+    def v1_row(self, x: int) -> np.ndarray:
+        return -np.conj(self.phase(x))[..., None] * self.cols[0][1][..., x, :]
+
+    def v1_col(self, x: int) -> np.ndarray:
+        return -np.conj(self.g) * self.rows[0][1][..., x, :]
+
+    def v(self, xp: int, xq: int) -> np.ndarray:
+        """Orders of V[p, q]: -conj(g_p) (T[q, p] + sum_p' T1[p', p] V1[p', q])."""
+        (_, c1, c2), at, part = self.cols[0], self.at, self.part
+        hop = np.sum(c1[..., xp, part] * self.v1_col(xq)[..., part], axis=-1)
+        gp = -np.conj(self.phase(xp))
+        return _orders(0.0, gp * c1[..., xp, at[xq]], gp * (c2[..., xp, at[xq]] + hop))
+
+    def source1(self, xe: int) -> np.ndarray:
+        """Column e of the first order of D (particle e) or E (antiparticle e)."""
+        c1 = self.cols[0][1][..., xe, :]
+        return np.conj(c1) if self.part[self.at[xe]] else c1
+
+    def source(self, xe: int, xo: int) -> np.ndarray:
+        """Orders of D[o, e] = conj(T[o, e]) - (V1 conj(T1))[o, e], or of
+        E[o, e] = T[o, e] + (V1^T T1)[o, e]."""
+        (_, c1, c2), at, part = self.cols[0], self.at, self.part
+        zeroth = self.phase(xe) if xe == xo else 0.0
+        if part[at[xe]]:
+            hop = np.sum(self.v1_row(xo)[..., ~part] * np.conj(c1[..., xe, ~part]), axis=-1)
+            return np.conj(_orders(zeroth, c1[..., xe, at[xo]], c2[..., xe, at[xo]] - np.conj(hop)))
+        hop = np.sum(self.v1_col(xo)[..., part] * c1[..., xe, part], axis=-1)
+        return _orders(zeroth, c1[..., xe, at[xo]], c2[..., xe, at[xo]] + hop)
+
+    def pair_scalar(self, xp: int, xq: int) -> np.ndarray:
+        """Orders of the closed-loop amplitude c0 of the pair b_p^+ c_q^+|0>."""
+        (_, c1, c2), at, anti = self.cols[0], self.at, ~self.part
+        gq = self.phase(xq)
+        loop = np.sum(np.conj(c1[..., xp, anti]) * c1[..., xq, anti], axis=-1)
+        first, second = np.conj(c1[..., xp, at[xq]]), np.conj(c2[..., xp, at[xq]])
+        return _orders(0.0, first * gq, loop + second * gq)
+
+    def norm(self) -> np.ndarray:
+        """Orders of the vacuum norm factor M, with sum |V1|^2 over all (p, q)
+        = sum |J1[p, q]|^2 + |J1[q, p]|^2 + 2 Re(g_p^T X conj(g_q))."""
+        a1, g, part, anti = self.j.a[1], self.g, self.part, ~self.part
+        pq, qp = a1[np.ix_(part, anti)], a1[np.ix_(anti, part)].T
+        moving = np.sum((g[..., part] @ np.conj(pq * qp)) * np.conj(g[..., anti]), axis=-1)
+        total = np.sum(np.abs(pq) ** 2 + np.abs(qp) ** 2) + 2.0 * np.real(moving)
+        return _orders(1.0, 0.0, -0.5 * total)
 
 
-def fermion_vacuum_closed(t, pair) -> np.ndarray:
+def fermion_vacuum_closed(j, u, pair) -> np.ndarray:
     """Negativity series of the travelled vacuum on a particle-antiparticle pair."""
     kappa, kappa_p = max(pair), min(pair)
     if kappa < 0 or kappa_p >= 0:
         raise ValueError("vacuum negativity at this order needs opposite charges")
-    v, part, anti, m = _fermion_pieces(t)
-    ip, iq = part.index(int(kappa)), anti.index(int(kappa_p))
-    d1 = _weight(np.delete(v[1][..., ip, :], iq, axis=-1))
-    d2 = _weight(np.delete(v[1][..., :, iq], ip, axis=-1))
-    x = -cauchy(cauchy(m, m), v[:, ..., ip, iq])
-    return _pt_block(d1, d2, x)
+    pc = FermionPieces(j, u, (kappa, kappa_p))
+    anti, part = ~pc.part & pc.rest, pc.part & pc.rest
+    m = pc.norm()
+    x = -cauchy(cauchy(m, m), pc.v(0, 1))
+    return _pt_block(_weight(pc.v1_row(0)[..., anti]), _weight(pc.v1_col(1)[..., part]), x)
 
 
-def fermion_particle_closed(t, kappa: int, pair) -> np.ndarray:
+def fermion_particle_closed(j, u, kappa: int, pair) -> np.ndarray:
     """Negativity series of a travelled single excitation on an observed pair.
 
     A partner of the opposite charge cannot share a negative block with the
@@ -246,35 +347,28 @@ def fermion_particle_closed(t, kappa: int, pair) -> np.ndarray:
     partner = next(int(m) for m in pair if int(m) != kappa)
     if (kappa >= 0) != (partner >= 0):
         return np.zeros(3)
-    v, part, anti, m = _fermion_pieces(t)
-    m2 = cauchy(m, m)
+    pc = FermionPieces(j, u, (kappa, partner))
+    m2 = cauchy(pc.norm(), pc.norm())
     if kappa >= 0:
-        source = states.fermion_particle_source(t, v)
-        labels = part
-        ie, io = labels.index(kappa), labels.index(partner)
-        d1 = _weight(v[1][..., io, :])
+        d1 = _weight(pc.v1_row(1)[..., ~pc.part])
+        own = pc.part
     else:
-        source = states.fermion_antiparticle_source(t, v)
-        labels = anti
-        ie, io = labels.index(kappa), labels.index(partner)
-        d1 = _weight(v[1][..., :, io])
-    rest = [i for i, lab in enumerate(labels) if lab not in (kappa, partner)]
-    d2 = _weight(source[1][..., rest, ie])
-    x = cauchy(m2, cauchy(source[:, ..., ie, ie], np.conj(source[:, ..., io, ie])))
+        d1 = _weight(pc.v1_col(1)[..., pc.part])
+        own = ~pc.part
+    d2 = _weight(pc.source1(0)[..., own & pc.rest])
+    x = cauchy(m2, cauchy(pc.source(0, 0), np.conj(pc.source(0, 1))))
     return _pt_block(d1, d2, x)
 
 
-def fermion_pair_closed(t, kappa: int, kappa_p: int) -> np.ndarray:
+def fermion_pair_closed(j, u, kappa: int, kappa_p: int) -> np.ndarray:
     """Negativity series of a travelled particle-antiparticle pair state."""
     if kappa < 0 or kappa_p >= 0:
         raise ValueError("pair state wants a particle label and an antiparticle label")
-    v, part, anti, m = _fermion_pieces(t)
-    d = states.fermion_particle_source(t, v)
-    e = states.fermion_antiparticle_source(t, v)
-    ip, iq = part.index(int(kappa)), anti.index(int(kappa_p))
-    c0 = states.fermion_pair_scalar(t, e, kappa, kappa_p)
-    d1 = _weight(np.delete(d[1][..., :, ip], ip, axis=-1))
-    d2 = _weight(np.delete(e[1][..., :, iq], iq, axis=-1))
-    psi11 = cauchy(d[:, ..., ip, ip], e[:, ..., iq, iq]) + cauchy(v[:, ..., ip, iq], c0)
+    pc = FermionPieces(j, u, (kappa, kappa_p))
+    m = pc.norm()
+    c0 = pc.pair_scalar(0, 1)
+    d1 = _weight(pc.source1(0)[..., pc.part & pc.rest])
+    d2 = _weight(pc.source1(1)[..., ~pc.part & pc.rest])
+    psi11 = cauchy(pc.source(0, 0), pc.source(1, 1)) + cauchy(pc.v(0, 1), c0)
     x = -cauchy(cauchy(m, m), cauchy(psi11, np.conj(c0)))
     return _pt_block(d1, d2, x)

@@ -20,8 +20,9 @@ only sensible for small mode windows.
 
 The matrix building blocks (pair matrices, sources, norm factors) accept a
 stack of transformations as well and return order stacks with the same stack
-axes, so the closed forms in :mod:`cavityent.negativity` can evaluate a whole
-u grid at once; the state expansions themselves take one transformation.
+axes; the state expansions themselves take one transformation.  The closed
+forms in :mod:`cavityent.negativity` evaluate the same blocks from junction
+rows without this module, and the tests hold the two against each other.
 """
 
 from __future__ import annotations

@@ -6,15 +6,17 @@ the coefficient at the curve's leading power.  That is the quantity the
 figure-style panels plot: the h -> 0 limit of N/h for linear curves and of
 N/h^2 for the parity-suppressed ones, so a sweep takes no value of h at
 all.  A request is validated up front: its n_max must be at least
-``blocks.MIN_N_MAX``, below which some trip of the u period fails the
+``blocks.MIN_N_MAX``, below which the trips of the u period fail the
 identity gate, and every curve's mode labels must exist at that cutoff.
 
-Trips are assembled, gated and fed to the closed series a chunk of grid
-points at a time (see :mod:`cavityent.blocks`), one species after the other,
-serially.  Convergence in the mode cutoff is checked by rebuilding a handful
-of grid points per curve at doubled n_max, all spot points of one species in
-one batch; a curve whose values move by more than ``CONVERGENCE_GATE`` of
-the curve's largest |value| on the grid is flagged in every one of its rows.
+No trip is assembled: each species' junction passes one identity gate that
+covers every trip of the u period (:func:`blocks.trip_junction`), and the
+closed series read junction rows for the whole grid at once (see
+:mod:`cavityent.negativity`).  Convergence in the mode cutoff is checked by
+re-evaluating a handful of grid points per curve at doubled n_max, all spot
+points of one species in one batch; a curve whose values move by more than
+``CONVERGENCE_GATE`` of the curve's largest |value| on the grid is flagged
+in every one of its rows.
 Measuring against the curve's scale rather than the local value keeps spot
 points that land on a zero of the curve, where both cutoffs hold only
 truncation noise, from firing the gate.
@@ -110,25 +112,25 @@ class CurveSpec:
                 stacklevel=2,
             )
 
-    def series(self, trip) -> np.ndarray:
+    def series(self, junction, u) -> np.ndarray:
         """Closed-form negativity series (orders h^0, h^1, h^2 on the last axis).
 
-        ``trip`` is one transformation or a stack of them; the result has
-        shape (..., 3) with the stack axes in front, or is zeros(3) for a
-        curve that vanishes identically.
+        ``junction`` is this curve's species junction and ``u`` a scalar or
+        an array of trip durations; the result has shape u.shape + (3,), or
+        is zeros(3) for a curve that vanishes identically.
         """
         if self.species == "boson":
             if self.state == "vacuum":
-                return negativity.boson_vacuum_closed(trip, self.modes)
-            return negativity.boson_particle_closed(trip, int(self.excite), self.modes)
+                return negativity.boson_vacuum_closed(junction, u, self.modes)
+            return negativity.boson_particle_closed(junction, u, int(self.excite), self.modes)
         if self.state == "vacuum":
             if (self.modes[0] >= 0) == (self.modes[1] >= 0):
                 return np.zeros(3)
-            return negativity.fermion_vacuum_closed(trip, self.modes)
+            return negativity.fermion_vacuum_closed(junction, u, self.modes)
         if self.state == "one-particle":
-            return negativity.fermion_particle_closed(trip, int(self.excite), self.modes)
+            return negativity.fermion_particle_closed(junction, u, int(self.excite), self.modes)
         kappa, kappa_p = max(self.modes), min(self.modes)
-        return negativity.fermion_pair_closed(trip, kappa, kappa_p)
+        return negativity.fermion_pair_closed(junction, u, kappa, kappa_p)
 
 
 def check_n_max(n_max: int) -> None:
@@ -198,18 +200,16 @@ class SweepResult:
 def curve_series(curves, grid: np.ndarray, n_max: int) -> np.ndarray:
     """Closed series for every (u, curve), shape (len(grid), len(curves), 3).
 
-    Walks the grid one species and one chunk of u values at a time; each
-    chunk's trip stack is gated once and shared by that species' curves.
+    Each species' junction passes the whole-period trip gate once
+    (:func:`blocks.trip_junction`) and every curve then reads it for the
+    whole grid at once.
     """
     out = np.empty((grid.size, len(curves), 3))
     for species in sorted({c.species for c in curves}):
-        cols = [j for j, c in enumerate(curves) if c.species == species]
-        step = blocks.chunk_length(species, n_max)
-        for start in range(0, grid.size, step):
-            chunk = slice(start, start + step)
-            trips = blocks.trip_stack(species, n_max, grid[chunk])
-            for j in cols:
-                out[chunk, j] = curves[j].series(trips)
+        junction = blocks.trip_junction(species, n_max)
+        for col, curve in enumerate(curves):
+            if curve.species == species:
+                out[:, col] = curve.series(junction, grid)
     return out
 
 
@@ -231,6 +231,13 @@ def _spot_indices(values: np.ndarray, count: int = SPOT_POINTS) -> list[int]:
 def run_sweep(request: SweepRequest) -> SweepResult:
     grid = request.grid()
     curves = request.curves
+    # build every junction the sweep reads, the refinement's too, before any
+    # curve: the quadratures' large temporaries then reuse each other's freed
+    # heap instead of landing between the curves' arrays, which raised the
+    # peak RSS of cold sweeps
+    for n_max in (request.n_max, 2 * request.n_max):
+        for species in sorted({c.species for c in curves}):
+            blocks.junction(species, n_max)
     table = curve_series(curves, grid, request.n_max)
 
     powers = {c.name: _curve_power(table[:, j]) for j, c in enumerate(curves)}

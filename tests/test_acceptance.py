@@ -134,25 +134,28 @@ def test_state_expansions_match_fock_references(composed_trip):
         assert dev.max() < STATE_TOL, f"fermion {family} deviates by {dev.max():.2e}"
 
 
-def test_closed_form_series_track_numeric_negativity(boson_trip, fermion_trip):
+def test_closed_form_series_track_numeric_negativity(
+    boson_junction, fermion_junction, boson_trip, fermion_trip
+):
+    bj, fj = boson_junction, fermion_junction
     combos = [
-        (negativity.boson_vacuum_closed(boson_trip, (1, 4)),
+        (negativity.boson_vacuum_closed(bj, U, (1, 4)),
          states.boson_vacuum_state(boson_trip, (1, 4))),
-        (negativity.boson_vacuum_closed(boson_trip, (1, 3)),
+        (negativity.boson_vacuum_closed(bj, U, (1, 3)),
          states.boson_vacuum_state(boson_trip, (1, 3))),
-        (negativity.boson_particle_closed(boson_trip, 1, (1, 4)),
+        (negativity.boson_particle_closed(bj, U, 1, (1, 4)),
          states.boson_particle_state(boson_trip, 1, (1, 4))),
-        (negativity.boson_particle_closed(boson_trip, 1, (1, 3)),
+        (negativity.boson_particle_closed(bj, U, 1, (1, 3)),
          states.boson_particle_state(boson_trip, 1, (1, 3))),
-        (negativity.fermion_vacuum_closed(fermion_trip, (2, -1)),
+        (negativity.fermion_vacuum_closed(fj, U, (2, -1)),
          states.fermion_vacuum_state(fermion_trip, (2, -1))),
-        (negativity.fermion_vacuum_closed(fermion_trip, (1, -1)),
+        (negativity.fermion_vacuum_closed(fj, U, (1, -1)),
          states.fermion_vacuum_state(fermion_trip, (1, -1))),
-        (negativity.fermion_particle_closed(fermion_trip, 1, (1, 4)),
+        (negativity.fermion_particle_closed(fj, U, 1, (1, 4)),
          states.fermion_particle_state(fermion_trip, 1, (1, 4))),
-        (negativity.fermion_particle_closed(fermion_trip, 1, (1, 3)),
+        (negativity.fermion_particle_closed(fj, U, 1, (1, 3)),
          states.fermion_particle_state(fermion_trip, 1, (1, 3))),
-        (negativity.fermion_pair_closed(fermion_trip, 2, -1),
+        (negativity.fermion_pair_closed(fj, U, 2, -1),
          states.fermion_pair_state(fermion_trip, 2, -1, (2, -1))),
     ]
     for series, state in combos:
@@ -170,7 +173,7 @@ def test_closed_form_series_track_numeric_negativity(boson_trip, fermion_trip):
             assert 6.4 < ratio < 9.6, f"{state.observed}: residual ratio {ratio:.2f}"
 
 
-def test_vacuum_leading_powers_and_coefficients(boson_trip):
+def test_vacuum_leading_powers_and_coefficients(boson_junction, boson_trip):
     fit = negativity.leading_order(
         states.reduce_to_pair(states.boson_vacuum_state(boson_trip, (1, 4)))
     )
@@ -182,26 +185,27 @@ def test_vacuum_leading_powers_and_coefficients(boson_trip):
     fit = negativity.leading_order(
         states.reduce_to_pair(states.boson_vacuum_state(boson_trip, (1, 3)))
     )
-    want = negativity.boson_vacuum_closed(boson_trip, (1, 3))[2]
+    want = negativity.boson_vacuum_closed(boson_junction, U, (1, 3))[2]
     assert fit.power == 2
     assert fit.converged, f"probe-ladder slope {fit.slope}"
     assert fit.coefficient == pytest.approx(want, rel=1e-6)
 
 
-def test_particle_curve_dominates_vacuum_curve():
-    for u in np.linspace(0.0, 1.0, 101):
+def test_particle_curve_dominates_vacuum_curve(boson_junction):
+    grid = np.linspace(0.0, 1.0, 101)
+    particles = negativity.boson_particle_closed(boson_junction, grid, 1, (1, 4))[:, 1]
+    vacua = negativity.boson_vacuum_closed(boson_junction, grid, (1, 4))[:, 1]
+    for u, particle, vacuum in zip(grid, particles, vacua):
         trip = blocks.one_way_trip("boson", N_MAX, float(u))
         a1 = abs(trip.alpha[1, 0, 3])
         b1 = abs(trip.beta[1, 0, 3])
-        particle = negativity.boson_particle_closed(trip, 1, (1, 4))[1]
-        vacuum = negativity.boson_vacuum_closed(trip, (1, 4))[1]
         assert particle == pytest.approx(np.hypot(a1, np.sqrt(2.0) * b1), abs=1e-8)
         assert particle >= vacuum - 1e-8
 
 
-def test_fermion_exclusion_and_pair_vacuum_relations(fermion_trip):
+def test_fermion_exclusion_and_pair_vacuum_relations(fermion_junction, fermion_trip):
     # A mode occupied before the trip cannot receive a created partner.
-    series = negativity.fermion_particle_closed(fermion_trip, 1, (1, -2))
+    series = negativity.fermion_particle_closed(fermion_junction, U, 1, (1, -2))
     assert np.max(np.abs(series)) == 0.0
     rho = states.reduce_to_pair(states.fermion_particle_state(fermion_trip, 1, (1, -2)))
     for h in negativity.PROBES:
@@ -209,8 +213,8 @@ def test_fermion_exclusion_and_pair_vacuum_relations(fermion_trip):
 
     # Adding the observed pair in the in-state leaves the leading slope at
     # its vacuum value, which in turn reads off one transform entry.
-    vacuum = negativity.fermion_vacuum_closed(fermion_trip, (2, -1))
-    pair = negativity.fermion_pair_closed(fermion_trip, 2, -1)
+    vacuum = negativity.fermion_vacuum_closed(fermion_junction, U, (2, -1))
+    pair = negativity.fermion_pair_closed(fermion_junction, U, 2, -1)
     assert pair[1] == pytest.approx(vacuum[1], abs=1e-8)
 
     modes = fermion_trip.modes
@@ -247,11 +251,14 @@ def test_preset_sweeps_are_periodic_and_fast():
                 assert abs(row.value) < 1e-8
 
 
-def test_reported_negativity_survives_convention_changes(boson_trip, fermion_trip, rng):
+def test_reported_negativity_survives_convention_changes(
+    boson_junction, fermion_junction, boson_trip, fermion_trip, rng
+):
     def phases(count):
         # diag(out) X diag(in) on every order is out[:, None] * X * in
         return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
 
+    # numeric route: each trip rephased independently on its two sides
     out_b, in_b = phases(boson_trip.modes.size), phases(boson_trip.modes.size)
     rephased_b = BosonBogoliubov(
         out_b[:, None] * boson_trip.alpha * np.conj(in_b),
@@ -271,23 +278,41 @@ def test_reported_negativity_survives_convention_changes(boson_trip, fermion_tri
         np.ascontiguousarray(fermion_trip.a[:, ::-1, ::-1]), fermion_trip.modes[::-1]
     )
 
+    # closed route: rephasing every mode by d maps the junction J to D J D^+
+    # (boson beta to D beta D) and so every trip T to D T D^+; the flip
+    # reverses the junction's storage order
+    bj, fj = boson_junction, fermion_junction
+    d_b = phases(bj.modes.size)
+    rephased_bj = BosonBogoliubov(
+        d_b[:, None] * bj.alpha * np.conj(d_b), d_b[:, None] * bj.beta * d_b, bj.modes
+    )
+    flipped_bj = BosonBogoliubov(
+        np.ascontiguousarray(bj.alpha[:, ::-1, ::-1]),
+        np.ascontiguousarray(bj.beta[:, ::-1, ::-1]),
+        bj.modes[::-1],
+    )
+    d_f = phases(fj.modes.size)
+    rephased_fj = FermionBogoliubov(d_f[:, None] * fj.a * np.conj(d_f), fj.modes)
+    flipped_fj = FermionBogoliubov(np.ascontiguousarray(fj.a[:, ::-1, ::-1]), fj.modes[::-1])
+
     probes = [
-        (lambda t: negativity.boson_vacuum_closed(t, (1, 4)),
+        (lambda j: negativity.boson_vacuum_closed(j, U, (1, 4)),
          lambda t: states.boson_vacuum_state(t, (1, 4)),
-         [(boson_trip, rephased_b)]),
-        (lambda t: negativity.boson_particle_closed(t, 1, (1, 4)),
+         [(bj, rephased_bj), (bj, flipped_bj)], [(boson_trip, rephased_b)]),
+        (lambda j: negativity.boson_particle_closed(j, U, 1, (1, 4)),
          lambda t: states.boson_particle_state(t, 1, (1, 4)),
-         [(boson_trip, rephased_b)]),
-        (lambda t: negativity.fermion_vacuum_closed(t, (2, -1)),
+         [(bj, rephased_bj), (bj, flipped_bj)], [(boson_trip, rephased_b)]),
+        (lambda j: negativity.fermion_vacuum_closed(j, U, (2, -1)),
          lambda t: states.fermion_vacuum_state(t, (2, -1)),
-         [(fermion_trip, rephased_f), (fermion_trip, flipped)]),
-        (lambda t: negativity.fermion_pair_closed(t, 2, -1),
+         [(fj, rephased_fj), (fj, flipped_fj)], [(fermion_trip, rephased_f), (fermion_trip, flipped)]),
+        (lambda j: negativity.fermion_pair_closed(j, U, 2, -1),
          lambda t: states.fermion_pair_state(t, 2, -1, (2, -1)),
-         [(fermion_trip, rephased_f), (fermion_trip, flipped)]),
+         [(fj, rephased_fj), (fj, flipped_fj)], [(fermion_trip, rephased_f), (fermion_trip, flipped)]),
     ]
-    for closed, build, variants in probes:
-        for original, variant in variants:
+    for closed, build, junctions, trips in probes:
+        for original, variant in junctions:
             assert np.max(np.abs(closed(original) - closed(variant))) < CONVENTION_TOL
+        for original, variant in trips:
             rho_a = states.reduce_to_pair(build(original))
             rho_b = states.reduce_to_pair(build(variant))
             for h in negativity.PROBES:

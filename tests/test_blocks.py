@@ -19,6 +19,7 @@ from cavityent.bogoliubov import (
     check_identities,
     identity_residuals,
     mirror,
+    period_residuals,
     weighted_residual,
 )
 
@@ -245,28 +246,37 @@ def test_trip_stack_matches_composition(species, rng, composed_trip):
     # the stack multiplies the orders out in another association than the
     # composition does, so they agree to complex128 rounding, not bitwise
     n_max = 40
-    chunk = blocks.chunk_length(species, n_max)
-    us = rng.uniform(-1.0, 2.0, size=chunk + 3)
-    for start in range(0, us.size, chunk):
-        part = us[start:start + chunk]
-        stack = blocks.trip_stack(species, n_max, part)
-        for i, u in enumerate(part):
-            want = _families(composed_trip(species, n_max, u))
-            single = _families(blocks.one_way_trip(species, n_max, u))
-            for got_all, ref, one in zip(_families(stack), want, single):
-                got = got_all[:, i]
-                assert np.array_equal(one, got)
-                for k in range(3):
-                    scale = np.max(np.abs(ref[k]))
-                    assert np.max(np.abs(got[k] - ref[k])) <= 1e-13 * scale, (u, k)
+    us = rng.uniform(-1.0, 2.0, size=16)
+    stack = blocks.trip_stack(species, n_max, us)
+    for i, u in enumerate(us):
+        want = _families(composed_trip(species, n_max, u))
+        single = _families(blocks.one_way_trip(species, n_max, u))
+        for got_all, ref, one in zip(_families(stack), want, single):
+            got = got_all[:, i]
+            assert np.array_equal(one, got)
+            for k in range(3):
+                scale = np.max(np.abs(ref[k]))
+                assert np.max(np.abs(got[k] - ref[k])) <= 1e-13 * scale, (u, k)
 
 
-def test_chunk_length_bounds_one_stack():
-    for species, n_max in (("boson", 40), ("fermion", 40), ("boson", 56), ("fermion", 112)):
-        n = n_max if species == "boson" else 2 * n_max
-        chunk = blocks.chunk_length(species, n_max)
-        assert chunk >= 1
-        assert chunk == 1 or 3 * chunk * n * n * 16 <= blocks.STACK_BYTES
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_trip_rows_and_columns_match_the_stack(species, rng):
+    # columns are read as rows at the conjugate phases: the adjoint of the
+    # trip (fermions, boson alpha) or minus its transpose (boson beta)
+    n_max = 40
+    us = rng.uniform(0.0, 1.0, size=5)
+    j = blocks.junction(species, n_max)
+    at = sorted(rng.choice(j.modes.size, size=3, replace=False))
+    g = blocks.free_phases(species, j.modes, us)
+    stack = _families(blocks.trip_stack(species, n_max, us))
+    rows = blocks.trip_rows(j, g, at)
+    cols = blocks.trip_rows(j, np.conj(g), at)
+    signs = (1, -1) if species == "boson" else (1,)
+    for full, row, col, sign in zip(stack, rows, cols, signs):
+        np.testing.assert_array_equal(row, full[..., at, :])
+        want = np.swapaxes(full[..., at], -1, -2)
+        got = np.conj(col) if sign > 0 else -col
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("species", ["boson", "fermion"])
@@ -284,3 +294,60 @@ def test_batched_gate_matches_per_trip_residuals(species, rng, composed_trip):
     want_worst = max(weighted_residual(r) for p in per_trip for r in p.values())
     assert worst == pytest.approx(want_worst, rel=1e-6)
     assert 0.0 < worst < 5e-8
+
+
+# --- the whole-period trip gate ------------------------------------------------
+
+
+def _period_bound(species, n_max, junction=None):
+    j = junction if junction is not None else blocks.build_junction(species, n_max)
+    bound = period_residuals(j, window=blocks.interior_window(species, n_max))
+    return bound, max(weighted_residual(r) for r in bound.values())
+
+
+def test_min_n_max_follows_from_the_period_bound():
+    # the bound covers every u of the period, so MIN_N_MAX is the first
+    # cutoff from which it stays below the gate for both species
+    assert blocks.MIN_N_MAX == 31
+    assert _period_bound("fermion", 30)[1] > blocks.GATE_TOL
+    for n_max in range(31, 60):
+        for species in ("boson", "fermion"):
+            worst = _period_bound(species, n_max)[1]
+            assert worst < blocks.GATE_TOL, (species, n_max, worst)
+
+
+# the direct residual carries complex128 rounding of its products (order 0 is
+# |g|^2 - 1), the bound none; this slack is far below any gated residual
+ROUNDING = 1e-14
+FAMILY = {
+    "number_left": "number", "number_right": "number",
+    "pair_left": "pair", "pair_right": "pair",
+    "unitary_left": "unitary", "unitary_right": "unitary",
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    species=st.sampled_from(["boson", "fermion"]),
+    n_max=st.sampled_from([31, 40, 56]),
+    u=st.floats(-1.0, 2.0),
+)
+def test_trip_residual_never_exceeds_the_period_bound(species, n_max, u):
+    window = blocks.interior_window(species, n_max)
+    bound, _ = _period_bound(species, n_max, blocks.junction(species, n_max))
+    direct = identity_residuals(blocks.trip_stack(species, n_max, u), window=window)
+    for name, r in direct.items():
+        assert np.all(r <= bound[FAMILY[name]] + ROUNDING), (name, r, bound[FAMILY[name]])
+
+
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_period_bound_is_reached_on_a_fine_grid(species):
+    # the first-order supremum is attained where the phase of the worst entry
+    # lines up, so a fine grid comes within a few per cent of the bound
+    j = blocks.junction(species, 40)
+    window = blocks.interior_window(species, 40)
+    bound, _ = _period_bound(species, 40, j)
+    direct = identity_residuals(blocks.trip_stack(species, 40, np.linspace(0, 1, 401)), window)
+    for name, r in direct.items():
+        top = bound[FAMILY[name]][1]
+        assert 0.9 * top <= np.max(r[1]) <= top + ROUNDING

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cavityent import blocks, states
 from cavityent import negativity as neg
-from cavityent import states
 from cavityent.bogoliubov import InvariantViolation
 
 
@@ -136,9 +138,11 @@ def test_pt_block_branches():
 
 # --- closed forms against the numeric route ----------------------------------
 
+U = 0.3  # the duration of the boson_trip and fermion_trip fixtures
 
-def test_boson_vacuum_closed_matches_numeric(boson_trip):
-    series = neg.boson_vacuum_closed(boson_trip, (1, 4))
+
+def test_boson_vacuum_closed_matches_numeric(boson_junction, boson_trip):
+    series = neg.boson_vacuum_closed(boson_junction, U, (1, 4))
     rho = states.reduce_to_pair(states.boson_vacuum_state(boson_trip, (1, 4)))
     for h in neg.PROBES:
         assert neg.negativity_at(rho, h) == pytest.approx(
@@ -146,8 +150,8 @@ def test_boson_vacuum_closed_matches_numeric(boson_trip):
         )
 
 
-def test_boson_vacuum_closed_same_parity_matches_numeric(boson_trip):
-    series = neg.boson_vacuum_closed(boson_trip, (1, 3))
+def test_boson_vacuum_closed_same_parity_matches_numeric(boson_junction, boson_trip):
+    series = neg.boson_vacuum_closed(boson_junction, U, (1, 3))
     assert series[1] == 0.0
     rho = states.reduce_to_pair(states.boson_vacuum_state(boson_trip, (1, 3)))
     for h in neg.PROBES:
@@ -156,8 +160,8 @@ def test_boson_vacuum_closed_same_parity_matches_numeric(boson_trip):
         )
 
 
-def test_fermion_vacuum_closed_matches_numeric(fermion_trip):
-    series = neg.fermion_vacuum_closed(fermion_trip, (2, -1))
+def test_fermion_vacuum_closed_matches_numeric(fermion_junction, fermion_trip):
+    series = neg.fermion_vacuum_closed(fermion_junction, U, (2, -1))
     rho = states.reduce_to_pair(states.fermion_vacuum_state(fermion_trip, (2, -1)))
     for h in neg.PROBES:
         assert neg.negativity_at(rho, h) == pytest.approx(
@@ -165,16 +169,87 @@ def test_fermion_vacuum_closed_matches_numeric(fermion_trip):
         )
 
 
-def test_fermion_vacuum_closed_rejects_same_charge(fermion_trip):
+def test_fermion_vacuum_closed_rejects_same_charge(fermion_junction):
     with pytest.raises(ValueError):
-        neg.fermion_vacuum_closed(fermion_trip, (1, 2))
+        neg.fermion_vacuum_closed(fermion_junction, U, (1, 2))
 
 
-def test_fermion_particle_closed_pauli_zero(fermion_trip):
-    series = neg.fermion_particle_closed(fermion_trip, 1, (1, -2))
+def test_fermion_particle_closed_pauli_zero(fermion_junction):
+    series = neg.fermion_particle_closed(fermion_junction, U, 1, (1, -2))
     assert np.array_equal(series, np.zeros(3))
 
 
-def test_fermion_particle_closed_requires_membership(fermion_trip):
+def test_fermion_particle_closed_requires_membership(fermion_junction):
     with pytest.raises(ValueError):
-        neg.fermion_particle_closed(fermion_trip, 3, (1, 4))
+        neg.fermion_particle_closed(fermion_junction, U, 3, (1, 4))
+
+
+# --- the closed route's pieces against the states building blocks ------------
+
+
+# pieces that parity cancels to ~1e-8 still carry the rounding of their O(1)
+# terms, a few 1e-18; the absolute floor covers that with a wide margin
+PIECE_FLOOR = 1e-15
+
+
+def _close(got, want):
+    """Equal within 1e-13 of the piece's largest magnitude (or PIECE_FLOOR)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= max(1e-13 * np.max(np.abs(want)), PIECE_FLOOR)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    u=st.floats(0.0, 1.0),
+    labels=st.lists(st.integers(1, 40), min_size=2, max_size=2, unique=True),
+)
+def test_boson_pieces_match_the_states_blocks(boson_junction, u, labels):
+    k, kp = labels
+    i, l = k - 1, kp - 1
+    trip = blocks.one_way_trip("boson", 40, u)
+    v = states.boson_pair_matrix(trip)
+    d = states.boson_source_matrix(trip, v)
+    pieces = neg.BosonPieces(boson_junction, u, k, kp)
+    _close(pieces.v1, v[1][[i, l]])
+    _close(pieces.v, v[:, i, l])
+    _close(pieces.d, d[:, [i, l], i])
+    _close(pieces.d1, d[1][:, i])
+    _close(pieces.norm, states.boson_norm_factor(v))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    u=st.floats(0.0, 1.0),
+    labels=st.lists(st.integers(-40, 39), min_size=2, max_size=2, unique=True),
+)
+def test_fermion_pieces_match_the_states_blocks(fermion_junction, u, labels):
+    # particle labels index the pair matrix's rows and the particle source,
+    # antiparticle labels its columns and the antiparticle source
+    trip = blocks.one_way_trip("fermion", 40, u)
+    v = states.fermion_pair_matrix(trip)
+    sources = {True: states.fermion_particle_source(trip, v),
+               False: states.fermion_antiparticle_source(trip, v)}
+    pieces = neg.FermionPieces(fermion_junction, u, labels)
+    part = pieces.part
+
+    def index(m):
+        return m if m >= 0 else m + 40
+
+    _close(pieces.norm(), states.fermion_norm_factor(v))
+    for x, m in enumerate(labels):
+        if m >= 0:
+            _close(pieces.v1_row(x)[~part], v[1][index(m)])
+        else:
+            _close(pieces.v1_col(x)[part], v[1][:, index(m)])
+        own = sources[m >= 0]
+        _close(pieces.source1(x)[part if m >= 0 else ~part], own[1][:, index(m)])
+        for y, o in enumerate(labels):
+            if (o >= 0) == (m >= 0):
+                _close(pieces.source(x, y), own[:, index(o), index(m)])
+    if (labels[0] >= 0) != (labels[1] >= 0):
+        xp = 0 if labels[0] >= 0 else 1
+        kappa, kappa_p = labels[xp], labels[1 - xp]
+        _close(pieces.v(xp, 1 - xp), v[:, index(kappa), index(kappa_p)])
+        _close(pieces.pair_scalar(xp, 1 - xp),
+               states.fermion_pair_scalar(trip, sources[False], kappa, kappa_p))

@@ -1,8 +1,11 @@
 """Sweep orchestration, curve validation and serialization."""
 
+import ast
 import dataclasses
+import importlib.util
 import json
 import pathlib
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityent import blocks, cli, config, sweep
+from cavityent import blocks, bogoliubov, cli, config, negativity, sweep
 from cavityent.bogoliubov import BosonBogoliubov, FermionBogoliubov, InvariantViolation
 from cavityent.sweep import (
     CSV_COLUMNS,
@@ -21,6 +24,9 @@ from cavityent.sweep import (
     load_rows,
     run_sweep,
 )
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _curve(**kw):
@@ -84,7 +90,7 @@ def test_pauli_blocked_curve_warns_but_is_accepted():
 def test_same_charge_vacuum_curve_warns_and_is_zero():
     with pytest.warns(UserWarning, match="same-charge"):
         c = _curve(name="f", species="fermion", modes=(1, 2))
-    assert np.array_equal(c.series(None), np.zeros(3))
+    assert np.array_equal(c.series(None, np.linspace(0.0, 1.0, 5)), np.zeros(3))
 
 
 def test_request_needs_curves_and_unique_names():
@@ -214,13 +220,27 @@ def test_gate_still_fails_an_unconverged_curve():
     assert result.deltas[curve.name] == pytest.approx(0.8755, abs=1e-4)
 
 
-@pytest.mark.parametrize("name,reference", [("fig1a", "fig1a.csv"), ("fig1b", "fig1b.json")])
+def _reference_request(name):
+    """The request the benchmark runs for ``name``: a preset, or its seed-0
+    deep-cutoff sweep (n_max 56, refined at 112, with a pair curve)."""
+    if name != "cutoff":
+        return config.load_config(name)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return config.parse_config(workloads.cutoff_config(0)[0])
+
+
+@pytest.mark.parametrize(
+    "name,reference",
+    [("fig1a", "fig1a.csv"), ("fig1b", "fig1b.json"), ("cutoff", "cutoff-seed0.csv")],
+)
 def test_preset_rows_match_recorded_reference(name, reference):
-    # the rows the benchmark records for the presets: the gate keeps every row
-    # converged, and values stay within 1e-12 of their curve's largest |value|
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference" / reference
-    want = load_rows(path.read_text())
-    got = load_rows(emit(run_sweep(config.load_config(name))))
+    # the rows the benchmark records: labels, powers and converged flags are
+    # identical, and values stay within 1e-12 of their curve's largest |value|
+    want = load_rows((PERFBENCH / "reference" / reference).read_text())
+    got = load_rows(emit(run_sweep(_reference_request(name))))
     assert len(got) == len(want)
 
     def curve(row):
@@ -298,7 +318,7 @@ def test_config_digest_is_sha256():
     )
 
 
-# --- batched engine --------------------------------------------------------------
+# --- the closed route on a grid ----------------------------------------------------
 
 
 STACK_CURVES = (
@@ -314,21 +334,22 @@ STACK_CURVES = (
 )
 
 
-def test_closed_series_on_a_stack_match_single_trips():
+def test_closed_series_on_a_grid_match_single_points():
     # the grid holds the zeros at u = 0 and 1, where the closed forms switch
     # branch, next to points where they do not
     us = np.linspace(0.0, 1.0, 7)
     for curve in STACK_CURVES:
-        stack = blocks.trip_stack(curve.species, 40, us)
-        got = np.broadcast_to(curve.series(stack), (us.size, 3))
-        want = np.stack([curve.series(blocks.one_way_trip(curve.species, 40, u)) for u in us])
+        j = blocks.junction(curve.species, 40)
+        got = np.broadcast_to(curve.series(j, us), (us.size, 3))
+        want = np.stack([curve.series(j, u) for u in us])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 @pytest.fixture(scope="module")
-def period_trips():
+def period_scale():
+    """Largest |series| of a curve over 21 points of one period."""
     grid = np.linspace(0.0, 1.0, 21)
-    return {sp: blocks.trip_stack(sp, 40, grid) for sp in ("boson", "fermion")}
+    return lambda curve: np.max(np.abs(curve.series(blocks.junction(curve.species, 40), grid)))
 
 
 @st.composite
@@ -350,13 +371,76 @@ def interior_curves(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(curve=interior_curves(), u=st.floats(0.0, 1.0, exclude_max=True))
-def test_curve_series_repeat_after_one_period(period_trips, curve, u):
+def test_curve_series_repeat_after_one_period(period_scale, curve, u):
     # measured against the curve's largest |series| over the period, since at
     # its zeros both values are rounding noise
-    got = curve.series(blocks.trip_stack(curve.species, 40, [u, u + 1.0]))
+    got = curve.series(blocks.junction(curve.species, 40), np.array([u, u + 1.0]))
     s_u, s_next = np.broadcast_to(got, (2, 3))
-    scale = np.max(np.abs(curve.series(period_trips[curve.species])))
-    assert np.max(np.abs(s_next - s_u)) <= 1e-10 * scale
+    assert np.max(np.abs(s_next - s_u)) <= 1e-10 * period_scale(curve)
+
+
+@settings(max_examples=40, deadline=None)
+@given(curve=interior_curves(), u=st.floats(0.0, 1.0))
+def test_curve_series_is_symmetric_about_half_a_period(period_scale, curve, u):
+    # the junction is real, so the trip at 1 - u is the conjugate of the trip
+    # at u (up to the global fermion sign), and no negativity sees either;
+    # only rounding separates the two values, a few 1e-15 absolute, which is
+    # up to ~3e-12 of a curve whose largest value is ~1e-3
+    got = curve.series(blocks.junction(curve.species, 40), np.array([u, 1.0 - u]))
+    s_u, s_mirror = np.broadcast_to(got, (2, 3))
+    assert np.max(np.abs(s_mirror - s_u)) <= 1e-10 * period_scale(curve)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    labels=st.lists(st.integers(-20, 20), min_size=2, max_size=2, unique=True),
+    u=st.floats(0.0, 1.0),
+)
+def test_pauli_blocked_curves_are_exactly_zero(labels, u):
+    # an opposite-charge partner of a one-particle state, and a same-charge
+    # vacuum pair, share no negative block at this order
+    a, b = labels
+    j = blocks.junction("fermion", 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        if (a >= 0) != (b >= 0):
+            curve = CurveSpec("c", "fermion", "one-particle", (a, b), a)
+        else:
+            curve = CurveSpec("c", "fermion", "vacuum", (a, b))
+    assert np.array_equal(curve.series(j, u), np.zeros(3))
+    if curve.state == "one-particle":
+        assert np.array_equal(negativity.fermion_particle_closed(j, u, a, (a, b)), np.zeros(3))
+
+
+def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
+    # every junction a preset sweep reads, its refinement's too, is built
+    # (and its own gate run) first; after that neither the trip assembly nor
+    # the direct identity gate may run
+    for species in ("boson", "fermion"):
+        for n_max in (40, 80):
+            blocks.junction(species, n_max)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep assembled or directly gated a trip")
+
+    monkeypatch.setattr(blocks, "trip_stack", forbidden)
+    monkeypatch.setattr(blocks, "one_way_trip", forbidden)
+    monkeypatch.setattr(blocks, "check_identities", forbidden)
+    monkeypatch.setattr(bogoliubov, "check_identities", forbidden)
+    for name in config.PRESETS:
+        assert run_sweep(config.load_config(name)).all_converged
+
+
+def test_closed_route_imports_nothing_from_states():
+    src = pathlib.Path(negativity.__file__).parent
+    for module in ("negativity", "sweep", "blocks", "bogoliubov", "series"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+                assert "states" not in names, module
+            elif isinstance(node, ast.Import):
+                assert all("states" not in alias.name for alias in node.names), module
 
 
 def _perturbed_junction(monkeypatch, species):

@@ -25,15 +25,6 @@ from .negativity import (
     negativity_at,
     partial_transpose,
 )
-from .states import (
-    StateExpansion,
-    boson_particle_state,
-    boson_vacuum_state,
-    fermion_pair_state,
-    fermion_particle_state,
-    fermion_vacuum_state,
-    reduce_to_pair,
-)
 from .sweep import ConfigError, CurveSpec, SweepRequest, SweepResult, emit, run_sweep
 
 __all__ = [
@@ -64,13 +55,6 @@ __all__ = [
     "leading_order",
     "negativity_at",
     "partial_transpose",
-    "StateExpansion",
-    "boson_particle_state",
-    "boson_vacuum_state",
-    "fermion_pair_state",
-    "fermion_particle_state",
-    "fermion_vacuum_state",
-    "reduce_to_pair",
     "ConfigError",
     "CurveSpec",
     "SweepRequest",

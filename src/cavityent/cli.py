@@ -131,13 +131,15 @@ def _check_lines(n_max: int):
     da = abs(abs(trip.alpha[1, i, j]) - alpha_pred)
     yield max(da, db) < 1e-10, "assembled first-order interference", f"max {max(da, db):.2e}"
 
-    s_a, s_b = sweep.curve_series(_preset_curves(), np.array([0.37, 1.37]), n_max)
+    # each junction passes the whole-period gate once, for both suites below
+    junctions = {sp: blocks.trip_junction(sp, n_max) for sp in ("boson", "fermion")}
+    grid = np.array([0.37, 1.37])
+    s_a, s_b = np.stack([c.series(junctions[c.species], grid) for c in _preset_curves()], axis=1)
     worst = float(np.max(np.abs(s_a - s_b)))
     yield worst < 1e-8, "period-1 recurrence of preset curves", f"max {worst:.2e}"
 
     worst = 0.0
     all_ok = True
-    junctions = {sp: blocks.trip_junction(sp, n_max) for sp in ("boson", "fermion")}
     for curve, build in _crosscheck_states():
         trip = blocks.one_way_trip(curve.species, n_max, u)
         closed = negativity.leading_from_series(curve.series(junctions[curve.species], u))

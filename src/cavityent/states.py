@@ -8,9 +8,13 @@ pair condensate dressed with the transported excitation content,
     |0>     = N exp(W) |0~>,
     a_k^+|0> = N exp(W) sum_m D_mk b_m^+ |0~>,
 
-with W quadratic in creation operators.  Amplitudes are tracked in plain
-dictionaries keyed by occupation tuples: sorted label tuples with repetition
-for bosons, strictly ascending label tuples for fermions.
+with W quadratic in creation operators.  An expansion keeps its occupation
+keys in one integer array, one key per row: the occupied labels in
+ascending order (repeated for bosons, strictly ascending for fermions),
+padded on the right with ``PAD``, which sorts above every label.  The
+amplitudes are one order array with a column per key.  Each generation of W
+acts on every (source key, pair) at once, and equal keys are summed by
+sorting the rows and adding up runs of equal rows.
 
 Second-order amplitudes are only generated where they can enter a two-mode
 reduced density matrix at second order (every key that also carries a
@@ -27,7 +31,6 @@ rows without this module, and the tests hold the two against each other.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,23 +55,24 @@ def _sub(m: np.ndarray, rows, cols) -> np.ndarray:
     return m[(Ellipsis,) + np.ix_(rows, cols)]
 
 
+# sorts above every mode label: pads the rows of a key array
+PAD = np.iinfo(np.int64).max
+# the unexcited state's key array: one key, no label
+_EMPTY_KEY = np.zeros((1, 0), dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class StateExpansion:
-    """Amplitudes of a travelled state over post-trip occupation keys."""
+    """Amplitudes of a travelled state over post-trip occupation keys.
+
+    ``keys`` is (K, L): the labels of each key ascending, padded with
+    ``PAD``; ``amps`` is (3, K), the orders of each key's amplitude.
+    """
 
     species: str
     observed: tuple[int, int]
-    amps: dict[tuple, np.ndarray]
-
-    def norm_orders(self) -> np.ndarray:
-        """Orders of <psi|psi>; (1, 0, 0) up to truncation when normalised."""
-        total = np.zeros(N_ORDERS)
-        for amp in self.amps.values():
-            total += cauchy(amp, np.conj(amp)).real
-        return total
-
-    def amplitude(self, key: tuple) -> np.ndarray:
-        return self.amps.get(tuple(sorted(key)), np.zeros(N_ORDERS, dtype=complex))
+    keys: np.ndarray
+    amps: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -182,163 +186,137 @@ def fermion_pair_scalar(t: FermionBogoliubov, e: np.ndarray, kappa: int, kappa_p
     return c
 
 
+
+
 # ---------------------------------------------------------------------------
 # pair-operator application
 
 
-def _merge(dst: dict, src: dict, scale: float = 1.0) -> dict:
-    for key, amp in src.items():
-        acc = dst.get(key)
-        if acc is None:
-            dst[key] = scale * amp
-        else:
-            acc += scale * amp
-    return dst
+def _sorted_runs(keys: np.ndarray):
+    """Row order that sorts ``keys``, and where each run of equal rows starts
+    in that order (a boolean per sorted row)."""
+    order = np.lexsort(keys.T) if keys.shape[1] else np.arange(len(keys))
+    ranked = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return order, first
 
 
-def _select_pairs(amp, key, obs, full, all_pairs, obs_pairs):
-    """Targets a source key must generate, or None to skip it.
+def _sum_equal_keys(keys: np.ndarray, amps: np.ndarray):
+    order, first = _sorted_runs(keys)
+    starts = np.flatnonzero(first)
+    return keys[order[starts]], np.add.reduceat(amps[:, order], starts, axis=1)
 
-    Sources with a zeroth-order amplitude feed first- and second-order
-    amplitudes everywhere.  Sources that start at first order only matter at
-    second order, where the reduction uses them solely against the unexcited
-    component, so only targets supported on the observed pair are needed.
+
+def _nonzero(keys, amps):
+    keep = np.any(amps != 0, axis=0)
+    return keys[keep], amps[:, keep]
+
+
+def _apply_pairs(keys, amps, pairs, observed, fermion: bool, full: bool):
+    """One application of W: every source key with every pair it feeds.
+
+    ``pairs`` is (p, q, w): label arrays and the (3, P) weights of
+    b_p^+ b_q^+ (bosons, p <= q) or b_p^+ c_q^+ (fermions).  Sources with a
+    zeroth-order amplitude feed first- and second-order amplitudes
+    everywhere.  Sources that start at first order only matter at second
+    order, where the reduction uses them solely against the unexcited
+    component, so they only feed pairs on the observed pair, and only when
+    they are supported on it themselves.
     """
-    if full or amp[0] != 0:
-        return all_pairs
-    if amp[1] != 0 and all(m in obs for m in key):
-        return obs_pairs
-    return None
+    p, q, w = pairs
+    on_pair = np.all(np.isin(keys, observed + (PAD,)), axis=1)
+    feeds_all = full | (amps[0] != 0)
+    all_src = np.flatnonzero(feeds_all)
+    obs_src = np.flatnonzero(~feeds_all & (amps[1] != 0) & on_pair)
+    obs_pairs = np.flatnonzero(np.isin(p, observed) & np.isin(q, observed))
+    src = np.concatenate([np.repeat(all_src, p.size), np.repeat(obs_src, obs_pairs.size)])
+    pair = np.concatenate([np.tile(np.arange(p.size), all_src.size), np.tile(obs_pairs, obs_src.size)])
+    rows, pp, qq = keys[src], p[pair, None], q[pair, None]
+    if fermion:
+        # Pauli: no target for a source that already holds p or q; c_q^+ then
+        # b_p^+, each hopping over the earlier-labelled occupants
+        free = ~np.any((rows == pp) | (rows == qq), axis=1)
+        src, pair, rows, pp, qq = src[free], pair[free], rows[free], pp[free], qq[free]
+        hops = np.sum(rows < qq, axis=1) + np.sum(rows < pp, axis=1) + 1
+        factor = 1.0 - 2.0 * (hops % 2)
+    else:
+        cp, cq = np.sum(rows == pp, axis=1), np.sum(rows == qq, axis=1)
+        factor = np.where(
+            pp[:, 0] == qq[:, 0], 0.5 * np.sqrt((cp + 1) * (cp + 2)), np.sqrt((cp + 1) * (cq + 1))
+        )
+    targets = np.sort(np.concatenate([rows, pp, qq], axis=1), axis=1)
+    return _sum_equal_keys(targets, cauchy(amps[:, src], w[:, pair]) * factor)
 
 
-def _boson_apply(amps: dict, v: np.ndarray, labels, observed, full: bool) -> dict:
-    index = {m: i for i, m in enumerate(labels)}
-    obs = frozenset(observed)
-    all_pairs = [(p, q) for i, p in enumerate(labels) for q in labels[i:]]
-    obs_sorted = sorted(obs)
-    obs_pairs = [(p, q) for i, p in enumerate(obs_sorted) for q in obs_sorted[i:]]
-    out: dict[tuple, np.ndarray] = {}
-    for key, amp in amps.items():
-        pairs = _select_pairs(amp, key, obs, full, all_pairs, obs_pairs)
-        if pairs is None:
-            continue
-        for p, q in pairs:
-            w = v[:, index[p], index[q]]
-            cp = key.count(p)
-            if p == q:
-                factor = 0.5 * np.sqrt((cp + 1) * (cp + 2))
-            else:
-                factor = np.sqrt((cp + 1) * (key.count(q) + 1))
-            contrib = np.convolve(amp, w)[:N_ORDERS] * factor
-            target = tuple(sorted(key + (p, q)))
-            acc = out.get(target)
-            if acc is None:
-                out[target] = contrib
-            else:
-                acc += contrib
-    return out
+def _pad(keys: np.ndarray, width: int) -> np.ndarray:
+    return np.pad(keys, ((0, 0), (0, width - keys.shape[1])), constant_values=PAD)
 
 
-def _fermion_apply(amps: dict, v: np.ndarray, part_labels, anti_labels, observed, full: bool) -> dict:
-    ip = {m: i for i, m in enumerate(part_labels)}
-    iq = {m: i for i, m in enumerate(anti_labels)}
-    obs = frozenset(observed)
-    all_pairs = [(p, q) for p in part_labels for q in anti_labels]
-    obs_pairs = [(p, q) for p in sorted(m for m in obs if m >= 0) for q in sorted(m for m in obs if m < 0)]
-    out: dict[tuple, np.ndarray] = {}
-    for key, amp in amps.items():
-        pairs = _select_pairs(amp, key, obs, full, all_pairs, obs_pairs)
-        if pairs is None:
-            continue
-        for p, q in pairs:
-            if p in key or q in key:
-                continue
-            # c_q^+ then b_p^+, each hopping over earlier-labelled occupants
-            hops = bisect_left(key, q) + bisect_left(key, p) + 1
-            sign = -1.0 if hops % 2 else 1.0
-            contrib = np.convolve(amp, v[:, ip[p], iq[q]])[:N_ORDERS] * sign
-            target = tuple(sorted(key + (p, q)))
-            acc = out.get(target)
-            if acc is None:
-                out[target] = contrib
-            else:
-                acc += contrib
-    return out
+def _expand(species: str, keys, amps, pairs, observed, full: bool) -> StateExpansion:
+    """exp(W) on the source keys to second order: t0 + t1 + t2 / 2."""
+    observed = _pair(observed)
+    fermion = species == "fermion"
+    k1, a1 = _apply_pairs(keys, amps, pairs, observed, fermion, full)
+    k2, a2 = _apply_pairs(k1, a1, pairs, observed, fermion, full)
+    width = k2.shape[1]
+    keys, amps = _sum_equal_keys(
+        np.concatenate([_pad(keys, width), _pad(k1, width), k2]),
+        np.concatenate([amps, a1, 0.5 * a2], axis=1),
+    )
+    return StateExpansion(species, observed, *_nonzero(keys, amps))
 
 
 # ---------------------------------------------------------------------------
 # state builders
 
 
-def _expand(t0: dict, apply_once) -> dict:
-    t1 = apply_once(t0)
-    t2 = apply_once(t1)
-    amps = _merge(_merge(dict(t0), t1), t2, scale=0.5)
-    return {key: amp for key, amp in amps.items() if amp.any()}
+def _boson_pairs(t: BosonBogoliubov, v: np.ndarray):
+    i, j = np.triu_indices(t.modes.size)
+    return t.modes[i], t.modes[j], v[:, i, j]
+
+
+def _fermion_pairs(t: FermionBogoliubov, v: np.ndarray):
+    modes, part, anti = _charge_masks(t)
+    i, j = (m.ravel() for m in np.indices(v.shape[1:]))
+    return modes[part][i], modes[anti][j], v[:, i, j]
 
 
 def boson_vacuum_state(t: BosonBogoliubov, observed, full_second_order: bool = False) -> StateExpansion:
     """Pre-trip vacuum over the post-trip basis, to second order."""
     v = boson_pair_matrix(t)
-    labels = [int(m) for m in t.modes]
     n = boson_norm_factor(v).astype(complex)
-
-    def apply_once(amps):
-        return _boson_apply(amps, v, labels, observed, full_second_order)
-
-    return StateExpansion("boson", _pair(observed), _expand({(): n}, apply_once))
+    return _expand("boson", _EMPTY_KEY, n[:, None], _boson_pairs(t, v), observed, full_second_order)
 
 
 def boson_particle_state(t: BosonBogoliubov, k: int, observed, full_second_order: bool = False) -> StateExpansion:
     """Pre-trip one-particle state a_k^+|0> over the post-trip basis."""
     v = boson_pair_matrix(t)
-    labels = [int(m) for m in t.modes]
     d = boson_source_matrix(t, v)
     n = boson_norm_factor(v)
-    ik = labels.index(k)
-    t0 = {}
-    for i, m in enumerate(labels):
-        amp = cauchy(n, d[:, i, ik])
-        if amp.any():
-            t0[(m,)] = amp
-
-    def apply_once(amps):
-        return _boson_apply(amps, v, labels, observed, full_second_order)
-
-    return StateExpansion("boson", _pair(observed), _expand(t0, apply_once))
+    ik = list(t.modes).index(k)
+    keys, amps = _nonzero(t.modes[:, None], cauchy(n[:, None], d[:, :, ik]))
+    return _expand("boson", keys, amps, _boson_pairs(t, v), observed, full_second_order)
 
 
 def fermion_vacuum_state(t: FermionBogoliubov, observed, full_second_order: bool = False) -> StateExpansion:
     v = fermion_pair_matrix(t)
-    part, anti = _fermion_labels(t)
     m = fermion_norm_factor(v).astype(complex)
-
-    def apply_once(amps):
-        return _fermion_apply(amps, v, part, anti, observed, full_second_order)
-
-    return StateExpansion("fermion", _pair(observed), _expand({(): m}, apply_once))
+    return _expand("fermion", _EMPTY_KEY, m[:, None], _fermion_pairs(t, v), observed, full_second_order)
 
 
 def fermion_particle_state(t: FermionBogoliubov, kappa: int, observed, full_second_order: bool = False) -> StateExpansion:
     """Travelled single excitation, particle or antiparticle by label sign."""
     v = fermion_pair_matrix(t)
-    part, anti = _fermion_labels(t)
+    modes, part, anti = _charge_masks(t)
     m = fermion_norm_factor(v)
     if kappa >= 0:
-        source, labels = fermion_particle_source(t, v), part
+        source, labels = fermion_particle_source(t, v), modes[part]
     else:
-        source, labels = fermion_antiparticle_source(t, v), anti
-    ik = labels.index(kappa)
-    t0 = {}
-    for i, lab in enumerate(labels):
-        amp = cauchy(m, source[:, i, ik])
-        if amp.any():
-            t0[(lab,)] = amp
-
-    def apply_once(amps):
-        return _fermion_apply(amps, v, part, anti, observed, full_second_order)
-
-    return StateExpansion("fermion", _pair(observed), _expand(t0, apply_once))
+        source, labels = fermion_antiparticle_source(t, v), modes[anti]
+    ik = list(labels).index(kappa)
+    keys, amps = _nonzero(labels[:, None], cauchy(m[:, None], source[:, :, ik]))
+    return _expand("fermion", keys, amps, _fermion_pairs(t, v), observed, full_second_order)
 
 
 def fermion_pair_state(
@@ -348,36 +326,19 @@ def fermion_pair_state(
     if kappa < 0 or kappa_p >= 0:
         raise ValueError("pair state wants a particle label and an antiparticle label")
     v = fermion_pair_matrix(t)
-    part, anti = _fermion_labels(t)
+    modes, part, anti = _charge_masks(t)
     m = fermion_norm_factor(v)
     d = fermion_particle_source(t, v)
     e = fermion_antiparticle_source(t, v)
-    ik = part.index(kappa)
-    iq = anti.index(kappa_p)
+    ik = list(modes[part]).index(kappa)
+    iq = list(modes[anti]).index(kappa_p)
     c0 = fermion_pair_scalar(t, e, kappa, kappa_p)
-    t0 = {}
-    amp0 = cauchy(m, c0)
-    if amp0.any():
-        t0[()] = amp0
-    for i, p in enumerate(part):
-        dcol = d[:, i, ik]
-        if not dcol.any():
-            continue
-        for j, q in enumerate(anti):
-            # b_p^+ c_q^+|0~> = -|{q, p}> in the ascending-label basis
-            amp = -cauchy(m, cauchy(dcol, e[:, j, iq]))
-            if amp.any():
-                t0[(q, p)] = amp
-
-    def apply_once(amps):
-        return _fermion_apply(amps, v, part, anti, observed, full_second_order)
-
-    return StateExpansion("fermion", _pair(observed), _expand(t0, apply_once))
-
-
-def _fermion_labels(t: FermionBogoliubov):
-    modes = [int(m) for m in t.modes]
-    return [m for m in modes if m >= 0], [m for m in modes if m < 0]
+    # b_p^+ c_q^+|0~> = -|{q, p}> in the ascending-label basis
+    pair = -cauchy(m[:, None, None], cauchy(d[:, :, ik, None], e[:, None, :, iq]))
+    q, p = np.meshgrid(modes[anti], modes[part])
+    keys = np.concatenate([[[PAD, PAD]], np.stack([q.ravel(), p.ravel()], axis=1)])
+    amps = np.concatenate([cauchy(m, c0)[:, None], pair.reshape(N_ORDERS, -1)], axis=1)
+    return _expand("fermion", *_nonzero(keys, amps), _fermion_pairs(t, v), observed, full_second_order)
 
 
 def _pair(observed) -> tuple[int, int]:
@@ -405,21 +366,19 @@ def reduce_to_pair(state: StateExpansion) -> np.ndarray:
     """
     a, b = state.observed
     d = LOCAL_DIM[state.species]
-    fermion = state.species == "fermion"
+    keys, amps = state.keys, state.amps
+    na, nb = np.sum(keys == a, axis=1), np.sum(keys == b, axis=1)
+    keep = (na < d) & (nb < d)
+    keys, amps, na, nb = keys[keep], amps[:, keep], na[keep], nb[keep]
+    rest = np.sort(np.where((keys == a) | (keys == b), PAD, keys), axis=1)
+    if state.species == "fermion":
+        hops = na * np.sum(rest < a, axis=1) + nb * np.sum(rest < b, axis=1)
+        amps = amps * (1.0 - 2.0 * (hops % 2))
     # v[:, g] holds the orders of the observed-pair vector of the g-th traced factor
-    groups: dict[tuple, int] = {}
-    v = np.zeros((N_ORDERS, len(state.amps), d * d), dtype=complex)
-    for key, amp in state.amps.items():
-        na = key.count(a)
-        nb = key.count(b)
-        if na >= d or nb >= d:
-            continue
-        rest = tuple(m for m in key if m != a and m != b)
-        if fermion:
-            hops = na * bisect_left(rest, a) + nb * bisect_left(rest, b)
-            if hops % 2:
-                amp = -amp
-        v[:, groups.setdefault(rest, len(groups)), na * d + nb] += amp
+    order, first = _sorted_runs(rest)
+    group = np.empty(len(rest), dtype=int)
+    group[order] = np.cumsum(first) - 1
+    v = np.zeros((N_ORDERS, int(first.sum()), d * d), dtype=complex)
+    np.add.at(v, (slice(None), group, na * d + nb), amps)
     # rho sums vec vec^+ over the G traced factors: one truncated product
-    v = v[:, : len(groups)]
     return cauchy(v, np.conj(v), lambda x, y: x.T @ y)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import cavityent
-from cavityent import blocks, cli, oracles, sweep
+from cavityent import blocks, bogoliubov, cli, oracles, sweep
 from cavityent.sweep import CSV_COLUMNS
 
 
@@ -131,6 +131,22 @@ def test_sweep_and_check_never_import_scipy(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_check_gates_each_junction_once(monkeypatch, capsys):
+    # the period-1 recurrence and the closed-vs-numeric suite read the same
+    # gated junctions: one whole-period gate per species
+    gated = []
+    original = bogoliubov.check_period
+
+    def counted(j, *args, **kwargs):
+        gated.append(type(j).__name__)
+        return original(j, *args, **kwargs)
+
+    for module in (bogoliubov, blocks):
+        monkeypatch.setattr(module, "check_period", counted)
+    assert cli.main(["check"]) == cli.EXIT_OK
+    assert sorted(gated) == ["BosonBogoliubov", "FermionBogoliubov"]
 
 
 def test_version_flag(capsys):

@@ -4,14 +4,22 @@ The reference pipeline works at a small mode count where exact finite-h
 overlap matrices can be chained numerically and the travelled vacuum can be
 solved for in a truncated Fock space.  Every amplitude of the series
 expansion has to agree with the brute-force vector to O(h^3), i.e. to well
-below 10 h^3 at h = 0.01.
+below 10 h^3 at h = 0.01.  The batched generations are also held against a
+per-key loop, and the numeric route against the closed forms and its own
+symmetries over random u and labels.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cavityent import fock, oracles, states
+from cavityent import blocks, fock, negativity, oracles, states, sweep
 from cavityent.series import N_ORDERS
+
+from expansions import amplitudes, expansion, norm_orders, per_key_expansion
 
 U = 0.3
 H = 0.01
@@ -46,10 +54,12 @@ def boson_reference(composed_trip):
 
 
 def _boson_series_vector(state, modes, basis):
+    amps = amplitudes(state)
+    zero = np.zeros(N_ORDERS)
     out = np.zeros(len(basis), dtype=complex)
     for i, occ in enumerate(basis):
         key = tuple(m for m, o in zip(modes, occ) for _ in range(o))
-        out[i] = polyval(H, state.amplitude(key))
+        out[i] = polyval(H, amps.get(key, zero))
     return out
 
 
@@ -89,7 +99,7 @@ def fermion_reference(composed_trip):
 
 def _fermion_series_vector(state, window):
     out = np.zeros(2 ** len(window.kappas), dtype=complex)
-    for key, amp in state.amps.items():
+    for key, amp in amplitudes(state).items():
         out[window.index(key)] = polyval(H, amp)
     return out
 
@@ -133,7 +143,7 @@ def test_norm_orders_stay_normalised(boson_trip, fermion_trip):
         states.fermion_pair_state(fermion_trip, 2, -1, (2, -1)),
     ]
     for state in expansions:
-        n = state.norm_orders()
+        n = norm_orders(state)
         assert n[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(n[1]) < 1e-12
         assert abs(n[2]) < 1e-3  # truncation tail only
@@ -151,24 +161,71 @@ def test_reduced_matrix_shape_and_hermiticity(boson_trip, fermion_trip):
         assert abs(np.trace(rho[1])) < 1e-12
 
 
-def test_generation_filter_matches_full_expansion(composed_trip):
-    trip = composed_trip("boson", 12, U)
-    full = states.boson_vacuum_state(trip, (1, 4), full_second_order=True)
-    cut = states.boson_vacuum_state(trip, (1, 4))
-    assert len(cut.amps) < len(full.amps)
-    assert np.allclose(
-        states.reduce_to_pair(cut), states.reduce_to_pair(full), atol=1e-15
-    )
+def _assert_filter_matches_full(builders):
+    for build in builders:
+        full, cut = build(full_second_order=True), build()
+        assert len(cut.keys) < len(full.keys)
+        assert np.allclose(
+            states.reduce_to_pair(cut), states.reduce_to_pair(full), atol=1e-15
+        )
 
 
-def test_generation_filter_matches_full_expansion_fermion(composed_trip):
-    trip = composed_trip("fermion", 8, U)
-    full = states.fermion_pair_state(trip, 2, -1, (2, -1), full_second_order=True)
-    cut = states.fermion_pair_state(trip, 2, -1, (2, -1))
-    assert len(cut.amps) < len(full.amps)
-    assert np.allclose(
-        states.reduce_to_pair(cut), states.reduce_to_pair(full), atol=1e-15
-    )
+def _assert_vacuum_matches_per_key(state, norm, pairs):
+    want = per_key_expansion({(): norm}, pairs, state.species == "fermion")
+    got = amplitudes(state)
+    assert set(got) == set(want)
+    # the batched sums run in another order: a few ulps of the largest amplitude
+    scale = max(np.max(np.abs(amp)) for amp in want.values())
+    gap = max(np.max(np.abs(got[key] - want[key])) for key in want)
+    assert gap <= 8 * np.finfo(float).eps * scale
+
+
+@settings(max_examples=5, deadline=None)
+@given(u=st.floats(0.05, 0.95))
+def test_generation_filter_matches_full_expansion(composed_trip, u):
+    trip = composed_trip("boson", 12, u)
+    _assert_filter_matches_full([
+        lambda **kw: states.boson_vacuum_state(trip, (1, 4), **kw),
+        lambda **kw: states.boson_particle_state(trip, 1, (1, 4), **kw),
+    ])
+    # the per-key reference on a smaller window, where it is cheap
+    small = composed_trip("boson", 8, u)
+    v = states.boson_pair_matrix(small)
+    labels = [int(m) for m in small.modes]
+    pairs = [(p, q, v[:, i, j]) for i, p in enumerate(labels) for j, q in enumerate(labels) if j >= i]
+    full = states.boson_vacuum_state(small, (1, 4), full_second_order=True)
+    _assert_vacuum_matches_per_key(full, states.boson_norm_factor(v), pairs)
+
+
+@settings(max_examples=5, deadline=None)
+@given(u=st.floats(0.05, 0.95))
+def test_generation_filter_matches_full_expansion_fermion(composed_trip, u):
+    trip = composed_trip("fermion", 8, u)
+    _assert_filter_matches_full([
+        lambda **kw: states.fermion_vacuum_state(trip, (2, -1), **kw),
+        lambda **kw: states.fermion_particle_state(trip, 1, (1, 4), **kw),
+        lambda **kw: states.fermion_particle_state(trip, -2, (-2, 1), **kw),
+        lambda **kw: states.fermion_pair_state(trip, 2, -1, (2, -1), **kw),
+    ])
+    small = composed_trip("fermion", 6, u)
+    v = states.fermion_pair_matrix(small)
+    labels = [int(m) for m in small.modes]
+    part, anti = [m for m in labels if m >= 0], [m for m in labels if m < 0]
+    pairs = [(p, q, v[:, i, j]) for i, p in enumerate(part) for j, q in enumerate(anti)]
+    full = states.fermion_vacuum_state(small, (2, -1), full_second_order=True)
+    _assert_vacuum_matches_per_key(full, states.fermion_norm_factor(v), pairs)
+
+
+def test_check_states_key_counts(boson_trip, fermion_trip):
+    # the four states of `cavityent check` at n_max 40, u = 0.3: the keys
+    # the generation filter keeps
+    counts = [
+        len(states.boson_vacuum_state(boson_trip, (1, 4)).keys),
+        len(states.boson_particle_state(boson_trip, 1, (1, 4)).keys),
+        len(states.fermion_vacuum_state(fermion_trip, (2, -1)).keys),
+        len(states.fermion_particle_state(fermion_trip, 1, (1, 4)).keys),
+    ]
+    assert counts == [822, 861, 1601, 1600]
 
 
 def test_pair_state_rejects_wrong_charges(fermion_trip):
@@ -183,7 +240,7 @@ def test_reduce_indexing_convention():
         (): np.array([1.0, 0, 0], dtype=complex),
         (-1, 2): np.array([0, 0.5j, 0], dtype=complex),
     }
-    rho = states.reduce_to_pair(states.StateExpansion("fermion", (-1, 2), amps))
+    rho = states.reduce_to_pair(expansion("fermion", (-1, 2), amps))
     # occupied pair sits at index occ_a * 2 + occ_b = 3
     assert rho[1][0, 3] == pytest.approx(-0.5j)
     assert rho[1][3, 0] == pytest.approx(0.5j)
@@ -194,7 +251,7 @@ def test_reduce_reordering_sign():
         (0,): np.array([1.0, 0, 0], dtype=complex),
         (-1, 0, 2): np.array([0, 0.5, 0], dtype=complex),
     }
-    rho = states.reduce_to_pair(states.StateExpansion("fermion", (-1, 2), amps))
+    rho = states.reduce_to_pair(expansion("fermion", (-1, 2), amps))
     # pulling the observed labels past the occupied spectator costs one hop
     assert rho[1][0, 3] == pytest.approx(-0.5)
 
@@ -203,14 +260,111 @@ def test_reduce_drops_overfull_occupations():
     base = {(): np.array([1.0, 0, 0], dtype=complex)}
     with_overfull = dict(base)
     with_overfull[(1, 1, 1, 1)] = np.array([0, 0, 1.0], dtype=complex)
-    lean = states.reduce_to_pair(states.StateExpansion("boson", (1, 4), base))
-    fat = states.reduce_to_pair(states.StateExpansion("boson", (1, 4), with_overfull))
+    lean = states.reduce_to_pair(expansion("boson", (1, 4), base))
+    fat = states.reduce_to_pair(expansion("boson", (1, 4), with_overfull))
     assert np.array_equal(lean, fat)
 
 
 def test_reduce_without_surviving_keys_is_zero():
     overfull = {(1, 1, 1, 1): np.array([0, 0, 1.0], dtype=complex)}
     for amps in ({}, overfull):
-        rho = states.reduce_to_pair(states.StateExpansion("boson", (1, 4), amps))
+        rho = states.reduce_to_pair(expansion("boson", (1, 4), amps))
         assert rho.shape == (N_ORDERS, 16, 16) and rho.dtype == complex
         assert not rho.any()
+
+
+# --- numeric-route properties ------------------------------------------------
+#
+# Curves on the low modes of the paper's figures, |label| <= 5.  Higher pair
+# curves carry a first-order coherence some 1e-4 of their second order, so
+# their leading power only shows below h ~ 1e-8, where the negativity falls
+# under the fit's 1e-12 floor.
+LOW = {"boson": (1, 5), "fermion": (-5, 4)}
+
+
+@st.composite
+def low_curves(draw, blocked=False):
+    """Curves of every family on the low modes; with ``blocked``, only the
+    Pauli-blocked fermion curves (an opposite-charge partner of a one-particle
+    state, or a same-charge vacuum pair), otherwise none of them."""
+    species = "fermion" if blocked else draw(st.sampled_from(["boson", "fermion"]))
+    lo, hi = LOW[species]
+    families = ("one-particle", "vacuum") if blocked else sweep.STATES
+    state = draw(st.sampled_from(families if species == "fermion" else families[:2]))
+    if state == "pair":
+        # an even label difference is a parity zero at first order, and the
+        # closed series of such a pair then holds only the n_max^-3
+        # truncation floor at second order (5e-8 at n_max 40)
+        kappa = draw(st.integers(0, hi))
+        modes = (kappa, draw(st.integers(lo, -1).filter(lambda m: (kappa - m) % 2)))
+    else:
+        a = draw(st.integers(lo, hi))
+        # a one-particle partner of the opposite charge is blocked, and so
+        # is a vacuum pair of the same charge
+        same = (state == "vacuum") == blocked
+        b = draw(st.integers(lo, hi).filter(
+            lambda m: m != a and (species == "boson" or ((m >= 0) == (a >= 0)) == same)
+        ))
+        modes = (a, b)
+    excite = modes[0] if state == "one-particle" else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # blocked curves warn
+        return sweep.CurveSpec("c", species, state, modes, excite)
+
+
+def _numeric_rho(curve, u):
+    """Reduced-state orders of the curve's in-state after the trip at u."""
+    trip = blocks.one_way_trip(curve.species, 40, u)
+    boson = curve.species == "boson"
+    if curve.state == "vacuum":
+        build = states.boson_vacuum_state if boson else states.fermion_vacuum_state
+        state = build(trip, curve.modes)
+    elif curve.state == "one-particle":
+        build = states.boson_particle_state if boson else states.fermion_particle_state
+        state = build(trip, curve.excite, curve.modes)
+    else:
+        state = states.fermion_pair_state(trip, max(curve.modes), min(curve.modes), curve.modes)
+    return states.reduce_to_pair(state)
+
+
+@settings(max_examples=10, deadline=None)
+@given(curve=low_curves(), u=st.floats(0.0, 1.0))
+def test_numeric_route_is_symmetric_about_half_a_period(curve, u):
+    # the trip at 1 - u is the conjugate of the trip at u (up to the global
+    # fermion sign), which no negativity sees; the values are eigenvalue sums
+    # of an O(1) matrix, so rounding separates them by a few 1e-16
+    rho_u, rho_mirror = _numeric_rho(curve, u), _numeric_rho(curve, 1.0 - u)
+    for h in negativity.PROBES:
+        gap = negativity.negativity_at(rho_u, h) - negativity.negativity_at(rho_mirror, h)
+        assert abs(gap) < 1e-13
+
+
+@settings(max_examples=10, deadline=None)
+@given(curve=low_curves(blocked=True), u=st.floats(0.0, 1.0))
+def test_numeric_route_gives_pauli_blocked_curves_power_zero(curve, u):
+    fit = negativity.leading_order(_numeric_rho(curve, u))
+    assert fit.power == 0 and fit.coefficient == 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(curve=low_curves(), u=st.floats(0.0, 1.0))
+def test_closed_and_numeric_leading_orders_agree(curve, u):
+    junction = blocks.junction(curve.species, 40)
+    series = curve.series(junction, u)
+    closed = negativity.leading_from_series(series)
+    assume(closed.power > 0)
+    # away from the curve's zeros: at least a tenth of its period maximum
+    period = np.broadcast_to(curve.series(junction, np.linspace(0.0, 1.0, 21)), (21, 3))
+    scale = float(np.max(np.abs(period[:, closed.power])))
+    assume(abs(closed.coefficient) >= 0.1 * scale)
+    # probe where the leading term outweighs the next one twentyfold; pair
+    # curves need h far below the default ladder's 1e-2 for that
+    top = 1e-2
+    if closed.power == 1 and series[2] != 0.0:
+        top = min(top, 0.05 * abs(series[1] / series[2]))
+    numeric = negativity.leading_order(_numeric_rho(curve, u), probes=(top, top / 2, top / 4))
+    assert numeric.power == closed.power and numeric.converged
+    # the 1 % of `cavityent check`, of the curve's maximum; the observed
+    # worst is 4e-4, a Richardson remainder where the leading coefficient
+    # is a tenth of the maximum
+    assert abs(numeric.coefficient - closed.coefficient) < 1e-2 * scale

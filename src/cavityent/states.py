@@ -186,8 +186,6 @@ def fermion_pair_scalar(t: FermionBogoliubov, e: np.ndarray, kappa: int, kappa_p
     return c
 
 
-
-
 # ---------------------------------------------------------------------------
 # pair-operator application
 
@@ -225,11 +223,13 @@ def _apply_pairs(keys, amps, pairs, observed, fermion: bool, full: bool):
     they are supported on it themselves.
     """
     p, q, w = pairs
-    on_pair = np.all(np.isin(keys, observed + (PAD,)), axis=1)
+    # plain comparisons: the first np.isin call imports numpy.ma (about 1 MiB)
+    a, b = observed
+    on_pair = np.all((keys == a) | (keys == b) | (keys == PAD), axis=1)
     feeds_all = full | (amps[0] != 0)
     all_src = np.flatnonzero(feeds_all)
     obs_src = np.flatnonzero(~feeds_all & (amps[1] != 0) & on_pair)
-    obs_pairs = np.flatnonzero(np.isin(p, observed) & np.isin(q, observed))
+    obs_pairs = np.flatnonzero(((p == a) | (p == b)) & ((q == a) | (q == b)))
     src = np.concatenate([np.repeat(all_src, p.size), np.repeat(obs_src, obs_pairs.size)])
     pair = np.concatenate([np.tile(np.arange(p.size), all_src.size), np.tile(obs_pairs, obs_src.size)])
     rows, pp, qq = keys[src], p[pair, None], q[pair, None]

@@ -13,10 +13,10 @@ duration u, then inertial again.  It is assembled from two ingredient types:
 The one-way trip is J^-1 P(u) J: match onto the accelerated basis, evolve,
 match back.  :func:`trip_rows` gives any of its rows on a whole u grid
 straight from the junction orders; the closed forms read a few rows and
-columns, after :func:`trip_junction` has gated every trip of the u period at
-once.  :func:`trip_stack` assembles and gates whole trips for the numeric
-route and the tests, and :func:`accelerated_phases` with ``compose`` and
-``invert`` gives the same trip by explicit composition, its reference.
+columns, once :func:`junction` has gated every trip of the u period at once.
+:func:`trip_stack` assembles and gates whole trips for the numeric route and
+the tests, and :func:`accelerated_phases` with ``compose`` and ``invert``
+gives the same trip by explicit composition, its reference.
 """
 
 from __future__ import annotations
@@ -63,16 +63,20 @@ def junction(species: str, n_max: int):
     Blocks are extracted from the finite-h overlap quadrature sampled on
     ``DEFAULT_LADDER``, using the mirror symmetry to split even and odd
     orders.  The zeroth order is the identity by construction (asserted, then
-    snapped exactly).  Structural identities are gated on the interior window
-    before the result is released; results are memoized per (species, n_max)
-    for the life of the process.
+    snapped exactly).  Before the result is released, its structural
+    identities and those of every trip of the u period
+    (:func:`cavityent.bogoliubov.check_period`, nothing per u) are gated on
+    the interior window; results are memoized per (species, n_max) for the
+    life of the process.
     """
     key = (species, n_max)
     if key in _cache:
         return _cache[key]
 
     result = build_junction(species, n_max)
-    check_identities(result, tol=GATE_TOL, window=interior_window(species, n_max))
+    window = interior_window(species, n_max)
+    check_identities(result, tol=GATE_TOL, window=window)
+    check_period(result, tol=GATE_TOL, window=window)
     _cache[key] = result
     return result
 
@@ -180,14 +184,6 @@ def trip_rows(j, g, rows) -> tuple[np.ndarray, ...]:
         gr * b2[rows] + top[..., n:] - b2[:, rows].T * np.conj(gl) - bottom[..., :n],
     ])
     return alpha, beta
-
-
-def trip_junction(species: str, n_max: int):
-    """:func:`junction` once every trip of the u period passes the identity
-    gate (:func:`cavityent.bogoliubov.check_period`, nothing per u)."""
-    j = junction(species, n_max)
-    check_period(j, tol=GATE_TOL, window=interior_window(species, n_max))
-    return j
 
 
 def trip_stack(species: str, n_max: int, u):

@@ -10,12 +10,12 @@ and a fermionic one through a single matrix,
 
     new_m = sum_n a[m, n] old_n.
 
-Both carry explicit mode labels so that phases, mirror conjugation and
-composition cannot silently mix up index conventions.  Every matrix is a
-second-order series in the acceleration parameter h, held as a complex
-array of shape (3, n, n) with the order on the leading axis (see
-:mod:`cavityent.series`); a stack of transformations (one per grid point u)
-keeps its stack axes between the order axis and the two mode axes.
+Both carry explicit mode labels so that phases and composition cannot
+silently mix up index conventions.  Every matrix is a second-order series
+in the acceleration parameter h, held as a complex array of shape (3, n, n)
+with the order on the leading axis (see :mod:`cavityent.series`); a stack of
+transformations (one per grid point u) keeps its stack axes between the
+order axis and the two mode axes.
 """
 
 from __future__ import annotations
@@ -130,23 +130,6 @@ def invert(t):
         return BosonBogoliubov(_dag(t.alpha), -_tr(t.beta), t.modes)
     if isinstance(t, FermionBogoliubov):
         return FermionBogoliubov(_dag(t.a), t.modes)
-    raise TypeError(f"not a transformation: {t!r}")
-
-
-def mirror(t):
-    """Conjugate by the cavity reflection, i.e. the sign flip of every other mode.
-
-    Reversing the direction of the acceleration is equivalent to reflecting
-    the cavity about its centre, which multiplies mode n by (-1)^n.  The
-    transformation for the reversed direction is therefore S t S with
-    S = diag((-1)^mode), an index-preserving conjugation.
-    """
-    s = np.where(np.asarray(t.modes) % 2 == 0, 1.0, -1.0)
-    outer = s[:, None] * s[None, :]
-    if isinstance(t, BosonBogoliubov):
-        return BosonBogoliubov(t.alpha * outer, t.beta * outer, t.modes)
-    if isinstance(t, FermionBogoliubov):
-        return FermionBogoliubov(t.a * outer, t.modes)
     raise TypeError(f"not a transformation: {t!r}")
 
 

@@ -131,8 +131,7 @@ def _check_lines(n_max: int):
     da = abs(abs(trip.alpha[1, i, j]) - alpha_pred)
     yield max(da, db) < 1e-10, "assembled first-order interference", f"max {max(da, db):.2e}"
 
-    # each junction passes the whole-period gate once, for both suites below
-    junctions = {sp: blocks.trip_junction(sp, n_max) for sp in ("boson", "fermion")}
+    junctions = {"boson": bj, "fermion": fj}
     grid = np.array([0.37, 1.37])
     s_a, s_b = np.stack([c.series(junctions[c.species], grid) for c in _preset_curves()], axis=1)
     worst = float(np.max(np.abs(s_a - s_b)))

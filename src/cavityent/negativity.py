@@ -26,6 +26,8 @@ HERMITICITY_TOL = 1e-10
 EIGENVALUE_FLOOR = 1e-12
 # below this a first-order coherence is a parity zero, not a leading term
 FIRST_ORDER_FLOOR = 1e-9
+# below this a closed series coefficient counts as zero
+SERIES_FLOOR = 1e-12
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -89,11 +91,11 @@ def leading_order(rho_orders: np.ndarray, probes=PROBES) -> LeadingOrder:
     )
 
 
-def leading_from_series(series: np.ndarray, floor: float = 1e-12) -> LeadingOrder:
+def leading_from_series(series: np.ndarray) -> LeadingOrder:
     c = np.asarray(series, dtype=float)
-    if abs(c[1]) > floor:
+    if abs(c[1]) > SERIES_FLOOR:
         return LeadingOrder(power=1, coefficient=float(c[1]), converged=True)
-    if abs(c[2]) > floor:
+    if abs(c[2]) > SERIES_FLOOR:
         return LeadingOrder(power=2, coefficient=float(c[2]), converged=True)
     return LeadingOrder(power=0, coefficient=0.0, converged=True)
 

@@ -12,8 +12,7 @@ Two tools live here:
 The quadrature and the mirrored extraction feed the production junction
 blocks; the finite-h identity residuals let ``cavityent check`` and the
 tests hold the overlaps against something that does not share the series
-derivation.  The brute-force Fock spaces that back the state expansions
-live in :mod:`cavityent.fock`.
+derivation.
 """
 
 from __future__ import annotations
@@ -21,6 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import CavityGeometry
+
+
+# Gauss-Legendre nodes per quadrature panel
+NODES_PER_PANEL = 12
+# panel-count doublings a quadrature may take to reach its tolerance
+MAX_DOUBLINGS = 4
 
 
 class ConvergenceError(RuntimeError):
@@ -31,9 +36,9 @@ class ConvergenceError(RuntimeError):
 # quadrature
 
 
-def gauss_panels(n_panels: int, nodes_per_panel: int = 12):
+def gauss_panels(n_panels: int):
     """Composite Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x, w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -102,9 +107,9 @@ def _fermion_overlaps_once(ladder, n_max: int, n_panels: int) -> np.ndarray:
     return out
 
 
-def _converged(compute, n_panels: int, tol: float, max_doublings: int = 4):
+def _converged(compute, n_panels: int, tol: float):
     coarse = compute(n_panels)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         n_panels *= 2
         fine = compute(n_panels)
         if float(np.max(np.abs(coarse - fine))) < tol:
@@ -167,8 +172,9 @@ def fermion_identity_residual(a: np.ndarray, interior: int) -> float:
 # order extraction
 
 
-def geometric_ladder(top: float = 0.04, count: int = 7, ratio: float = 0.5) -> np.ndarray:
-    return top * ratio ** np.arange(count)
+def geometric_ladder(top: float, count: int) -> np.ndarray:
+    """``count`` values of h halving from ``top``."""
+    return top * 0.5 ** np.arange(count)
 
 
 def extract_orders_mirrored(values: np.ndarray, signs: np.ndarray, ladder: np.ndarray):

@@ -10,7 +10,7 @@ all.  A request is validated up front: its n_max must be at least
 identity gate, and every curve's mode labels must exist at that cutoff.
 
 No trip is assembled: each species' junction passes one identity gate that
-covers every trip of the u period (:func:`blocks.trip_junction`), and the
+covers every trip of the u period (:func:`blocks.junction`), and the
 closed series read junction rows for the whole grid at once (see
 :mod:`cavityent.negativity`).  Convergence in the mode cutoff is checked by
 re-evaluating a handful of grid points per curve at doubled n_max, all spot
@@ -87,6 +87,14 @@ class CurveSpec:
                     f"curve {self.name}: a pair state needs one particle label (>= 0) "
                     f"and one antiparticle label (< 0), got {self.modes}"
                 )
+            if (a - b) % 2 == 0:
+                warnings.warn(
+                    f"curve {self.name}: labels that differ by an even number make "
+                    "the pair's first-order coherence a parity zero and leave only "
+                    "the truncation floor at second order, so the curve will be "
+                    "identically zero",
+                    stacklevel=2,
+                )
         if self.state == "one-particle":
             if self.excite is None:
                 raise ConfigError(f"curve {self.name}: one-particle state needs excite")
@@ -129,6 +137,8 @@ class CurveSpec:
             return negativity.fermion_vacuum_closed(junction, u, self.modes)
         if self.state == "one-particle":
             return negativity.fermion_particle_closed(junction, u, int(self.excite), self.modes)
+        if (self.modes[0] - self.modes[1]) % 2 == 0:
+            return np.zeros(3)
         kappa, kappa_p = max(self.modes), min(self.modes)
         return negativity.fermion_pair_closed(junction, u, kappa, kappa_p)
 
@@ -200,13 +210,13 @@ class SweepResult:
 def curve_series(curves, grid: np.ndarray, n_max: int) -> np.ndarray:
     """Closed series for every (u, curve), shape (len(grid), len(curves), 3).
 
-    Each species' junction passes the whole-period trip gate once
-    (:func:`blocks.trip_junction`) and every curve then reads it for the
-    whole grid at once.
+    Each species' junction has passed the whole-period trip gate
+    (:func:`blocks.junction`) and every curve reads it for the whole grid at
+    once.
     """
     out = np.empty((grid.size, len(curves), 3))
     for species in sorted({c.species for c in curves}):
-        junction = blocks.trip_junction(species, n_max)
+        junction = blocks.junction(species, n_max)
         for col, curve in enumerate(curves):
             if curve.species == species:
                 out[:, col] = curve.series(junction, grid)
@@ -353,33 +363,6 @@ def emit(result: SweepResult, fmt: str = "csv", path: str | None = None) -> str:
     elif path == "-":
         sys.stdout.write(text)
     return text
-
-
-def load_rows(text: str) -> list[dict]:
-    """Parse rows back out of emitted CSV or JSON text."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return [dict(row) for row in json.loads(text)["rows"]]
-    lines = [line for line in text.splitlines() if line]
-    header = tuple(lines[0].split(","))
-    if header != CSV_COLUMNS:
-        raise ConfigError(f"unexpected CSV header {header!r}")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append(
-            {
-                "u": float(parts[0]),
-                "negativity_normalized": float(parts[1]),
-                "power": int(parts[2]),
-                "state": parts[3],
-                "species": parts[4],
-                "mode_a": int(parts[5]),
-                "mode_b": int(parts[6]),
-                "converged": parts[7] == "true",
-            }
-        )
-    return rows
 
 
 def config_digest(text: str) -> str:

@@ -8,9 +8,8 @@ Excited states follow by applying pre-travel creation operators.  Agreement
 with the expansions in :mod:`cavityent.states` is what backs them, so this
 module shares no code with that route.
 
-This is the only module of the package that needs scipy (for the sparse
-matrices and the sparse solve); nothing on the import path of the command
-line or of the sweep engine imports it.
+It needs scipy (for the sparse matrices and the sparse solve), which the
+package itself never imports.
 """
 
 from __future__ import annotations

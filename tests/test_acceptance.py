@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
-from cavityent import blocks, config, fock, negativity, oracles, states, sweep
+from cavityent import blocks, config, negativity, oracles, states, sweep
 from cavityent.bogoliubov import BosonBogoliubov, FermionBogoliubov, check_identities
 
+import fock
 from expansions import amplitudes
 
 U = 0.3

@@ -18,10 +18,11 @@ from cavityent.bogoliubov import (
     BosonBogoliubov,
     check_identities,
     identity_residuals,
-    mirror,
     period_residuals,
     weighted_residual,
 )
+
+from reflection import mirror
 
 BOSON_FIRST = {
     # (m, n): (alpha1, beta1)

@@ -18,8 +18,9 @@ from cavityent.bogoliubov import (
     compose,
     identity_residuals,
     invert,
-    mirror,
 )
+
+from reflection import mirror
 
 N = 5
 MODES = np.arange(1, N + 1)

@@ -72,6 +72,20 @@ def test_curve_label_beyond_the_cutoff_is_a_config_error(tmp_path, capsys, speci
     assert "n_max 40" in err
 
 
+def test_even_label_pair_curve_is_zero_and_converged(tmp_path):
+    # its first order is a parity zero and its closed second order only the
+    # truncation floor, which moved by its own size at the refinement and
+    # failed the convergence gate
+    path = tmp_path / "even.cfg"
+    path.write_text("[curve:even]\nspecies = fermion\nstate = pair\nmodes = 0, -2\n")
+    out = tmp_path / "rows.json"
+    with pytest.warns(UserWarning, match="even number"):
+        code = cli.main(["sweep", str(path), "--steps", "5", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    info = json.loads(out.read_text())["metadata"]["curves"]["even"]
+    assert info["power"] == 0 and info["converged"] is True
+
+
 def test_cutoff_override_rechecks_curve_labels(tmp_path, capsys):
     path = tmp_path / "deep.cfg"
     path.write_text("[curve:deep]\nspecies = boson\nstate = vacuum\nmodes = 1, 35\n")
@@ -115,15 +129,18 @@ def test_check_reports_all_ok(capsys):
 
 
 def test_sweep_and_check_never_import_scipy(tmp_path):
-    # scipy backs only cavityent.fock, the Fock oracle of the tests; a fresh
-    # interpreter keeps it out of sys.modules through both subcommands
+    # scipy backs only the Fock oracle of the tests (tests/fock.py); in a
+    # fresh interpreter where importing scipy fails, every module of the
+    # package imports and both subcommands run
     script = "\n".join([
-        "import sys",
+        "import importlib, pkgutil, sys",
+        "sys.modules['scipy'] = None",
         "import cavityent",
+        "for info in pkgutil.iter_modules(cavityent.__path__):",
+        "    importlib.import_module('cavityent.' + info.name)",
         "from cavityent import cli",
         f"assert cli.main(['sweep', 'fig1a', '--steps', '5', '--out', {str(tmp_path / 'a.csv')!r}]) == 0",
         "assert cli.main(['check']) == 0",
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
     ])
     src = pathlib.Path(cavityent.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
@@ -134,8 +151,8 @@ def test_sweep_and_check_never_import_scipy(tmp_path):
 
 
 def test_check_gates_each_junction_once(monkeypatch, capsys):
-    # the period-1 recurrence and the closed-vs-numeric suite read the same
-    # gated junctions: one whole-period gate per species
+    # every suite of check reads the same gated junctions: from an empty
+    # junction cache, one whole-period gate per species
     gated = []
     original = bogoliubov.check_period
 
@@ -145,6 +162,7 @@ def test_check_gates_each_junction_once(monkeypatch, capsys):
 
     for module in (bogoliubov, blocks):
         monkeypatch.setattr(module, "check_period", counted)
+    monkeypatch.setattr(blocks, "_cache", {})
     assert cli.main(["check"]) == cli.EXIT_OK
     assert sorted(gated) == ["BosonBogoliubov", "FermionBogoliubov"]
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from cavityent import fock, oracles
+from cavityent import oracles
 from cavityent.geometry import CavityGeometry
+
+import fock
 
 
 # --- order extraction ------------------------------------------------------

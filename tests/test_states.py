@@ -16,9 +16,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cavityent import blocks, fock, negativity, oracles, states, sweep
+from cavityent import blocks, negativity, oracles, states, sweep
 from cavityent.series import N_ORDERS
 
+import fock
 from expansions import amplitudes, expansion, norm_orders, per_key_expansion
 
 U = 0.3
@@ -292,9 +293,9 @@ def low_curves(draw, blocked=False):
     families = ("one-particle", "vacuum") if blocked else sweep.STATES
     state = draw(st.sampled_from(families if species == "fermion" else families[:2]))
     if state == "pair":
-        # an even label difference is a parity zero at first order, and the
-        # closed series of such a pair then holds only the n_max^-3
-        # truncation floor at second order (5e-8 at n_max 40)
+        # an even label difference is a parity zero at first order and holds
+        # only the n_max^-3 truncation floor at second order (5e-8 at n_max
+        # 40): the closed series reads it as zero, the numeric fit does not
         kappa = draw(st.integers(0, hi))
         modes = (kappa, draw(st.integers(lo, -1).filter(lambda m: (kappa - m) % 2)))
     else:

@@ -21,7 +21,6 @@ from cavityent.sweep import (
     CurveSpec,
     SweepRequest,
     emit,
-    load_rows,
     run_sweep,
 )
 
@@ -214,10 +213,12 @@ def test_gate_ignores_spot_points_on_the_zeros(tmp_path, steps):
 
 
 def test_gate_still_fails_an_unconverged_curve():
-    curve = CurveSpec("fermion-pair-1m1", "fermion", "pair", (1, -1))
+    # a parity-suppressed curve on the last mode of the cutoff: its second
+    # order is carried by modes the cutoff drops
+    curve = CurveSpec("boson-vacuum-2-40", "boson", "vacuum", (2, 40))
     result = run_sweep(SweepRequest(curves=(curve,), steps=21, n_max=40))
     assert not result.all_converged
-    assert result.deltas[curve.name] == pytest.approx(0.8755, abs=1e-4)
+    assert result.deltas[curve.name] == pytest.approx(0.3471, abs=1e-4)
 
 
 def _reference_request(name):
@@ -256,6 +257,33 @@ def test_preset_rows_match_recorded_reference(name, reference):
 
 
 # --- serialization -------------------------------------------------------------
+
+
+def load_rows(text: str) -> list[dict]:
+    """Parse rows back out of emitted CSV or JSON text."""
+    stripped = text.lstrip()
+    if stripped.startswith("{"):
+        return [dict(row) for row in json.loads(text)["rows"]]
+    lines = [line for line in text.splitlines() if line]
+    header = tuple(lines[0].split(","))
+    if header != CSV_COLUMNS:
+        raise ConfigError(f"unexpected CSV header {header!r}")
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        rows.append(
+            {
+                "u": float(parts[0]),
+                "negativity_normalized": float(parts[1]),
+                "power": int(parts[2]),
+                "state": parts[3],
+                "species": parts[4],
+                "mode_a": int(parts[5]),
+                "mode_b": int(parts[6]),
+                "converged": parts[7] == "true",
+            }
+        )
+    return rows
 
 
 def test_csv_layout_and_round_trip(small_result):
@@ -398,17 +426,22 @@ def test_curve_series_is_symmetric_about_half_a_period(period_scale, curve, u):
 )
 def test_pauli_blocked_curves_are_exactly_zero(labels, u):
     # an opposite-charge partner of a one-particle state, and a same-charge
-    # vacuum pair, share no negative block at this order
+    # vacuum pair, share no negative block at this order; a pair state whose
+    # labels differ by an even number has no first-order coherence and only
+    # the truncation floor at second order
     a, b = labels
     j = blocks.junction("fermion", 40)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         if (a >= 0) != (b >= 0):
-            curve = CurveSpec("c", "fermion", "one-particle", (a, b), a)
+            curves = [CurveSpec("c", "fermion", "one-particle", (a, b), a)]
+            if (a - b) % 2 == 0:
+                curves.append(CurveSpec("c", "fermion", "pair", (a, b)))
         else:
-            curve = CurveSpec("c", "fermion", "vacuum", (a, b))
-    assert np.array_equal(curve.series(j, u), np.zeros(3))
-    if curve.state == "one-particle":
+            curves = [CurveSpec("c", "fermion", "vacuum", (a, b))]
+    for curve in curves:
+        assert np.array_equal(curve.series(j, u), np.zeros(3))
+    if curves[0].state == "one-particle":
         assert np.array_equal(negativity.fermion_particle_closed(j, u, a, (a, b)), np.zeros(3))
 
 
@@ -444,31 +477,35 @@ def test_closed_route_imports_nothing_from_states():
 
 
 def _perturbed_junction(monkeypatch, species):
-    """Make blocks.junction hand out a junction whose in-window first-order
-    block is off by 1e-3 in one entry, past its own gate."""
-    real = blocks.junction
+    """Make blocks.build_junction return a junction whose in-window
+    first-order block is off by 4.5e-7 in one entry, on an empty junction
+    cache.  At n_max 40 the junction's own weighted identity residual is then
+    3.6e-8, under GATE_TOL, and the bound over the trips of the u period
+    7.2e-8, above it."""
+    real = blocks.build_junction
 
-    def junction(sp, n_max):
+    def build_junction(sp, n_max):
         j = real(sp, n_max)
         if sp != species:
             return j
         i, k = (int(np.flatnonzero(j.modes == m)[0]) for m in (2, 3))
         if sp == "boson":
             alpha = j.alpha.copy()
-            alpha[1, i, k] += 1e-3
+            alpha[1, i, k] += 4.5e-7
             return BosonBogoliubov(alpha, j.beta, j.modes)
         a = j.a.copy()
-        a[1, i, k] += 1e-3
+        a[1, i, k] += 4.5e-7
         return FermionBogoliubov(a, j.modes)
 
-    monkeypatch.setattr(blocks, "junction", junction)
+    monkeypatch.setattr(blocks, "build_junction", build_junction)
+    monkeypatch.setattr(blocks, "_cache", {})
 
 
 @pytest.mark.parametrize("species", ["boson", "fermion"])
 def test_trip_gate_catches_a_perturbed_junction(monkeypatch, capsys, species):
     _perturbed_junction(monkeypatch, species)
     curves = tuple(c for c in SMALL_CURVES if c.species == species)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="whole u period"):
         run_sweep(SweepRequest(curves=curves, steps=5, n_max=40))
     assert cli.main(["sweep", "fig1a", "--steps", "5"]) == cli.EXIT_INVARIANT
     assert "invariant violation" in capsys.readouterr().err

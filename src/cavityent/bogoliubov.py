@@ -180,9 +180,13 @@ def _residual_blocks(t, window=None) -> dict[str, np.ndarray]:
     raise TypeError(f"not a transformation: {t!r}")
 
 
+def _maxima(res: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {k: np.max(np.abs(r), axis=(-2, -1)) for k, r in res.items()}
+
+
 def identity_residuals(t, window=None) -> dict[str, np.ndarray]:
     """Per-order maxima of :func:`_residual_blocks`, shape (3,) plus any stack axes of ``t``."""
-    return {k: np.max(np.abs(r), axis=(-2, -1)) for k, r in _residual_blocks(t, window).items()}
+    return _maxima(_residual_blocks(t, window))
 
 
 def period_residuals(j, window=None) -> dict[str, np.ndarray]:
@@ -201,8 +205,12 @@ def period_residuals(j, window=None) -> dict[str, np.ndarray]:
     column sum of |J_1| (window columns).  Keyed "number" and "pair" for
     bosons, "unitary" for fermions, each of shape (3,).
     """
+    return _period_bound(j, _residual_blocks(j, window), window)
+
+
+def _period_bound(j, res: dict[str, np.ndarray], window) -> dict[str, np.ndarray]:
+    """:func:`period_residuals` from the junction's residual blocks ``res``."""
     sl = _window_slice(j.modes, window)
-    res = _residual_blocks(j, window)
     moving = j.modes[sl, None] != j.modes[None, sl]
     if isinstance(j, BosonBogoliubov):
         families = {
@@ -250,9 +258,16 @@ def check_identities(t, tol: float = 1e-8, window=None) -> dict[str, np.ndarray]
 
 
 def check_period(j, tol: float = 1e-8, window=None) -> dict[str, np.ndarray]:
-    """:func:`check_identities` for every trip of the u period at once, by the
-    bound of :func:`period_residuals` on the junction ``j``."""
-    return _gate(period_residuals(j, window=window), tol, "trip identity (whole u period)")
+    """Gate the junction ``j`` and every trip of the u period it makes.
+
+    The junction's own identities are gated first, as by
+    :func:`check_identities`, then the bound of :func:`period_residuals` on
+    every trip J^-1 P(u) J at once; both read the junction's residual
+    blocks, formed once.  Returns the trip bound.
+    """
+    res = _residual_blocks(j, window)
+    _gate(_maxima(res), tol, "identity")
+    return _gate(_period_bound(j, res, window), tol, "trip identity (whole u period)")
 
 
 def weighted_residual(r: np.ndarray) -> float:

@@ -45,7 +45,8 @@ def partial_transpose(rho: np.ndarray, d: int) -> np.ndarray:
 
 def negativity_at(rho_orders: np.ndarray, h: float) -> float:
     """Negativity of the reduced matrix evaluated at acceleration h."""
-    rho = np.polynomial.polynomial.polyval(h, rho_orders)
+    r0, r1, r2 = rho_orders
+    rho = r0 + h * (r1 + h * r2)
     drift = float(np.max(np.abs(rho - rho.conj().T)))
     if drift > HERMITICITY_TOL:
         raise InvariantViolation(f"reduced matrix drifts from Hermitian by {drift:.3e}")

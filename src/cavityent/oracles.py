@@ -22,8 +22,20 @@ import numpy as np
 from .geometry import CavityGeometry
 
 
-# Gauss-Legendre nodes per quadrature panel
-NODES_PER_PANEL = 12
+# Gauss-Legendre rule per quadrature panel on [-1, 1]: the positive half of
+# numpy.polynomial.legendre.leggauss(12), mirrored (leggauss symmetrizes its
+# rule, so the halves agree bit for bit), kept as constants so that no
+# subcommand imports numpy.polynomial
+_HALF_NODES = np.array([
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_HALF_WEIGHTS = np.array([
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
+GAUSS_NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
+GAUSS_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 # panel-count doublings a quadrature may take to reach its tolerance
 MAX_DOUBLINGS = 4
 
@@ -38,7 +50,7 @@ class ConvergenceError(RuntimeError):
 
 def gauss_panels(n_panels: int):
     """Composite Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+    x, w = GAUSS_NODES, GAUSS_WEIGHTS
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -62,16 +74,22 @@ def _boson_overlaps_once(ladder, n_max: int, n_panels: int) -> np.ndarray:
     inertial = np.sin(np.pi * np.outer(n, xi))             # shared by the ladder
     inv_root = 1.0 / np.sqrt(n)
     col = n[None, :].astype(float)
-    # one h at a time: tables for the whole ladder at once would hold four
-    # times the memory for no gain in speed
+    # one h at a time, in two (n, nodes) buffers reused across the ladder:
+    # tables for the whole ladder at once would hold four times the memory
+    # for no gain in speed
+    rindler = np.empty((n_max, xi.size))
+    weighted = np.empty_like(rindler)
     out = np.empty((2, len(ladder), n_max, n_max))
     for k, geo in enumerate(ladder):
         a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
         x = a * (1.0 + r * xi)
         ell = np.log1p(r * xi)
-        rindler = np.sin(np.pi * np.outer(n, ell) / big_l)  # accelerated shapes
-        p = (rindler * wi) @ inertial.T                     # plain overlap
-        q = (rindler * (wi / x)) @ inertial.T               # weighted by 1/x
+        np.outer(n, ell, out=rindler)                       # accelerated shapes:
+        np.multiply(np.pi, rindler, out=rindler)            # sin(pi n ell / L)
+        rindler /= big_l
+        np.sin(rindler, out=rindler)
+        p = np.multiply(rindler, wi, out=weighted) @ inertial.T         # plain overlap
+        q = np.multiply(rindler, wi / x, out=weighted) @ inertial.T     # weighted by 1/x
         row = n[:, None] / big_l
         out[0, k] = inv_root[:, None] * (col * p + row * q) * inv_root[None, :]
         out[1, k] = inv_root[:, None] * (col * p - row * q) * inv_root[None, :]
@@ -93,17 +111,28 @@ def _fermion_overlaps_once(ladder, n_max: int, n_panels: int) -> np.ndarray:
     omega = (np.arange(n_max) + 0.5) * np.pi               # inertial frequencies
     cos_i = np.cos(np.outer(omega, xi))                    # shared by the ladder
     sin_i = np.sin(np.outer(omega, xi))
+    # the phase table and one buffer for both weighted trig tables, reused
+    # across the ladder
+    phase = np.empty((n_max, xi.size))
+    weighted = np.empty_like(phase)
     out = np.empty((len(ladder), 2 * n_max, 2 * n_max))
     for k, geo in enumerate(ladder):
         a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
         x = a * (1.0 + r * xi)
         ell = np.log1p(r * xi)
-        phase = np.outer(omega / big_l, ell)               # accelerated frequency x ell
+        np.outer(omega / big_l, ell, out=phase)            # accelerated frequency x ell
         weight = wi / np.sqrt(big_l * x)
-        c = (np.cos(phase) * weight) @ cos_i.T
-        s = (np.sin(phase) * weight) @ sin_i.T
+        np.cos(phase, out=weighted)
+        weighted *= weight
+        c = weighted @ cos_i.T
+        np.sin(phase, out=weighted)
+        weighted *= weight
+        s = weighted @ sin_i.T
         same, differ = c + s, c - s
-        out[k] = np.block([[same[::-1, ::-1], differ[::-1, :]], [differ[:, ::-1], same]])
+        out[k, :n_max, :n_max] = same[::-1, ::-1]
+        out[k, :n_max, n_max:] = differ[::-1, :]
+        out[k, n_max:, :n_max] = differ[:, ::-1]
+        out[k, n_max:, n_max:] = same
     return out
 
 
@@ -177,38 +206,66 @@ def geometric_ladder(top: float, count: int) -> np.ndarray:
     return top * 0.5 ** np.arange(count)
 
 
+def interpolation_weights(y: np.ndarray) -> np.ndarray:
+    """Rows of the inverse of the Vandermonde matrix of the nodes ``y``.
+
+    Entry (k, j) is the y^k coefficient of the Lagrange basis polynomial of
+    node j, so row k applied to samples at the nodes gives the y^k
+    coefficient of their interpolating polynomial.  Each weight is formed
+    from products of node differences and divided once, which is exact up
+    to that one rounding for dyadic nodes such as those of a halving ladder.
+    """
+    y = np.asarray(y, dtype=float)
+    weights = np.empty((y.size, y.size))
+    for j in range(y.size):
+        basis, denom = np.array([1.0]), 1.0
+        for i in range(y.size):
+            if i != j:
+                basis = np.convolve(basis, [-y[i], 1.0])   # increasing powers
+                denom *= y[j] - y[i]
+        weights[:, j] = basis / denom
+    return weights
+
+
 def extract_orders_mirrored(values: np.ndarray, signs: np.ndarray, ladder: np.ndarray):
     """Order extraction that exploits the mirror (reflection) symmetry.
 
     Conjugating an overlap matrix with S = diag(signs) realises h -> -h, so
-    the even and odd parts in h can be separated exactly and fitted on far
-    better conditioned ladders in h^2.  ``values`` has shape
-    (len(ladder), n, n) and ``signs`` length n.
+    an entry whose sign product is +1 carries even powers of h only and one
+    whose product is -1 odd powers only.  Each part is interpolated exactly
+    in h^2 on the ladder, far better conditioned than a fit in h, with the
+    fixed weights of :func:`interpolation_weights`: every order is one
+    weighted sum over the ladder axis.  ``values`` has shape
+    (len(ladder), n, n) and ``signs`` length n; the ladder needs at least
+    two values.
     """
     ladder = np.asarray(ladder, dtype=float)
     values = np.asarray(values)
     signs = np.asarray(signs, dtype=float)
-    outer = signs[:, None] * signs[None, :]
-    mirrored = values * outer[None, :, :]
-    even = 0.5 * (values + mirrored)
-    odd = 0.5 * (values - mirrored) / ladder[:, None, None]
+    top = ladder.max()
+    weights = interpolation_weights((ladder / top) ** 2)
+    odd = (signs[:, None] * signs[None, :]) < 0
 
-    y = (ladder / ladder.max()) ** 2
-    vand = np.vander(y, len(ladder), increasing=True)
-    scale = ladder.max() ** (2 * np.arange(len(ladder)))
+    def coefficient(stack, k):
+        # y^k coefficient, summed over the differences from the last sample:
+        # the weights of y^0 sum to one and those of higher powers to zero,
+        # so the O(1) constant drops out exactly instead of cancelling in
+        # rounding
+        last = stack[-1]
+        out = last.copy() if k == 0 else np.zeros_like(last)
+        for w, sample in zip(weights[k, :-1], stack[:-1]):
+            out += w * (sample - last)
+        return out
 
-    def fit(stack):
-        coef, *_ = np.linalg.lstsq(vand, stack.reshape(len(ladder), -1), rcond=None)
-        coef = coef / scale[:, None]
-        return coef.reshape((len(ladder),) + values.shape[1:])
-
-    even_c = fit(even)   # c0, c2, c4, ...
-    odd_c = fit(odd)     # c1, c3, c5, ...
-    c = np.stack([even_c[0], odd_c[0], even_c[1]])
+    scaled = values / ladder[:, None, None]          # odd part: c1 + c3 h^2 + ...
+    c = np.stack([
+        np.where(odd, 0.0, coefficient(values, 0)),
+        np.where(odd, coefficient(scaled, 0), 0.0),
+        np.where(odd, 0.0, coefficient(values, 1)) / top**2,
+    ])
     info = {
-        "even_tail": float(np.max(np.abs(even_c[2]))) * ladder.max() ** 4
+        "even_tail": float(np.max(np.abs(np.where(odd, 0.0, coefficient(values, 2)))))
         if len(ladder) > 2 else 0.0,
-        "odd_tail": float(np.max(np.abs(odd_c[1]))) * ladder.max() ** 2
-        if len(ladder) > 1 else 0.0,
+        "odd_tail": float(np.max(np.abs(np.where(odd, coefficient(scaled, 1), 0.0)))),
     }
     return c, info

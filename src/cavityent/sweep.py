@@ -68,6 +68,8 @@ class CurveSpec:
     modes: tuple[int, int]
     excite: int | None = None
 
+    # warnings use stacklevel 3 to name the caller of CurveSpec, past the
+    # __init__ that dataclasses generates
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
         if self.species not in ("boson", "fermion"):
@@ -93,7 +95,7 @@ class CurveSpec:
                     "the pair's first-order coherence a parity zero and leave only "
                     "the truncation floor at second order, so the curve will be "
                     "identically zero",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
         if self.state == "one-particle":
             if self.excite is None:
@@ -109,7 +111,7 @@ class CurveSpec:
                     f"curve {self.name}: the partner mode carries the opposite "
                     "charge, so exchange with the excitation is Pauli blocked and "
                     "the curve will be identically zero",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
         elif self.excite is not None:
             raise ConfigError(f"curve {self.name}: excite only applies to one-particle")
@@ -117,7 +119,7 @@ class CurveSpec:
             warnings.warn(
                 f"curve {self.name}: vacuum pair creation only links opposite "
                 "charges, so this same-charge curve will be identically zero",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def series(self, junction, u) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cavityent import oracles
+from cavityent import blocks, oracles
 from cavityent.geometry import CavityGeometry
 
 import fock
@@ -34,6 +34,67 @@ def test_mirrored_extraction_is_exact_through_fourth_order(rng):
     # through h^7, so polynomial data of degree 4 is recovered exactly
     assert np.allclose(c, coeffs[:3], atol=1e-8)
     assert info["even_tail"] + info["odd_tail"] > 0.0
+
+
+def _least_squares_orders(values, signs, ladder):
+    """The mirrored extraction as a least-squares fit of the even and odd
+    stacks (numpy's lstsq), the reference for the fixed weights."""
+    outer = signs[:, None] * signs[None, :]
+    even = 0.5 * (values + values * outer)
+    odd = 0.5 * (values - values * outer) / ladder[:, None, None]
+    vand = np.vander((ladder / ladder.max()) ** 2, len(ladder), increasing=True)
+    scale = ladder.max() ** (2 * np.arange(len(ladder)))
+
+    def fit(stack):
+        coef = np.linalg.lstsq(vand, stack.reshape(len(ladder), -1), rcond=None)[0]
+        return (coef / scale[:, None]).reshape(stack.shape)
+
+    even_c, odd_c = fit(even), fit(odd)
+    return np.stack([even_c[0], odd_c[0], even_c[1]])
+
+
+def _assert_orders_close(c, want, skip=()):
+    for k in range(3):
+        if k not in skip:
+            scale = np.max(np.abs(want[k]))
+            assert np.max(np.abs(c[k] - want[k])) <= 1e-13 * scale, k
+
+
+def test_interpolation_weights_invert_the_vandermonde_matrix():
+    y = (oracles.geometric_ladder(top=0.02, count=4) / 0.02) ** 2
+    vand = np.vander(y, 4, increasing=True)
+    w = oracles.interpolation_weights(y)
+    np.testing.assert_allclose(w @ vand, np.eye(4), rtol=0.0, atol=1e-13)
+    # the constant is reproduced exactly: weights of y^0 sum to one, the others to zero
+    np.testing.assert_allclose(w.sum(axis=1), [1.0, 0.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fixed_weight_extraction_matches_least_squares_on_random_stacks(seed):
+    rng = np.random.default_rng(seed)
+    ladder = oracles.geometric_ladder(top=0.02, count=4)
+    values = rng.normal(size=(4, 24, 24))
+    signs = rng.choice([-1.0, 1.0], size=24)
+    c, _ = oracles.extract_orders_mirrored(values, signs, ladder)
+    _assert_orders_close(c, _least_squares_orders(values, signs, ladder))
+
+
+@pytest.mark.parametrize("n_max", [31, 40, 56])
+def test_fixed_weight_extraction_matches_least_squares_on_junction_ladders(n_max):
+    ladder = blocks.DEFAULT_LADDER
+    alpha, beta = oracles.boson_overlaps(ladder, n_max)
+    boson_signs = (-1.0) ** blocks.boson_modes(n_max)
+    fermion = oracles.fermion_overlaps(ladder, n_max)
+    fermion_signs = (-1.0) ** (blocks.fermion_modes(n_max) % 2)
+    for values, signs in ((alpha, boson_signs), (fermion, fermion_signs)):
+        c, _ = oracles.extract_orders_mirrored(values, signs, ladder)
+        _assert_orders_close(c, _least_squares_orders(values, signs, ladder))
+    # beta's zeroth order is only the extraction's rounding (about 1e-10,
+    # snapped to zero by build_junction), so it is held in absolute terms
+    c, _ = oracles.extract_orders_mirrored(beta, boson_signs, ladder)
+    want = _least_squares_orders(beta, boson_signs, ladder)
+    _assert_orders_close(c, want, skip=(0,))
+    assert np.max(np.abs(c[0] - want[0])) < 1e-13
 
 
 # --- quadrature overlaps ---------------------------------------------------
@@ -105,6 +166,76 @@ def test_mirrored_fermion_overlaps_match_four_table_formula(h):
     mirrored = oracles._fermion_overlaps_once(oracles._ladder(h), n_max, n_panels)[0]
     # the same sums, but BLAS may block the half-size products differently
     np.testing.assert_allclose(mirrored, direct, rtol=0.0, atol=8 * np.finfo(float).eps)
+
+
+def test_gauss_rule_is_leggauss_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(oracles.GAUSS_NODES, x)
+    assert np.array_equal(oracles.GAUSS_WEIGHTS, w)
+
+
+def _reference_panels(n_panels):
+    x, w = np.polynomial.legendre.leggauss(12)
+    edges = np.linspace(0.0, 1.0, n_panels + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
+
+
+def _reference_boson_tables(ladder, n_max, n_panels):
+    """The boson overlap expressions with a fresh array for every table."""
+    xi, wi = _reference_panels(n_panels)
+    n = np.arange(1, n_max + 1)
+    inertial = np.sin(np.pi * np.outer(n, xi))
+    inv_root = 1.0 / np.sqrt(n)
+    col = n[None, :].astype(float)
+    out = np.empty((2, len(ladder), n_max, n_max))
+    for k, geo in enumerate(ladder):
+        a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
+        x = a * (1.0 + r * xi)
+        ell = np.log1p(r * xi)
+        rindler = np.sin(np.pi * np.outer(n, ell) / big_l)
+        p = (rindler * wi) @ inertial.T
+        q = (rindler * (wi / x)) @ inertial.T
+        row = n[:, None] / big_l
+        out[0, k] = inv_root[:, None] * (col * p + row * q) * inv_root[None, :]
+        out[1, k] = inv_root[:, None] * (col * p - row * q) * inv_root[None, :]
+    return out
+
+
+def _reference_fermion_tables(ladder, n_max, n_panels):
+    """The fermion overlap expressions with a fresh array for every table."""
+    xi, wi = _reference_panels(n_panels)
+    omega = (np.arange(n_max) + 0.5) * np.pi
+    cos_i = np.cos(np.outer(omega, xi))
+    sin_i = np.sin(np.outer(omega, xi))
+    out = np.empty((len(ladder), 2 * n_max, 2 * n_max))
+    for k, geo in enumerate(ladder):
+        a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
+        x = a * (1.0 + r * xi)
+        ell = np.log1p(r * xi)
+        phase = np.outer(omega / big_l, ell)
+        weight = wi / np.sqrt(big_l * x)
+        c = (np.cos(phase) * weight) @ cos_i.T
+        s = (np.sin(phase) * weight) @ sin_i.T
+        same, differ = c + s, c - s
+        out[k] = np.block([[same[::-1, ::-1], differ[::-1, :]], [differ[:, ::-1], same]])
+    return out
+
+
+@pytest.mark.parametrize("n_max", [31, 40, 56, 80, 112])
+def test_reused_table_buffers_give_bit_identical_overlaps(n_max):
+    # both panel counts of the first convergence step of the junction ladder
+    ladder = oracles._ladder(blocks.DEFAULT_LADDER)
+    for n_panels in (max(16, n_max), 2 * max(16, n_max)):
+        assert np.array_equal(
+            oracles._boson_overlaps_once(ladder, n_max, n_panels),
+            _reference_boson_tables(ladder, n_max, n_panels),
+        )
+        assert np.array_equal(
+            oracles._fermion_overlaps_once(ladder, n_max, n_panels),
+            _reference_fermion_tables(ladder, n_max, n_panels),
+        )
 
 
 @pytest.mark.parametrize("overlaps", [oracles.boson_overlaps, oracles.fermion_overlaps])

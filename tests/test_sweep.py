@@ -476,12 +476,12 @@ def test_closed_route_imports_nothing_from_states():
                 assert all("states" not in alias.name for alias in node.names), module
 
 
-def _perturbed_junction(monkeypatch, species):
+def _perturbed_junction(monkeypatch, species, size=4.5e-7):
     """Make blocks.build_junction return a junction whose in-window
-    first-order block is off by 4.5e-7 in one entry, on an empty junction
-    cache.  At n_max 40 the junction's own weighted identity residual is then
-    3.6e-8, under GATE_TOL, and the bound over the trips of the u period
-    7.2e-8, above it."""
+    first-order block is off by ``size`` in one entry, on an empty junction
+    cache.  At n_max 40 and the default size the junction's own weighted
+    identity residual is then 3.6e-8, under GATE_TOL, and the bound over the
+    trips of the u period 7.2e-8, above it."""
     real = blocks.build_junction
 
     def build_junction(sp, n_max):
@@ -491,10 +491,10 @@ def _perturbed_junction(monkeypatch, species):
         i, k = (int(np.flatnonzero(j.modes == m)[0]) for m in (2, 3))
         if sp == "boson":
             alpha = j.alpha.copy()
-            alpha[1, i, k] += 4.5e-7
+            alpha[1, i, k] += size
             return BosonBogoliubov(alpha, j.beta, j.modes)
         a = j.a.copy()
-        a[1, i, k] += 4.5e-7
+        a[1, i, k] += size
         return FermionBogoliubov(a, j.modes)
 
     monkeypatch.setattr(blocks, "build_junction", build_junction)
@@ -509,3 +509,26 @@ def test_trip_gate_catches_a_perturbed_junction(monkeypatch, capsys, species):
         run_sweep(SweepRequest(curves=curves, steps=5, n_max=40))
     assert cli.main(["sweep", "fig1a", "--steps", "5"]) == cli.EXIT_INVARIANT
     assert "invariant violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_junction_failing_its_own_gate_names_the_identity_residual(monkeypatch, species):
+    # off by 1e-5, the junction's own weighted residual (8e-7) fires before
+    # the whole-period bound that reads the same residual blocks
+    _perturbed_junction(monkeypatch, species, size=1e-5)
+    with pytest.raises(InvariantViolation, match=r"^identity residual"):
+        blocks.junction(species, 40)
+
+
+def test_curve_warnings_name_the_caller_of_curvespec():
+    # stacklevel 2 would name the __init__ that dataclasses generates,
+    # whose filename is "<string>"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _curve(name="even", species="fermion", state="pair", modes=(0, -2))
+        _curve(name="f", species="fermion", state="one-particle", modes=(1, -2), excite=1)
+        _curve(name="f", species="fermion", modes=(1, 2))
+    assert len(caught) == 3
+    for w in caught:
+        assert w.filename != "<string>"
+        assert pathlib.Path(w.filename).name == "test_sweep.py"

@@ -122,8 +122,10 @@ def _check_lines(n_max: int):
     dust = float(np.max(np.abs(fj.a[1][off])))
     yield dust < 1e-10, "fermion a(1) parity zeros", f"max {dust:.2e}"
 
+    # one trip per species, shared by the interference line and the cross-check
     u = 0.3
-    trip = blocks.one_way_trip("boson", n_max, u)
+    trips = {species: blocks.one_way_trip(species, n_max, u) for species in ("boson", "fermion")}
+    trip = trips["boson"]
     i, j = 0, 3
     beta_pred = 2 * abs(bj.beta[1, i, j]) * abs(np.sin(np.pi * (m[i] + m[j]) * u))
     alpha_pred = 2 * abs(bj.alpha[1, i, j]) * abs(np.sin(np.pi * (m[j] - m[i]) * u))
@@ -137,20 +139,22 @@ def _check_lines(n_max: int):
     worst = float(np.max(np.abs(s_a - s_b)))
     yield worst < 1e-8, "period-1 recurrence of preset curves", f"max {worst:.2e}"
 
+    # both routes are exact in each order, so they agree to rounding: within
+    # 256 ulps of each order's |rho_k|_F (the worst of the five curves is
+    # 0.67, 0.97 and 0.66 ulps at n_max 32, 40 and 80)
     worst = 0.0
     all_ok = True
     for curve, build in _crosscheck_states():
-        trip = blocks.one_way_trip(curve.species, n_max, u)
-        closed = negativity.leading_from_series(curve.series(junctions[curve.species], u))
-        rho = states.reduce_to_pair(build(trip))
-        numeric = negativity.leading_order(rho)
-        rel = abs(numeric.coefficient - closed.coefficient) / abs(closed.coefficient)
-        worst = max(worst, rel)
-        if numeric.power != closed.power or rel >= 0.01:
+        closed = curve.series(junctions[curve.species], u)
+        rho = states.reduce_to_pair(build(trips[curve.species]))
+        gap = np.abs(negativity.leading_order(rho) - closed)
+        ulps = float(np.max(gap / (np.finfo(float).eps * np.linalg.norm(rho, axis=(1, 2)))))
+        worst = max(worst, ulps)
+        if ulps > 256:
             all_ok = False
-            yield False, f"closed vs numeric leading order ({curve.name})", f"rel {rel:.2e}"
+            yield False, f"closed vs numeric series ({curve.name})", f"{ulps:.2f} of 256 ulps"
     if all_ok:
-        yield True, "closed vs numeric leading order", f"worst rel {worst:.2e}"
+        yield True, "closed vs numeric series, all five families", f"worst {worst:.2f} of 256 ulps"
 
 
 def _preset_curves():
@@ -170,6 +174,8 @@ def _crosscheck_states():
          lambda t: states.fermion_vacuum_state(t, (2, -1))),
         (sweep.CurveSpec("fermion-one-particle-14", "fermion", "one-particle", (1, 4), 1),
          lambda t: states.fermion_particle_state(t, 1, (1, 4))),
+        (sweep.CurveSpec("fermion-pair-2m1", "fermion", "pair", (2, -1)),
+         lambda t: states.fermion_pair_state(t, 2, -1, (2, -1))),
     ]
 
 

@@ -1,18 +1,17 @@
 """Two-mode entanglement of travelled states.
 
 Two independent routes to the same number.  The numeric route takes the
-reduced density matrix orders from :mod:`cavityent.states`, evaluates them at
-small finite h, partially transposes and sums the negative part of the
-spectrum; the leading power and coefficient are then recovered from a probe
-ladder.  The closed route evaluates the perturbative eigenvalue formulas of
-the negative blocks directly from the junction, for a whole u grid at once,
-and returns the negativity series without building a trip, a state or a
-density matrix; it imports nothing from :mod:`cavityent.states`.
+reduced density matrix orders from :mod:`cavityent.states`, partially
+transposes them and reads the negativity series off the orders by degenerate
+perturbation theory (:func:`leading_order`); :func:`negativity_at` sums the
+negative spectrum at one finite h.  The closed route evaluates the
+perturbative eigenvalue formulas of the negative blocks directly from the
+junction, for a whole u grid at once, and returns the negativity series
+without building a trip, a state or a density matrix; it imports nothing from
+:mod:`cavityent.states`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +19,12 @@ from . import blocks
 from .bogoliubov import BosonBogoliubov, InvariantViolation
 from .series import cauchy
 
-PROBES = (1e-2, 5e-3, 2.5e-3)
 HERMITICITY_TOL = 1e-10
 # relative floor under which partially transposed eigenvalues count as zero
 EIGENVALUE_FLOOR = 1e-12
-# below this a first-order coherence is a parity zero, not a leading term
+# below this a first-order coherence (closed route) or a first-order
+# eigenvalue (numeric route) is a parity zero, not a leading term
 FIRST_ORDER_FLOOR = 1e-9
-# below this a closed series coefficient counts as zero
-SERIES_FLOOR = 1e-12
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -43,62 +40,56 @@ def partial_transpose(rho: np.ndarray, d: int) -> np.ndarray:
     return np.swapaxes(r, -3, -1).reshape(shape)
 
 
+def _check_hermitian(rho: np.ndarray) -> None:
+    """Raise unless every matrix of ``rho`` (one or a stack) is Hermitian."""
+    drift = float(np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2)))))
+    if drift > HERMITICITY_TOL:
+        raise InvariantViolation(f"reduced matrix drifts from Hermitian by {drift:.3e}")
+
+
 def negativity_at(rho_orders: np.ndarray, h: float) -> float:
     """Negativity of the reduced matrix evaluated at acceleration h."""
     r0, r1, r2 = rho_orders
     rho = r0 + h * (r1 + h * r2)
-    drift = float(np.max(np.abs(rho - rho.conj().T)))
-    if drift > HERMITICITY_TOL:
-        raise InvariantViolation(f"reduced matrix drifts from Hermitian by {drift:.3e}")
+    _check_hermitian(rho)
     d = int(round(np.sqrt(rho.shape[-1])))
     eig = np.linalg.eigvalsh(partial_transpose(rho, d))
     floor = -EIGENVALUE_FLOOR * float(np.sum(np.abs(eig)))
     return float(-eig[eig < floor].sum())
 
 
-@dataclass(frozen=True)
-class LeadingOrder:
-    """Leading small-h behaviour coefficient * h**power of a negativity."""
+def leading_order(rho_orders: np.ndarray) -> np.ndarray:
+    """Negativity series (orders h^0, h^1, h^2) of the reduced matrix orders.
 
-    power: int
-    coefficient: float
-    converged: bool
-    slope: float | None = None
-
-
-def leading_order(rho_orders: np.ndarray, probes=PROBES) -> LeadingOrder:
-    """Fit the leading power on a probe ladder and refine the coefficient.
-
-    The power is the rounded log-log slope and is only trusted when the raw
-    slope sits within 0.05 of it; the coefficient is Richardson-extrapolated
-    from the two smallest probes, which cancels the next order exactly for a
-    ratio-2 ladder.
+    Only eigenvalues of rho^T_B = r0 + h r1 + h^2 r2 that vanish at h^0 can
+    turn negative.  With P the kernel of r0 and Q its complement they follow
+    h A + h^2 B, A = P r1 P and B = P r2 P - P r1 Q (r0|Q)^-1 Q r1 P.  The
+    first order sums A's negative eigenvalues; the second sums B's diagonal
+    on their eigenvectors (a trace, so exact on degenerate eigenspaces) and
+    B's negative eigenvalues on A's null space, the eigenvalues within
+    ``FIRST_ORDER_FLOOR`` of zero.  Raises :class:`InvariantViolation` for a
+    non-Hermitian order or an r0 with a negative eigenvalue beyond rounding:
+    every travelled in-state is a product state at h^0.
     """
-    probes = np.asarray(sorted(probes, reverse=True), dtype=float)
-    values = np.array([negativity_at(rho_orders, h) for h in probes])
-    if np.max(np.abs(values)) < 1e-12:
-        return LeadingOrder(power=0, coefficient=0.0, converged=True)
-    if np.min(values) <= 0.0:
-        return LeadingOrder(power=0, coefficient=0.0, converged=False)
-    slope = float(np.polyfit(np.log(probes), np.log(values), 1)[0])
-    power = int(round(slope))
-    scaled = values / probes**power
-    coefficient = float(2.0 * scaled[-1] - scaled[-2])
-    return LeadingOrder(
-        power=power,
-        coefficient=coefficient,
-        converged=abs(slope - power) <= 0.05,
-        slope=slope,
-    )
-
-
-def leading_from_series(series: np.ndarray) -> LeadingOrder:
-    c = np.asarray(series, dtype=float)
-    if abs(c[1]) > SERIES_FLOOR:
-        return LeadingOrder(power=1, coefficient=float(c[1]), converged=True)
-    if abs(c[2]) > SERIES_FLOOR:
-        return LeadingOrder(power=2, coefficient=float(c[2]), converged=True)
-    return LeadingOrder(power=0, coefficient=0.0, converged=True)
+    _check_hermitian(rho_orders)
+    d = int(round(np.sqrt(rho_orders.shape[-1])))
+    r0, r1, r2 = partial_transpose(rho_orders, d)
+    w, v = np.linalg.eigh(r0)
+    # rounding of the eigenvalues of an O(|r0|) matrix of this size
+    floor = w.size * np.finfo(float).eps * float(np.linalg.norm(r0))
+    if w[0] < -floor:
+        raise InvariantViolation(f"r0^T_B has eigenvalue {w[0]:.3e}: not a product state")
+    kernel = w <= floor
+    p, q = v[:, kernel], v[:, ~kernel]
+    a, x = np.linalg.eigh(p.conj().T @ r1 @ p)
+    y = p @ x  # the eigenvectors of A in the full space
+    hop = q.conj().T @ r1 @ y
+    b = y.conj().T @ r2 @ y - hop.conj().T @ (hop / w[~kernel, None])
+    negative = a < -FIRST_ORDER_FLOOR
+    null = np.abs(a) <= FIRST_ORDER_FLOOR
+    opened = np.linalg.eigvalsh(b[np.ix_(null, null)])
+    second = np.sum(np.diagonal(b).real[negative]) + np.sum(opened[opened < 0.0])
+    return np.array([0.0, -np.sum(a[negative]), -second])
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,17 @@ def test_check_reports_all_ok(capsys):
     assert out.count("ok  ") >= 5
 
 
+def test_check_cross_checks_every_family(capsys):
+    # one curve per state family, the fermion pair included, and both routes
+    # agree on its whole series
+    families = {(curve.species, curve.state) for curve, _ in cli._crosscheck_states()}
+    assert families == {("boson", "vacuum"), ("boson", "one-particle"), ("fermion", "vacuum"),
+                        ("fermion", "one-particle"), ("fermion", "pair")}
+    assert cli.main(["check"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "ok   closed vs numeric series, all five families" in out
+
+
 def test_sweep_and_check_never_import_scipy(tmp_path):
     # scipy backs only the Fock oracle of the tests (tests/fock.py); in a
     # fresh interpreter where importing scipy fails, every module of the

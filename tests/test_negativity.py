@@ -1,4 +1,4 @@
-"""Partial transpose, probe-ladder extraction and the closed-form routes."""
+"""Partial transpose, the numeric route's series and the closed-form routes."""
 
 import numpy as np
 import pytest
@@ -66,6 +66,8 @@ def test_negativity_rejects_non_hermitian_input():
     orders[1][0, 1] = 1.0  # first-order drift with no conjugate partner
     with pytest.raises(InvariantViolation):
         neg.negativity_at(orders, 0.01)
+    with pytest.raises(InvariantViolation, match="Hermitian"):
+        neg.leading_order(orders)
 
 
 # --- leading-order extraction -------------------------------------------------
@@ -84,44 +86,57 @@ def _coherence_orders(first: complex, second: complex) -> np.ndarray:
 
 
 def test_leading_order_linear_coherence():
-    lead = neg.leading_order(_coherence_orders(0.25j, 0.0))
-    assert lead.power == 1
-    assert lead.converged
-    assert lead.coefficient == pytest.approx(0.25, rel=1e-3)
+    # the transposed block [[0, h f + h^2 s], [c.c., 0]] has eigenvalue
+    # -|h f + h^2 s|, here -(0.25 h + 0.1 h^2) exactly
+    series = neg.leading_order(_coherence_orders(0.25j, 0.1j))
+    assert np.allclose(series, [0.0, 0.25, 0.1], rtol=0.0, atol=1e-16)
 
 
 def test_leading_order_quadratic_coherence():
-    lead = neg.leading_order(_coherence_orders(0.0, 0.4))
-    assert lead.power == 2
-    assert lead.converged
-    assert lead.coefficient == pytest.approx(0.4, rel=1e-3)
+    series = neg.leading_order(_coherence_orders(0.0, 0.4))
+    assert np.allclose(series, [0.0, 0.0, 0.4], rtol=0.0, atol=1e-16)
 
 
 def test_leading_order_zero_matrix():
     orders = np.zeros((3, 4, 4))
     orders[0, 0, 0] = 1.0
-    lead = neg.leading_order(orders)
-    assert (lead.power, lead.coefficient, lead.converged) == (0, 0.0, True)
+    assert np.array_equal(neg.leading_order(orders), np.zeros(3))
 
 
-def test_leading_order_flags_sign_changes():
-    # populations overwhelm the coherence at the larger probes, so the
-    # negativity vanishes there and no clean power law exists
-    orders = _coherence_orders(0.004, 0.0)
+def test_leading_order_degenerate_negative_eigenvalues():
+    # qutrit pair, |00> at h^0 with equal first-order coherences to |11> and
+    # |22>: A's negative eigenvalue -0.2 is doubly degenerate, and a |01>,
+    # |02> entry of B couples its two eigenvectors, which the trace over the
+    # degenerate space leaves out
+    orders = np.zeros((3, 9, 9), dtype=complex)
+    orders[0, 0, 0] = 1.0
+    for occupied in (4, 8):
+        orders[1, 0, occupied] = orders[1, occupied, 0] = 0.2
+    for population in (1, 2, 3, 6):
+        orders[2, population, population] = 0.1
+    orders[2, 1, 2] = 0.05j
+    orders[2, 2, 1] = -0.05j
+    series = neg.leading_order(orders)
+    assert np.allclose(series, [0.0, 0.4, -0.2], rtol=0.0, atol=1e-15)
+    # the finite-h negativity follows it up to an h^3 tail
+    for h in (1e-3, 5e-4):
+        got = neg.negativity_at(orders, h)
+        assert abs(got - (0.4 * h - 0.2 * h**2)) < h**3
+
+
+def test_leading_order_first_order_dust_reads_zero():
+    # a 1e-13 coherence under FIRST_ORDER_FLOOR is dust, not a leading term,
+    # and the populations keep the second-order block positive
+    orders = _coherence_orders(1e-13, 0.0)
     orders[2, 1, 1] = 1.0
     orders[2, 2, 2] = 1.0
-    lead = neg.leading_order(orders)
-    assert not lead.converged
-    assert lead.coefficient == 0.0
+    assert np.array_equal(neg.leading_order(orders), np.zeros(3))
 
 
-def test_leading_from_series():
-    lead = neg.leading_from_series(np.array([0.0, 0.3, -0.1]))
-    assert (lead.power, lead.coefficient) == (1, pytest.approx(0.3))
-    lead = neg.leading_from_series(np.array([0.0, 0.0, 0.7]))
-    assert (lead.power, lead.coefficient) == (2, pytest.approx(0.7))
-    lead = neg.leading_from_series(np.zeros(3))
-    assert lead.power == 0 and lead.converged
+def test_leading_order_rejects_an_entangled_zeroth_order():
+    orders = np.stack([_bell(1.0), np.zeros((4, 4)), np.zeros((4, 4))])
+    with pytest.raises(InvariantViolation, match="not a product state"):
+        neg.leading_order(orders)
 
 
 def test_pt_block_branches():
@@ -139,12 +154,13 @@ def test_pt_block_branches():
 # --- closed forms against the numeric route ----------------------------------
 
 U = 0.3  # the duration of the boson_trip and fermion_trip fixtures
+H = (1e-2, 5e-3, 2.5e-3)
 
 
 def test_boson_vacuum_closed_matches_numeric(boson_junction, boson_trip):
     series = neg.boson_vacuum_closed(boson_junction, U, (1, 4))
     rho = states.reduce_to_pair(states.boson_vacuum_state(boson_trip, (1, 4)))
-    for h in neg.PROBES:
+    for h in H:
         assert neg.negativity_at(rho, h) == pytest.approx(
             np.polynomial.polynomial.polyval(h, series), rel=1e-3
         )
@@ -154,7 +170,7 @@ def test_boson_vacuum_closed_same_parity_matches_numeric(boson_junction, boson_t
     series = neg.boson_vacuum_closed(boson_junction, U, (1, 3))
     assert series[1] == 0.0
     rho = states.reduce_to_pair(states.boson_vacuum_state(boson_trip, (1, 3)))
-    for h in neg.PROBES:
+    for h in H:
         assert neg.negativity_at(rho, h) == pytest.approx(
             np.polynomial.polynomial.polyval(h, series), rel=1e-3
         )
@@ -163,10 +179,22 @@ def test_boson_vacuum_closed_same_parity_matches_numeric(boson_junction, boson_t
 def test_fermion_vacuum_closed_matches_numeric(fermion_junction, fermion_trip):
     series = neg.fermion_vacuum_closed(fermion_junction, U, (2, -1))
     rho = states.reduce_to_pair(states.fermion_vacuum_state(fermion_trip, (2, -1)))
-    for h in neg.PROBES:
+    for h in H:
         assert neg.negativity_at(rho, h) == pytest.approx(
             np.polynomial.polynomial.polyval(h, series), rel=1e-3
         )
+
+
+def test_fermion_vacuum_parity_zero_reads_zero_on_both_routes(fermion_junction, fermion_trip):
+    # the first-order entry at omega_m = -omega_n is an exact zero that
+    # carries about 1e-13 of extraction dust; both routes read the curve as
+    # zero, the numeric one to rounding of |rho_k|
+    closed = neg.fermion_vacuum_closed(fermion_junction, U, (8, -9))
+    assert np.array_equal(closed, np.zeros(3))
+    rho = states.reduce_to_pair(states.fermion_vacuum_state(fermion_trip, (8, -9)))
+    numeric = neg.leading_order(rho)
+    assert numeric[1] == 0.0
+    assert np.all(np.abs(numeric) <= np.finfo(float).eps * np.linalg.norm(rho, axis=(1, 2)))
 
 
 def test_fermion_vacuum_closed_rejects_same_charge(fermion_junction):

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityent import blocks, negativity, oracles, states, sweep
@@ -218,15 +218,16 @@ def test_generation_filter_matches_full_expansion_fermion(composed_trip, u):
 
 
 def test_check_states_key_counts(boson_trip, fermion_trip):
-    # the four states of `cavityent check` at n_max 40, u = 0.3: the keys
+    # the five states of `cavityent check` at n_max 40, u = 0.3: the keys
     # the generation filter keeps
     counts = [
         len(states.boson_vacuum_state(boson_trip, (1, 4)).keys),
         len(states.boson_particle_state(boson_trip, 1, (1, 4)).keys),
         len(states.fermion_vacuum_state(fermion_trip, (2, -1)).keys),
         len(states.fermion_particle_state(fermion_trip, 1, (1, 4)).keys),
+        len(states.fermion_pair_state(fermion_trip, 2, -1, (2, -1)).keys),
     ]
-    assert counts == [822, 861, 1601, 1600]
+    assert counts == [822, 861, 1601, 1600, 2001]
 
 
 def test_pair_state_rejects_wrong_charges(fermion_trip):
@@ -276,26 +277,41 @@ def test_reduce_without_surviving_keys_is_zero():
 
 # --- numeric-route properties ------------------------------------------------
 #
-# Curves on the low modes of the paper's figures, |label| <= 5.  Higher pair
-# curves carry a first-order coherence some 1e-4 of their second order, so
-# their leading power only shows below h ~ 1e-8, where the negativity falls
-# under the fit's 1e-12 floor.
-LOW = {"boson": (1, 5), "fermion": (-5, 4)}
+# Curves of every family with labels up to n_max / 2.  Both routes are exact
+# in each order, so they agree to rounding: the 256 ulps of each order's
+# |rho_k|_F that `cavityent check` allows.
+N_MAX = 40
+ULPS = 256
+EPS = np.finfo(float).eps
+
+
+def _order_scale(curve, u, rho):
+    """|rho_k|_F per order, at u or half a period on, whichever is larger.
+
+    Near u = 0 (mod 1) the trip's junction products cancel to the truncation
+    floor, so rho_k there is far smaller than the terms whose rounding both
+    routes carry (about 8e3 ulps of |rho_2|_F at u = 0).  Half a period on
+    they do not cancel.
+    """
+    half = _numeric_rho(curve, (u + 0.5) % 1.0)
+    return np.maximum(np.linalg.norm(rho, axis=(1, 2)), np.linalg.norm(half, axis=(1, 2)))
 
 
 @st.composite
 def low_curves(draw, blocked=False):
-    """Curves of every family on the low modes; with ``blocked``, only the
-    Pauli-blocked fermion curves (an opposite-charge partner of a one-particle
-    state, or a same-charge vacuum pair), otherwise none of them."""
+    """Curves of every family with labels up to n_max / 2; with ``blocked``,
+    only the Pauli-blocked fermion curves (an opposite-charge partner of a
+    one-particle state, or a same-charge vacuum pair), otherwise none of
+    them."""
     species = "fermion" if blocked else draw(st.sampled_from(["boson", "fermion"]))
-    lo, hi = LOW[species]
+    hi = N_MAX // 2
+    lo = 1 if species == "boson" else -hi
     families = ("one-particle", "vacuum") if blocked else sweep.STATES
     state = draw(st.sampled_from(families if species == "fermion" else families[:2]))
     if state == "pair":
         # an even label difference is a parity zero at first order and holds
         # only the n_max^-3 truncation floor at second order (5e-8 at n_max
-        # 40): the closed series reads it as zero, the numeric fit does not
+        # 40): the closed series reads it as zero, the numeric route does not
         kappa = draw(st.integers(0, hi))
         modes = (kappa, draw(st.integers(lo, -1).filter(lambda m: (kappa - m) % 2)))
     else:
@@ -315,7 +331,7 @@ def low_curves(draw, blocked=False):
 
 def _numeric_rho(curve, u):
     """Reduced-state orders of the curve's in-state after the trip at u."""
-    trip = blocks.one_way_trip(curve.species, 40, u)
+    trip = blocks.one_way_trip(curve.species, N_MAX, u)
     boson = curve.species == "boson"
     if curve.state == "vacuum":
         build = states.boson_vacuum_state if boson else states.fermion_vacuum_state
@@ -332,40 +348,25 @@ def _numeric_rho(curve, u):
 @given(curve=low_curves(), u=st.floats(0.0, 1.0))
 def test_numeric_route_is_symmetric_about_half_a_period(curve, u):
     # the trip at 1 - u is the conjugate of the trip at u (up to the global
-    # fermion sign), which no negativity sees; the values are eigenvalue sums
-    # of an O(1) matrix, so rounding separates them by a few 1e-16
-    rho_u, rho_mirror = _numeric_rho(curve, u), _numeric_rho(curve, 1.0 - u)
-    for h in negativity.PROBES:
-        gap = negativity.negativity_at(rho_u, h) - negativity.negativity_at(rho_mirror, h)
-        assert abs(gap) < 1e-13
+    # fermion sign), which no negativity sees; its phases 2 pi omega (1 - u)
+    # carry a rounding of up to 2 pi n_max ulps, which every order inherits
+    # in ulps of |rho_0|_F = 1 (worst seen: 114 ulps at n_max 40)
+    series = negativity.leading_order(_numeric_rho(curve, u))
+    mirror = negativity.leading_order(_numeric_rho(curve, 1.0 - u))
+    assert np.max(np.abs(series - mirror)) <= ULPS * 2 * np.pi * N_MAX * EPS
 
 
 @settings(max_examples=10, deadline=None)
 @given(curve=low_curves(blocked=True), u=st.floats(0.0, 1.0))
 def test_numeric_route_gives_pauli_blocked_curves_power_zero(curve, u):
-    fit = negativity.leading_order(_numeric_rho(curve, u))
-    assert fit.power == 0 and fit.coefficient == 0.0
+    rho = _numeric_rho(curve, u)
+    assert np.all(np.abs(negativity.leading_order(rho)) <= ULPS * EPS * _order_scale(curve, u, rho))
 
 
 @settings(max_examples=15, deadline=None)
 @given(curve=low_curves(), u=st.floats(0.0, 1.0))
 def test_closed_and_numeric_leading_orders_agree(curve, u):
-    junction = blocks.junction(curve.species, 40)
-    series = curve.series(junction, u)
-    closed = negativity.leading_from_series(series)
-    assume(closed.power > 0)
-    # away from the curve's zeros: at least a tenth of its period maximum
-    period = np.broadcast_to(curve.series(junction, np.linspace(0.0, 1.0, 21)), (21, 3))
-    scale = float(np.max(np.abs(period[:, closed.power])))
-    assume(abs(closed.coefficient) >= 0.1 * scale)
-    # probe where the leading term outweighs the next one twentyfold; pair
-    # curves need h far below the default ladder's 1e-2 for that
-    top = 1e-2
-    if closed.power == 1 and series[2] != 0.0:
-        top = min(top, 0.05 * abs(series[1] / series[2]))
-    numeric = negativity.leading_order(_numeric_rho(curve, u), probes=(top, top / 2, top / 4))
-    assert numeric.power == closed.power and numeric.converged
-    # the 1 % of `cavityent check`, of the curve's maximum; the observed
-    # worst is 4e-4, a Richardson remainder where the leading coefficient
-    # is a tenth of the maximum
-    assert abs(numeric.coefficient - closed.coefficient) < 1e-2 * scale
+    closed = curve.series(blocks.junction(curve.species, N_MAX), u)
+    rho = _numeric_rho(curve, u)
+    gap = np.abs(negativity.leading_order(rho) - closed)
+    assert np.all(gap <= ULPS * EPS * _order_scale(curve, u, rho))

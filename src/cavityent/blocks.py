@@ -11,12 +11,14 @@ duration u, then inertial again.  It is assembled from two ingredient types:
 * the diagonal free-evolution phases of the accelerated segment.
 
 The one-way trip is J^-1 P(u) J: match onto the accelerated basis, evolve,
-match back.  :func:`trip_rows` gives any of its rows on a whole u grid
-straight from the junction orders; the closed forms read a few rows and
-columns, once :func:`junction` has gated every trip of the u period at once.
-:func:`trip_stack` assembles and gates whole trips for the numeric route and
-the tests, and :func:`accelerated_phases` with ``compose`` and ``invert``
-gives the same trip by explicit composition, its reference.
+match back.  Two kernels read the trip straight from the junction orders
+on a whole u grid.  :func:`trip_lines` is the closed route's: the first-order
+rows and columns at a few labels and the second-order entries among those
+labels, all the closed forms read once :func:`junction` has gated every trip
+of the u period at once.  :func:`trip_rows` gives whole rows of every order;
+:func:`trip_stack` assembles and gates whole trips from it for the numeric
+route and the tests, and :func:`accelerated_phases` with ``compose`` and
+``invert`` gives the same trip by explicit composition, its reference.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ GATE_TOL = 5e-8
 # 28, 2.58e-8 / 5.69e-8 at 30, 2.58e-8 / 3.25e-8 at 31, at most 3.77e-8
 # (fermion, 34) from 31 to 59, and 5.29e-9 / 6.45e-9 at 56.
 MIN_N_MAX = 31
+
+# Largest n_max whose junction passes build_junction's 1e-9 zeroth-order
+# drift check, both species.  The drift is the ladder extraction's h^2 tail,
+# which grows with the cutoff because mode n expands in about h n at the fixed
+# ladder top: (boson / fermion) 8.41e-10 / 8.12e-10 at 116, 9.64e-10 /
+# 9.32e-10 at 118, 1.03e-9 / 9.97e-10 at 119 and 1.10e-9 / 1.07e-9 at 120.
+# A sweep also builds the junctions of its 2 n_max refinement.
+MAX_N_MAX = 118
 
 _cache: dict[tuple, object] = {}
 
@@ -183,6 +193,60 @@ def trip_rows(j, g, rows) -> tuple[np.ndarray, ...]:
         gr * b2[rows] + top[..., n:] - b2[:, rows].T * np.conj(gl) - bottom[..., :n],
     ])
     return alpha, beta
+
+
+def trip_lines(j, g, rows) -> tuple[np.ndarray, ...]:
+    """What the closed forms read of the trip J^-1 P J at phases ``g``.
+
+    ``g`` holds the phase of every mode on its last axis, any grid axes in
+    front; ``rows`` are the storage positions of the observed labels.  A
+    first-order line has shape g.shape[:-1] + (len(rows), n): entry (x, m) of
+    a row is trip entry (rows[x], m), of a column trip entry (m, rows[x]).  A
+    second-order block has shape g.shape[:-1] + (len(rows), len(rows)), entry
+    (x, y) the trip entry (rows[x], rows[y]).  Returns
+
+    * fermions: the rows and columns of a1 and the block of a2;
+    * bosons: the rows of beta1, the columns of alpha1 and beta1, and the
+      blocks of alpha2 and beta2.
+
+    The orders are those of :func:`trip_rows`.  Each second-order loop term
+    sum_m x[m, i] g_m y[m, k] is one (grid, n) @ (n, len(rows)^2) product, so
+    a grid point costs O(len(rows) n + len(rows)^2 n), not the O(len(rows)
+    n^2) of whole second-order rows.
+    """
+    rows = np.asarray(rows)
+    gl = g[..., None, :]  # phase of the free mode
+    gr = g[..., rows, None]  # phase of the row label
+    gk = g[..., None, rows]  # phase of the column label
+    block = np.ix_(rows, rows)
+
+    def loops(x, ys, phases):
+        # sum_m conj(x[m, i]) phases_m y[m, k] on the label block, per y of ys
+        pairs = np.conj(x)[:, None, :, None] * np.stack(ys, axis=1)[:, :, None, :]
+        out = phases @ pairs.reshape(x.shape[0], -1)
+        return np.moveaxis(out.reshape(out.shape[:-1] + pairs.shape[1:]), -3, 0)
+
+    if isinstance(j, FermionBogoliubov):
+        a1, a2 = j.a[1], j.a[2]
+        x = a1[:, rows]
+        (aa,) = loops(x, [x], g)
+        return (
+            np.conj(x).T * gl + gr * a1[rows],
+            x.T * gl + gr * np.conj(a1[rows]),
+            gr * a2[block] + aa + np.conj(a2[block]).T * gk,
+        )
+    a1, a2 = j.alpha[1], j.alpha[2]
+    b1, b2 = j.beta[1], j.beta[2]
+    x, y = a1[:, rows], b1[:, rows]
+    aa, ab = loops(x, [x, y], g)
+    bb, ba = loops(np.conj(y), [np.conj(y), np.conj(x)], np.conj(g))
+    return (
+        gr * b1[rows] - y.T * np.conj(gl),
+        x.T * gl + gr * np.conj(a1[rows]),
+        y.T * gl - np.conj(gr) * b1[rows],
+        gr * a2[block] + aa + np.conj(a2[block]).T * gk - bb,
+        gr * b2[block] + ab - b2[block].T * np.conj(gk) - ba,
+    )
 
 
 def trip_stack(species: str, n_max: int, u):

@@ -6,10 +6,12 @@ Two subcommands:
 * ``check``: run the structural invariant suites and report each one.
 
 Exit codes: 0 success, 2 configuration error (including an n_max below
-``blocks.MIN_N_MAX``, for either subcommand, and a curve label outside the
-cutoff's modes), 3 convergence gate failure, 4 invariant violation
-(including a numerical routine that cannot reach its accuracy target, such
-as a junction whose zeroth order drifts at a large n_max).
+``blocks.MIN_N_MAX``, for either subcommand; a junction cutoff above
+``blocks.MAX_N_MAX``, which is n_max for ``check`` and its 2 n_max
+refinement for ``sweep``; non-finite or non-increasing u bounds; and a curve
+label outside the cutoff's modes), 3 convergence gate failure, 4 invariant
+violation (including a numerical routine that cannot reach its accuracy
+target).
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def _crosscheck_states():
 
 
 def _cmd_check(args) -> int:
-    sweep.check_n_max(args.nmax)
+    sweep.check_n_max(args.nmax, deepest=args.nmax)
     failed = False
     for ok, label, detail in _check_lines(args.nmax):
         status = "ok  " if ok else "FAIL"

@@ -98,9 +98,10 @@ def leading_order(rho_orders: np.ndarray) -> np.ndarray:
 # Every closed form takes a junction J and a u grid (a scalar or any array)
 # and returns the series with the orders on the last axis, u.shape + (3,), or
 # zeros(3) for a curve that vanishes identically.  It reads the entries, rows
-# and norms of the states building blocks it needs from the trip's rows and
-# columns at the observed labels (:func:`cavityent.blocks.trip_rows`): a few
-# (n, n) products per grid, and no (len(u), n, n) array.
+# and norms of the states building blocks it needs from the trip's first-order
+# rows and columns at the observed labels and its second-order entries among
+# them (:func:`cavityent.blocks.trip_lines`): O(n) work per label and grid
+# point, and no full second-order row and no (len(u), n, n) array.
 
 
 def _pt_block(d1, d2, x) -> np.ndarray:
@@ -133,11 +134,10 @@ def _orders(zeroth, first, second) -> np.ndarray:
 
 
 class TripLines:
-    """Trip rows and columns at ``labels`` (storage positions ``at``) on a u grid.
-
-    ``rows[f][k][..., x, m]`` is entry (at[x], m) of order k of family f (a,
-    or alpha and beta), ``cols[f][k][..., x, m]`` entry (m, at[x]); ``rest``
-    masks every position but ``at``.
+    """What the closed forms read of the trip at ``labels`` (storage positions
+    ``at``) on a u grid: ``lines``, the result of
+    :func:`cavityent.blocks.trip_lines`, whose second-order blocks are indexed
+    by label position; ``rest`` masks every position but ``at``.
     """
 
     def __init__(self, j, u, labels):
@@ -147,9 +147,7 @@ class TripLines:
         self.at = [list(j.modes).index(int(m)) for m in labels]
         self.rest = np.ones(j.modes.size, dtype=bool)
         self.rest[self.at] = False
-        self.rows = blocks.trip_rows(j, self.g, self.at)
-        cols = blocks.trip_rows(j, np.conj(self.g), self.at)
-        self.cols = (np.conj(cols[0]), -cols[1]) if boson else (np.conj(cols[0]),)
+        self.lines = blocks.trip_lines(j, self.g, self.at)
 
     def phase(self, x: int) -> np.ndarray:
         return self.g[..., self.at[x]]
@@ -170,22 +168,21 @@ class BosonPieces(TripLines):
 
     def __init__(self, j, u, k: int, kp: int):
         super().__init__(j, u, (k, kp))
-        _, (_, b1r, b2r) = self.rows
-        (_, a1c, a2c), (_, b1c, _) = self.cols
+        b1r, a1c, b1c, a2, b2 = self.lines
         g, at = self.g, self.at
         # V = -conj(beta) G^+ + conj(beta1) G^+ alpha1 G^+ at second order, symmetrised
         gr = np.conj(g[..., at, None])
         self.v1 = -0.5 * (np.conj(b1r) * np.conj(g[..., None, :]) + np.conj(b1c) * gr)
         other = at[::-1]
         hop = np.sum(np.conj(b1r * g[..., None, :]) * a1c[..., ::-1, :], axis=-1)
-        raw2 = (hop - np.conj(b2r[..., [0, 1], other])) * np.conj(g[..., other])
+        raw2 = (hop - np.conj(b2[..., [0, 1], [1, 0]])) * np.conj(g[..., other])
         self.v = _orders(0.0, self.v1[..., 0, at[1]], 0.5 * np.sum(raw2, axis=-1))
         # D = conj(alpha) + V1^T beta1 at second order
         self.d1 = np.conj(a1c[..., 0, :])
         self.d = _orders(
             np.stack(np.broadcast_arrays(np.conj(self.phase(0)), 0.0), axis=-1),
             self.d1[..., at],
-            np.conj(a2c[..., 0, at]) + np.sum(self.v1 * b1c[..., :1, :], axis=-1),
+            np.conj(a2[..., :, 0]) + np.sum(self.v1 * b1c[..., :1, :], axis=-1),
         )
         # sum |V1|^2 = 1/2 sum |S|^2 - 1/2 Re(g^T |S|^2 g) with S = beta1 + beta1^T
         s = np.abs(j.beta[1] + j.beta[1].T) ** 2
@@ -268,42 +265,44 @@ class FermionPieces(TripLines):
     def __init__(self, j, u, labels):
         super().__init__(j, u, labels)
         self.part = j.modes >= 0
+        # first-order rows and columns, second-order block T2[x, y]
+        self.r1, self.c1, self.t2 = self.lines
 
     def v1_row(self, x: int) -> np.ndarray:
-        return -np.conj(self.phase(x))[..., None] * self.cols[0][1][..., x, :]
+        return -np.conj(self.phase(x))[..., None] * self.c1[..., x, :]
 
     def v1_col(self, x: int) -> np.ndarray:
-        return -np.conj(self.g) * self.rows[0][1][..., x, :]
+        return -np.conj(self.g) * self.r1[..., x, :]
 
     def v(self, xp: int, xq: int) -> np.ndarray:
         """Orders of V[p, q]: -conj(g_p) (T[q, p] + sum_p' T1[p', p] V1[p', q])."""
-        (_, c1, c2), at, part = self.cols[0], self.at, self.part
+        c1, at, part = self.c1, self.at, self.part
         hop = np.sum(c1[..., xp, part] * self.v1_col(xq)[..., part], axis=-1)
         gp = -np.conj(self.phase(xp))
-        return _orders(0.0, gp * c1[..., xp, at[xq]], gp * (c2[..., xp, at[xq]] + hop))
+        return _orders(0.0, gp * c1[..., xp, at[xq]], gp * (self.t2[..., xq, xp] + hop))
 
     def source1(self, xe: int) -> np.ndarray:
         """Column e of the first order of D (particle e) or E (antiparticle e)."""
-        c1 = self.cols[0][1][..., xe, :]
+        c1 = self.c1[..., xe, :]
         return np.conj(c1) if self.part[self.at[xe]] else c1
 
     def source(self, xe: int, xo: int) -> np.ndarray:
         """Orders of D[o, e] = conj(T[o, e]) - (V1 conj(T1))[o, e], or of
         E[o, e] = T[o, e] + (V1^T T1)[o, e]."""
-        (_, c1, c2), at, part = self.cols[0], self.at, self.part
+        c1, t2, at, part = self.c1, self.t2[..., xo, xe], self.at, self.part
         zeroth = self.phase(xe) if xe == xo else 0.0
         if part[at[xe]]:
             hop = np.sum(self.v1_row(xo)[..., ~part] * np.conj(c1[..., xe, ~part]), axis=-1)
-            return np.conj(_orders(zeroth, c1[..., xe, at[xo]], c2[..., xe, at[xo]] - np.conj(hop)))
+            return np.conj(_orders(zeroth, c1[..., xe, at[xo]], t2 - np.conj(hop)))
         hop = np.sum(self.v1_col(xo)[..., part] * c1[..., xe, part], axis=-1)
-        return _orders(zeroth, c1[..., xe, at[xo]], c2[..., xe, at[xo]] + hop)
+        return _orders(zeroth, c1[..., xe, at[xo]], t2 + hop)
 
     def pair_scalar(self, xp: int, xq: int) -> np.ndarray:
         """Orders of the closed-loop amplitude c0 of the pair b_p^+ c_q^+|0>."""
-        (_, c1, c2), at, anti = self.cols[0], self.at, ~self.part
+        c1, at, anti = self.c1, self.at, ~self.part
         gq = self.phase(xq)
         loop = np.sum(np.conj(c1[..., xp, anti]) * c1[..., xq, anti], axis=-1)
-        first, second = np.conj(c1[..., xp, at[xq]]), np.conj(c2[..., xp, at[xq]])
+        first, second = np.conj(c1[..., xp, at[xq]]), np.conj(self.t2[..., xq, xp])
         return _orders(0.0, first * gq, loop + second * gq)
 
     def norm(self) -> np.ndarray:
@@ -342,7 +341,8 @@ def fermion_particle_closed(j, u, kappa: int, pair) -> np.ndarray:
     if (kappa >= 0) != (partner >= 0):
         return np.zeros(3)
     pc = FermionPieces(j, u, (kappa, partner))
-    m2 = cauchy(pc.norm(), pc.norm())
+    m = pc.norm()
+    m2 = cauchy(m, m)
     if kappa >= 0:
         d1 = _weight(pc.v1_row(1)[..., ~pc.part])
         own = pc.part

@@ -5,9 +5,11 @@ pair), evaluates the closed-form negativity series at each point and reports
 the coefficient at the curve's leading power.  That is the quantity the
 figure-style panels plot: the h -> 0 limit of N/h for linear curves and of
 N/h^2 for the parity-suppressed ones, so a sweep takes no value of h at
-all.  A request is validated up front: its n_max must be at least
-``blocks.MIN_N_MAX``, below which the trips of the u period fail the
-identity gate, and every curve's mode labels must exist at that cutoff.
+all.  A request is validated up front: its u bounds must be finite and
+increasing, its n_max at least ``blocks.MIN_N_MAX``, below which the trips
+of the u period fail the identity gate, and at most half
+``blocks.MAX_N_MAX``, above which the refinement's junction fails its drift
+check, and every curve's mode labels must exist at that cutoff.
 
 No trip is assembled: each species' junction passes one identity gate that
 covers every trip of the u period (:func:`blocks.junction`), and the
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
+import math
 import sys
 import warnings
 
@@ -145,12 +147,20 @@ class CurveSpec:
         return negativity.fermion_pair_closed(junction, u, kappa, kappa_p)
 
 
-def check_n_max(n_max: int) -> None:
-    """Raise :class:`ConfigError` for a cutoff below ``blocks.MIN_N_MAX``."""
+def check_n_max(n_max: int, deepest: int) -> None:
+    """Raise :class:`ConfigError` for a cutoff below ``blocks.MIN_N_MAX``, or
+    one whose command builds junctions up to a cutoff ``deepest`` above
+    ``blocks.MAX_N_MAX``."""
     if n_max < blocks.MIN_N_MAX:
         raise ConfigError(
             f"n_max {n_max} is below {blocks.MIN_N_MAX}, the smallest cutoff "
             "whose trips pass the identity gate over a whole u period"
+        )
+    if deepest > blocks.MAX_N_MAX:
+        needs = "" if deepest == n_max else f" needs junctions at n_max {deepest}, which"
+        raise ConfigError(
+            f"n_max {n_max}{needs} is above {blocks.MAX_N_MAX}, the largest cutoff "
+            "whose junction passes the zeroth-order drift check"
         )
 
 
@@ -172,7 +182,16 @@ class SweepRequest:
             raise ConfigError("curve names must be unique")
         if self.steps < 2:
             raise ConfigError("a u grid needs at least 2 steps")
-        check_n_max(self.n_max)
+        for key in ("u_start", "u_stop"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if not self.u_stop > self.u_start:
+            raise ConfigError(
+                f"u_stop {self.u_stop} must exceed u_start {self.u_start}: rows run "
+                "over ascending u"
+            )
+        # the convergence gate builds the junctions at 2 n_max too
+        check_n_max(self.n_max, deepest=2 * self.n_max)
         for curve in self.curves:
             modes = blocks.boson_modes if curve.species == "boson" else blocks.fermion_modes
             lo, hi = modes(self.n_max)[[0, -1]]
@@ -273,33 +292,20 @@ def run_sweep(request: SweepRequest) -> SweepResult:
 
     rows = [
         Row(
-            u=float(grid[i]),
-            value=float(values[i, j]),
+            u=u,
+            value=value,
             power=powers[curve.name],
             curve=curve,
             converged=converged[curve.name],
         )
-        for i in range(grid.size)
-        for j, curve in enumerate(request.curves)
+        for u, line in zip(grid.tolist(), values.tolist())
+        for value, curve in zip(line, request.curves)
     ]
     return SweepResult(request, rows, powers, deltas, converged)
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _row_fields(row: Row) -> dict:
-    return {
-        "u": row.u,
-        "negativity_normalized": row.value,
-        "power": row.power,
-        "state": row.curve.state,
-        "species": row.curve.species,
-        "mode_a": row.curve.modes[0],
-        "mode_b": row.curve.modes[1],
-        "converged": row.converged,
-    }
 
 
 def _metadata(result: SweepResult) -> dict:
@@ -328,12 +334,46 @@ def _metadata(result: SweepResult) -> dict:
     }
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+# emit writes each row from one fixed template per format.  The bytes are
+# those of ",".join over the CSV_COLUMNS fields (floats as "{:.17g}",
+# booleans as true/false), and of json.dumps(..., indent=2, sort_keys=True)
+# of the row dicts, keyed by the CSV columns; Python's json module drops to
+# its pure-Python encoder whenever indent is set, which made the rows most of
+# a sweep's emit time.
+_JSON_ROW = "    {{\n" + ",\n".join(f'      "{c}": {{{c}}}' for c in sorted(CSV_COLUMNS)) + "\n    }}"
+_JSON_STRING = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    # json spells the non-finite floats NaN, Infinity and -Infinity
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _csv(result: SweepResult) -> str:
+    header = ",".join(CSV_COLUMNS) + "\n"
+    return header + "".join(
+        f"{row.u:.17g},{row.value:.17g},{row.power},{row.curve.state},{row.curve.species},"
+        f"{row.curve.modes[0]},{row.curve.modes[1]},{_bool(row.converged)}\n"
+        for row in result.rows
+    )
+
+
+def _json(result: SweepResult) -> str:
+    metadata = json.dumps(_metadata(result), indent=2, sort_keys=True).replace("\n", "\n  ")
+    rows = ",\n".join(
+        _JSON_ROW.format(
+            u=_json_float(row.u), negativity_normalized=_json_float(row.value),
+            power=row.power, state=_JSON_STRING(row.curve.state),
+            species=_JSON_STRING(row.curve.species), mode_a=row.curve.modes[0],
+            mode_b=row.curve.modes[1], converged=_bool(row.converged),
+        )
+        for row in result.rows
+    )
+    return '{\n  "metadata": ' + metadata + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
 
 
 def emit(result: SweepResult, fmt: str = "csv", path: str | None = None) -> str:
@@ -344,18 +384,9 @@ def emit(result: SweepResult, fmt: str = "csv", path: str | None = None) -> str:
     same package version on the same config produce identical bytes.
     """
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(CSV_COLUMNS) + "\n")
-        for row in result.rows:
-            fields = _row_fields(row)
-            buf.write(",".join(_format_value(fields[c]) for c in CSV_COLUMNS) + "\n")
-        text = buf.getvalue()
+        text = _csv(result)
     elif fmt == "json":
-        payload = {
-            "metadata": _metadata(result),
-            "rows": [_row_fields(row) for row in result.rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json(result)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
 

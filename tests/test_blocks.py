@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityent import blocks
+from cavityent import blocks, oracles
 from cavityent.bogoliubov import (
     BosonBogoliubov,
     check_identities,
@@ -280,6 +280,46 @@ def test_trip_rows_and_columns_match_the_stack(species, rng):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@st.composite
+def label_grids(draw):
+    """A species, a cutoff, a u grid and two or three distinct storage positions."""
+    species = draw(st.sampled_from(["boson", "fermion"]))
+    n_max = draw(st.sampled_from([31, 40, 56]))
+    us = draw(st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=6))
+    size = n_max if species == "boson" else 2 * n_max
+    at = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=3, unique=True))
+    return species, n_max, np.array(us), at
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=label_grids())
+def test_trip_lines_match_trip_rows(case):
+    # the closed route's kernel against whole trip rows: first-order rows at
+    # g and columns as rows at conj(g) (the adjoint, or minus the transpose
+    # for boson beta), and the second-order label block; each within 1e-13 of
+    # the junction order's largest entry, since the loop sums run in another
+    # order and the trip's own entries cancel to the truncation floor near
+    # integer u
+    species, n_max, us, at = case
+    j = blocks.junction(species, n_max)
+    g = blocks.free_phases(species, j.modes, us)
+    rows = blocks.trip_rows(j, g, at)
+    cols = blocks.trip_rows(j, np.conj(g), at)
+    if species == "fermion":
+        (a,), (ca,) = rows, cols
+        want = [a[1], np.conj(ca[1]), a[2][..., at]]
+        orders = [j.a[1], j.a[1], j.a[2]]
+    else:
+        (alpha, beta), (calpha, cbeta) = rows, cols
+        want = [beta[1], np.conj(calpha[1]), -cbeta[1], alpha[2][..., at], beta[2][..., at]]
+        orders = [j.beta[1], j.alpha[1], j.beta[1], j.alpha[2], j.beta[2]]
+    got = blocks.trip_lines(j, g, at)
+    assert len(got) == len(want)
+    for x, (line, ref, order) in enumerate(zip(got, want, orders)):
+        assert line.shape == ref.shape, x
+        assert np.max(np.abs(line - ref)) <= 1e-13 * np.max(np.abs(order)), x
+
+
 @pytest.mark.parametrize("species", ["boson", "fermion"])
 def test_batched_gate_matches_per_trip_residuals(species, rng, composed_trip):
     n_max = 40
@@ -315,6 +355,16 @@ def test_min_n_max_follows_from_the_period_bound():
         for species in ("boson", "fermion"):
             worst = _period_bound(species, n_max)[1]
             assert worst < blocks.GATE_TOL, (species, n_max, worst)
+
+
+def test_max_n_max_is_the_last_cutoff_through_the_drift_check():
+    # the zeroth-order drift of the ladder extraction grows with the cutoff:
+    # 9.64e-10 (boson) at MAX_N_MAX = 118, 1.03e-9 at 119
+    assert blocks.MAX_N_MAX == 118
+    for species in ("boson", "fermion"):
+        blocks.build_junction(species, blocks.MAX_N_MAX)
+    with pytest.raises(oracles.ConvergenceError, match="drifted"):
+        blocks.build_junction("boson", blocks.MAX_N_MAX + 1)
 
 
 # the direct residual carries complex128 rounding of its products (order 0 is

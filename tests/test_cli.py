@@ -59,6 +59,36 @@ def test_cutoff_below_the_trip_gate_floor_is_a_config_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["sweep", "fig1a", "--nmax", "60"], ["check", "--nmax", "119"], ["check", "--nmax", "120"]],
+    ids=["sweep-60", "check-119", "check-120"],
+)
+def test_cutoff_above_the_drift_ceiling_is_a_config_error(argv, capsys):
+    # 119 is the first cutoff past blocks.MAX_N_MAX; a sweep also builds its
+    # 2 n_max refinement, so --nmax 60 used to build every n_max-60 junction
+    # and then exit 4 on the drift of the n_max-120 one
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error") and f"above {blocks.MAX_N_MAX}" in err
+
+
+@pytest.mark.parametrize(
+    "sweep_section,key",
+    [("u_start = nan", "u_start"), ("u_stop = inf", "u_stop"),
+     ("u_start = 1\nu_stop = 0", "u_stop"), ("u_start = 0.5\nu_stop = 0.5", "u_stop")],
+    ids=["nan-start", "inf-stop", "descending", "empty"],
+)
+def test_malformed_u_grid_is_a_config_error(tmp_path, capsys, sweep_section, key):
+    path = tmp_path / "grid.cfg"
+    path.write_text(
+        f"[sweep]\n{sweep_section}\n[curve:a]\nspecies = boson\nstate = vacuum\nmodes = 1, 4\n"
+    )
+    assert cli.main(["sweep", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+
+
+@pytest.mark.parametrize(
     "species,modes,label",
     [("boson", "1, 50", "50"), ("fermion", "45, -1", "45")],
     ids=["boson", "fermion"],

@@ -119,6 +119,32 @@ def test_request_rejects_labels_beyond_the_cutoff(species, modes, label):
         SweepRequest(curves=(curve,), n_max=40)
 
 
+@pytest.mark.parametrize(
+    "bounds,key",
+    [
+        ({"u_start": float("nan")}, "u_start must be finite"),
+        ({"u_start": float("-inf")}, "u_start must be finite"),
+        ({"u_stop": float("inf")}, "u_stop must be finite"),
+        ({"u_stop": float("nan")}, "u_stop must be finite"),
+        ({"u_start": 1.0, "u_stop": 0.0}, "u_stop 0.0 must exceed u_start 1.0"),
+        ({"u_start": 0.5, "u_stop": 0.5}, "u_stop 0.5 must exceed u_start 0.5"),
+    ],
+    ids=["nan-start", "minus-inf-start", "inf-stop", "nan-stop", "descending", "empty"],
+)
+def test_request_rejects_malformed_u_grids(bounds, key):
+    with pytest.raises(ConfigError, match=key):
+        SweepRequest(curves=(_curve(),), **bounds)
+
+
+def test_request_cutoff_ceiling_counts_the_refinement():
+    # the convergence gate builds junctions at 2 n_max, which must pass the
+    # drift check: n_max up to MAX_N_MAX // 2 runs, one more is rejected
+    largest = blocks.MAX_N_MAX // 2
+    SweepRequest(curves=(_curve(),), n_max=largest)
+    with pytest.raises(ConfigError, match=f"n_max {largest + 1} needs junctions at n_max"):
+        SweepRequest(curves=(_curve(),), n_max=largest + 1)
+
+
 def test_request_accepts_the_outermost_labels():
     SweepRequest(curves=(_curve(modes=(1, 40)),), n_max=40)
     SweepRequest(curves=(_curve(species="fermion", modes=(39, -40)),), n_max=40)
@@ -286,6 +312,70 @@ def load_rows(text: str) -> list[dict]:
     return rows
 
 
+def _row_fields(row) -> dict:
+    return {
+        "u": row.u,
+        "negativity_normalized": row.value,
+        "power": row.power,
+        "state": row.curve.state,
+        "species": row.curve.species,
+        "mode_a": row.curve.modes[0],
+        "mode_b": row.curve.modes[1],
+        "converged": row.converged,
+    }
+
+
+def _generic_encoding(result, fmt: str) -> str:
+    """What emit writes, by the generic encoders: json.dumps of the whole
+    payload, or the CSV fields formatted one at a time by type."""
+    if fmt == "json":
+        payload = {"metadata": sweep._metadata(result),
+                   "rows": [_row_fields(row) for row in result.rows]}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def field(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return f"{value:.17g}"
+        return str(value)
+
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(field(_row_fields(row)[c]) for c in CSV_COLUMNS) for row in result.rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def mixed_result():
+    """Negative labels, an excited mode, and one unconverged curve among
+    converged ones, so that both boolean spellings appear in the rows."""
+    curves = (
+        CurveSpec("fpm1m3", "fermion", "one-particle", (-1, -3), -1),
+        CurveSpec("fv2m1", "fermion", "vacuum", (2, -1)),
+        CurveSpec("boson-vacuum-2-40", "boson", "vacuum", (2, 40)),
+    )
+    result = run_sweep(SweepRequest(curves=curves, steps=21, n_max=40))
+    assert set(result.converged.values()) == {True, False}
+    return result
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig1b", "mixed"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_matches_the_generic_encoders(name, fmt, mixed_result):
+    result = mixed_result if name == "mixed" else run_sweep(config.load_config(name))
+    assert emit(result, fmt=fmt) == _generic_encoding(result, fmt)
+
+
+def test_emit_spells_non_finite_values_as_json_does(mixed_result):
+    rows = list(mixed_result.rows)
+    for i, value in enumerate((float("nan"), float("inf"), float("-inf"))):
+        rows[i] = dataclasses.replace(rows[i], value=value)
+    result = dataclasses.replace(mixed_result, rows=rows)
+    for fmt in ("csv", "json"):
+        assert emit(result, fmt=fmt) == _generic_encoding(result, fmt)
+    assert '"negativity_normalized": NaN' in emit(result, fmt="json")
+
+
 def test_csv_layout_and_round_trip(small_result):
     text = emit(small_result)
     lines = text.strip().split("\n")
@@ -317,7 +407,7 @@ def test_json_metadata(small_result):
     assert set(meta["curves"]) == {c.name for c in SMALL_CURVES}
     for info in meta["curves"].values():
         assert info["converged"] is True
-    assert payload["rows"] == [sweep._row_fields(r) for r in small_result.rows]
+    assert payload["rows"] == [_row_fields(r) for r in small_result.rows]
 
 
 def test_json_and_csv_rows_agree(small_result):
@@ -448,15 +538,17 @@ def test_pauli_blocked_curves_are_exactly_zero(labels, u):
 def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
     # every junction a preset sweep reads, its refinement's too, is built
     # (and its own gate run) first; after that neither the trip assembly nor
-    # the direct identity gate may run
+    # the direct identity gate may run, and the closed forms read the trip
+    # through blocks.trip_lines alone, never the numeric route's trip_rows
     for species in ("boson", "fermion"):
         for n_max in (40, 80):
             blocks.junction(species, n_max)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a sweep assembled or directly gated a trip")
+        raise AssertionError("a sweep assembled, directly gated or read whole rows of a trip")
 
     monkeypatch.setattr(blocks, "trip_stack", forbidden)
+    monkeypatch.setattr(blocks, "trip_rows", forbidden)
     monkeypatch.setattr(blocks, "one_way_trip", forbidden)
     monkeypatch.setattr(blocks, "check_identities", forbidden)
     monkeypatch.setattr(bogoliubov, "check_identities", forbidden)

@@ -10,15 +10,11 @@ duration u, then inertial again.  It is assembled from two ingredient types:
   process and never stored on disk;
 * the diagonal free-evolution phases of the accelerated segment.
 
-The one-way trip is J^-1 P(u) J: match onto the accelerated basis, evolve,
-match back.  Two kernels read the trip straight from the junction orders
-on a whole u grid.  :func:`trip_lines` is the closed route's: the first-order
-rows and columns at a few labels and the second-order entries among those
-labels, all the closed forms read once :func:`junction` has gated every trip
-of the u period at once.  :func:`trip_rows` gives whole rows of every order;
-:func:`trip_stack` assembles and gates whole trips from it for the numeric
-route and the tests, and :func:`accelerated_phases` with ``compose`` and
-``invert`` gives the same trip by explicit composition, its reference.
+The one-way trip J^-1 P(u) J matches onto the accelerated basis, evolves
+and matches back.  :func:`one_way_trip` composes it with the group algebra
+of :mod:`cavityent.bogoliubov` for the numeric route; :func:`trip_lines`
+multiplies its orders out and reads only what the closed forms need.
+Neither gates a trip: :func:`junction` has gated every trip of the u period.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracles
-from .bogoliubov import BosonBogoliubov, FermionBogoliubov, check_identities, check_period
+from .bogoliubov import BosonBogoliubov, FermionBogoliubov, check_period, compose, invert
 
 DEFAULT_LADDER = oracles.geometric_ladder(top=0.02, count=4)
 
@@ -132,67 +128,11 @@ def free_phases(species: str, modes, u) -> np.ndarray:
     return np.exp(-2j * np.pi * (modes + 0.5) * u)
 
 
-def accelerated_phases(species: str, n_max: int, u: float):
-    """Free evolution in the accelerated basis for dimensionless duration u."""
+def accelerated_phases(species: str, n_max: int, u):
+    """Free evolution in the accelerated basis for duration u, a scalar or an array."""
     modes = boson_modes(n_max) if species == "boson" else fermion_modes(n_max)
     cls = BosonBogoliubov if species == "boson" else FermionBogoliubov
     return cls.from_phases(modes, free_phases(species, modes, u))
-
-
-def trip_rows(j, g, rows) -> tuple[np.ndarray, ...]:
-    """Rows ``rows`` (storage positions) of the trip J^-1 P J at phases ``g``.
-
-    ``g`` holds the phase of every mode on its last axis, any grid axes in
-    front.  Returns the order arrays (a,) for fermions or (alpha, beta) for
-    bosons, each of shape (3,) + g.shape[:-1] + (len(rows), n).  With
-    G = diag(g), junction orders J1, J2 (fermions) or alpha1, alpha2, beta1,
-    beta2 (bosons) and the junction's exact zeroth order (identity, zero
-    beta) multiplied out, the trip orders are
-
-    * fermions: G, J1^+ G + G J1, J2^+ G + J1^+ G J1 + G J2;
-    * bosons: alpha = G, alpha1^+ G + G alpha1,
-      alpha2^+ G + alpha1^+ G alpha1 + G alpha2 - beta1^T conj(G beta1), and
-      beta = 0, G beta1 - beta1^T conj(G),
-      G beta2 + alpha1^+ G beta1 - beta2^T conj(G) - beta1^T conj(G alpha1).
-
-    Columns are rows at conj(g): the trip at conj(g) is the adjoint of the
-    trip at g (fermions, boson alpha) or minus its transpose (boson beta).
-    """
-    rows = np.asarray(rows)
-
-    def mul(x, y):  # one BLAS call for the whole grid, not one per grid point
-        return (x.reshape(-1, x.shape[-1]) @ y).reshape(x.shape[:-1] + y.shape[-1:])
-
-    gl = g[..., None, :]  # phase of the column mode
-    gr = g[..., rows, None]  # phase of the row mode
-    t0 = np.zeros(gr.shape[:-1] + g.shape[-1:], dtype=complex)
-    t0[..., np.arange(rows.size), rows] = g[..., rows]
-    if isinstance(j, FermionBogoliubov):
-        a1, a2 = j.a[1], j.a[2]
-        h = np.conj(a1[:, rows]).T * gl  # rows of J1^+ G
-        t2 = np.conj(a2[:, rows]).T * gl + mul(h, a1) + gr * a2[rows]
-        return (np.stack([t0, h + gr * a1[rows], t2]),)
-    a1, a2 = j.alpha[1], j.alpha[2]
-    b1, b2 = j.beta[1], j.beta[2]
-    n = a1.shape[0]
-    # with M = [alpha1 beta1], the rows of alpha1^+ G M hold alpha1^+ G alpha1
-    # and alpha1^+ G beta1, those of beta1^T conj(G M) beta1^T conj(G alpha1)
-    # and beta1^T conj(G beta1)
-    m = np.concatenate([a1, b1], axis=-1)
-    ha = np.conj(a1[:, rows]).T * gl  # rows of alpha1^+ G
-    hb = b1[:, rows].T * np.conj(gl)  # rows of beta1^T conj(G)
-    top, bottom = mul(ha, m), mul(hb, np.conj(m))
-    alpha = np.stack([
-        t0,
-        ha + gr * a1[rows],
-        np.conj(a2[:, rows]).T * gl + top[..., :n] + gr * a2[rows] - bottom[..., n:],
-    ])
-    beta = np.stack([
-        np.zeros_like(t0),
-        gr * b1[rows] - hb,
-        gr * b2[rows] + top[..., n:] - b2[:, rows].T * np.conj(gl) - bottom[..., :n],
-    ])
-    return alpha, beta
 
 
 def trip_lines(j, g, rows) -> tuple[np.ndarray, ...]:
@@ -209,10 +149,18 @@ def trip_lines(j, g, rows) -> tuple[np.ndarray, ...]:
     * bosons: the rows of beta1, the columns of alpha1 and beta1, and the
       blocks of alpha2 and beta2.
 
-    The orders are those of :func:`trip_rows`.  Each second-order loop term
-    sum_m x[m, i] g_m y[m, k] is one (grid, n) @ (n, len(rows)^2) product, so
-    a grid point costs O(len(rows) n + len(rows)^2 n), not the O(len(rows)
-    n^2) of whole second-order rows.
+    With G = diag(g) and the junction's zeroth order exact (identity, zero
+    beta), trip orders (left) multiply out from junction orders (right) as
+    a1 = J1^+ G + G J1 and a2 = J2^+ G + J1^+ G J1 + G J2 for fermions, and
+    alpha1 = alpha1^+ G + G alpha1, beta1 = G beta1 - beta1^T conj(G),
+    alpha2 = alpha2^+ G + alpha1^+ G alpha1 + G alpha2 - beta1^T conj(G beta1),
+    beta2 = G beta2 + alpha1^+ G beta1 - beta2^T conj(G) - beta1^T conj(G alpha1)
+    for bosons.
+
+    Each second-order loop term sum_m x[m, i] g_m y[m, k] is one
+    (grid, n) @ (n, len(rows)^2) product, so a grid point costs
+    O(len(rows) n + len(rows)^2 n), not the O(len(rows) n^2) of whole
+    second-order rows.
     """
     rows = np.asarray(rows)
     gl = g[..., None, :]  # phase of the free mode
@@ -249,22 +197,11 @@ def trip_lines(j, g, rows) -> tuple[np.ndarray, ...]:
     )
 
 
-def trip_stack(species: str, n_max: int, u):
-    """One-way trips J^-1 P(u) J for every u in ``u``, to second order.
+def one_way_trip(species: str, n_max: int, u):
+    """Inertial -> accelerated (duration u) -> inertial: the trip J^-1 P(u) J.
 
     ``u`` may be a scalar or an array; the result's matrices have shape
-    (3,) + u.shape + (n, n): every row of :func:`trip_rows`.  Every trip
-    passes the identity gate on the interior window before the stack is
-    released.
+    (3,) + u.shape + (n, n).  :func:`junction` has gated every such trip.
     """
     j = junction(species, n_max)
-    orders = trip_rows(j, free_phases(species, j.modes, u), np.arange(j.modes.size))
-    trip = type(j)(*orders, j.modes)
-    check_identities(trip, tol=GATE_TOL, window=interior_window(species, n_max))
-    return trip
-
-
-def one_way_trip(species: str, n_max: int, u: float):
-    """Inertial -> accelerated (duration u) -> inertial: :func:`trip_stack` at one u."""
-    return trip_stack(species, n_max, float(u))
-
+    return compose(invert(j), compose(accelerated_phases(species, n_max, u), j))

@@ -245,25 +245,15 @@ def _gate(residuals: dict[str, np.ndarray], tol: float, what: str) -> dict[str, 
     return residuals
 
 
-def check_identities(t, tol: float = 1e-8, window=None) -> dict[str, np.ndarray]:
-    """Raise :class:`InvariantViolation` if the identities fail beyond ``tol``.
-
-    Per-order residuals are weighted as r0, h r1, h^2 r2 with h = ``H_REF``,
-    i.e. the size each would have at the largest acceleration of interest.
-    The second-order residual always carries the truncated mode tail, so its
-    raw value is only meaningful once weighted this way.  A stack of
-    transformations passes only if every member does.
-    """
-    return _gate(identity_residuals(t, window=window), tol, "identity")
-
-
 def check_period(j, tol: float = 1e-8, window=None) -> dict[str, np.ndarray]:
     """Gate the junction ``j`` and every trip of the u period it makes.
 
-    The junction's own identities are gated first, as by
-    :func:`check_identities`, then the bound of :func:`period_residuals` on
-    every trip J^-1 P(u) J at once; both read the junction's residual
-    blocks, formed once.  Returns the trip bound.
+    Each gate raises :class:`InvariantViolation` if its weighted residual
+    (:func:`weighted_residual`) exceeds ``tol``.  The junction's own
+    identities (the per-order maxima of :func:`identity_residuals`) are gated
+    first, then the bound of :func:`period_residuals` on every trip
+    J^-1 P(u) J at once; both read the junction's residual blocks, formed
+    once.  Returns the trip bound.
     """
     res = _residual_blocks(j, window)
     _gate(_maxima(res), tol, "identity")
@@ -271,6 +261,7 @@ def check_period(j, tol: float = 1e-8, window=None) -> dict[str, np.ndarray]:
 
 
 def weighted_residual(r: np.ndarray) -> float:
-    """Largest H_REF^k r_k over the orders k and any stack axes of ``r``."""
+    """Largest H_REF^k r_k over the orders k and any stack axes of ``r``: each
+    order's residual at h = H_REF, the largest acceleration of interest."""
     weights = (H_REF ** np.arange(N_ORDERS)).reshape((N_ORDERS,) + (1,) * (r.ndim - 1))
     return float(np.max(r * weights))

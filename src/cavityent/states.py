@@ -22,11 +22,10 @@ zeroth- or first-order amplitude, plus keys supported entirely on the
 observed pair).  Pass ``full_second_order=True`` to keep everything; that is
 only sensible for small mode windows.
 
-The matrix building blocks (pair matrices, sources, norm factors) accept a
-stack of transformations as well and return order stacks with the same stack
-axes; the state expansions themselves take one transformation.  The closed
-forms in :mod:`cavityent.negativity` evaluate the same blocks from junction
-rows without this module, and the tests hold the two against each other.
+The matrix building blocks (pair matrices, sources, norm factors) take one
+transformation, as the state expansions do.  The closed forms in
+:mod:`cavityent.negativity` evaluate the same blocks from junction rows
+without this module, and the tests hold the two against each other.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class StateExpansion:
 
 
 def boson_pair_matrix(t: BosonBogoliubov) -> np.ndarray:
-    """Order stack (3, ..., n, n) of the pair matrix V = -conj(beta) alpha^-1.
+    """Orders (3, n, n) of the pair matrix V = -conj(beta) alpha^-1.
 
     The symmetrised matrix is returned, so that W = 1/2 sum_pq V_pq b_p^+ b_q^+
     can be read off the upper triangle directly.  Any asymmetry beyond the
@@ -107,7 +106,7 @@ def boson_norm_factor(v: np.ndarray) -> np.ndarray:
 
 
 def boson_source_matrix(t: BosonBogoliubov, v: np.ndarray) -> np.ndarray:
-    """Order stack of D, with D[:, k] the one-particle source for mode k."""
+    """Orders of D, with D[:, k] the one-particle source for mode k."""
     g = _diagonal_phases(t.alpha[0])
     d = np.zeros((N_ORDERS,) + v[1].shape, dtype=complex)
     d[0] = diagonal_stack(np.conj(g))
@@ -127,7 +126,7 @@ def _charge_masks(t: FermionBogoliubov):
 
 
 def fermion_pair_matrix(t: FermionBogoliubov) -> np.ndarray:
-    """Order stack of the pair matrix in |0> = M exp(sum V_pq b_p^+ c_q^+)|0~>.
+    """Orders of the pair matrix in |0> = M exp(sum V_pq b_p^+ c_q^+)|0~>.
 
     Rows run over particle labels (kappa >= 0) ascending, columns over
     antiparticle labels ascending.

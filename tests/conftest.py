@@ -39,12 +39,12 @@ def fermion_trip():
 
 @pytest.fixture(scope="session")
 def composed_trip():
-    """``trip(species, n_max, u)``: the one-way trip J^-1 P(u) J by explicit
-    composition.
+    """``trip(species, n_max, u)``: the one-way trip J^-1 P(u) J composed as
+    ``blocks.one_way_trip`` composes it, from an ungated junction.
 
-    This is the independent reference route for ``blocks.trip_stack``.  It
-    gates neither the junction nor the trip, so it also builds the trips of
-    the truncated-Fock tests, whose n_max lies below ``blocks.MIN_N_MAX``.
+    So it also builds the trips of the truncated-Fock tests, whose n_max lies
+    below ``blocks.MIN_N_MAX``, where the gate of ``blocks.junction`` may
+    reject the junction.
     """
 
     junction = functools.cache(blocks.build_junction)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cavityent import blocks, oracles
 from cavityent.bogoliubov import (
     BosonBogoliubov,
-    check_identities,
+    check_period,
     identity_residuals,
     period_residuals,
     weighted_residual,
@@ -143,12 +143,12 @@ def test_mirror_action_on_junction(boson_junction):
     assert np.allclose(m.beta[1], -boson_junction.beta[1], atol=1e-14)
     assert np.allclose(m.alpha[1], -boson_junction.alpha[1], atol=1e-14)
     assert np.allclose(m.alpha[2], boson_junction.alpha[2], atol=1e-14)
-    check_identities(m, tol=5e-8, window=blocks.interior_window("boson", 40))
+    check_period(m, tol=5e-8, window=blocks.interior_window("boson", 40))
 
 
 def test_junction_gate_passes(boson_junction, fermion_junction):
     for species, j in (("boson", boson_junction), ("fermion", fermion_junction)):
-        check_identities(j, tol=5e-8, window=blocks.interior_window(species, 40))
+        check_period(j, tol=5e-8, window=blocks.interior_window(species, 40))
 
 
 def test_junction_is_memoized(boson_junction):
@@ -209,7 +209,7 @@ PERIOD_U = st.floats(0.0, 1.0, exclude_max=True)
 @settings(max_examples=20, deadline=None)
 @given(u=PERIOD_U)
 def test_boson_trip_is_periodic(u):
-    trips = blocks.trip_stack("boson", 40, [u, u + 1.0])
+    trips = blocks.one_way_trip("boson", 40, [u, u + 1.0])
     assert np.allclose(trips.alpha[:, 1], trips.alpha[:, 0], atol=1e-12)
     assert np.allclose(trips.beta[:, 1], trips.beta[:, 0], atol=1e-12)
 
@@ -217,7 +217,7 @@ def test_boson_trip_is_periodic(u):
 @settings(max_examples=20, deadline=None)
 @given(u=PERIOD_U)
 def test_fermion_trip_flips_sign_after_one_period(u):
-    trips = blocks.trip_stack("fermion", 40, [u, u + 1.0])
+    trips = blocks.one_way_trip("fermion", 40, [u, u + 1.0])
     assert np.allclose(trips.a[:, 1], -trips.a[:, 0], atol=1e-12)
 
 
@@ -233,7 +233,7 @@ def test_trip_at_unit_u_is_identity_in_interior():
     assert np.max(np.abs(t.beta[:, sel][:, :, sel])) < 1e-5
 
 
-# --- batched trip stacks -------------------------------------------------------
+# --- batched trips --------------------------------------------------------------
 
 
 def _families(t):
@@ -243,41 +243,16 @@ def _families(t):
 
 
 @pytest.mark.parametrize("species", ["boson", "fermion"])
-def test_trip_stack_matches_composition(species, rng, composed_trip):
-    # the stack multiplies the orders out in another association than the
-    # composition does, so they agree to complex128 rounding, not bitwise
+def test_trip_on_a_u_array_matches_single_trips(species, rng):
     n_max = 40
     us = rng.uniform(-1.0, 2.0, size=16)
-    stack = blocks.trip_stack(species, n_max, us)
+    stack = _families(blocks.one_way_trip(species, n_max, us))
     for i, u in enumerate(us):
-        want = _families(composed_trip(species, n_max, u))
-        single = _families(blocks.one_way_trip(species, n_max, u))
-        for got_all, ref, one in zip(_families(stack), want, single):
+        for got_all, one in zip(stack, _families(blocks.one_way_trip(species, n_max, u))):
             got = got_all[:, i]
-            assert np.array_equal(one, got)
             for k in range(3):
-                scale = np.max(np.abs(ref[k]))
-                assert np.max(np.abs(got[k] - ref[k])) <= 1e-13 * scale, (u, k)
-
-
-@pytest.mark.parametrize("species", ["boson", "fermion"])
-def test_trip_rows_and_columns_match_the_stack(species, rng):
-    # columns are read as rows at the conjugate phases: the adjoint of the
-    # trip (fermions, boson alpha) or minus its transpose (boson beta)
-    n_max = 40
-    us = rng.uniform(0.0, 1.0, size=5)
-    j = blocks.junction(species, n_max)
-    at = sorted(rng.choice(j.modes.size, size=3, replace=False))
-    g = blocks.free_phases(species, j.modes, us)
-    stack = _families(blocks.trip_stack(species, n_max, us))
-    rows = blocks.trip_rows(j, g, at)
-    cols = blocks.trip_rows(j, np.conj(g), at)
-    signs = (1, -1) if species == "boson" else (1,)
-    for full, row, col, sign in zip(stack, rows, cols, signs):
-        np.testing.assert_array_equal(row, full[..., at, :])
-        want = np.swapaxes(full[..., at], -1, -2)
-        got = np.conj(col) if sign > 0 else -col
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+                scale = np.max(np.abs(one[k]))
+                assert np.max(np.abs(got[k] - one[k])) <= 1e-14 * scale, (u, k)
 
 
 @st.composite
@@ -294,47 +269,35 @@ def label_grids(draw):
 @settings(max_examples=40, deadline=None)
 @given(case=label_grids())
 def test_trip_lines_match_trip_rows(case):
-    # the closed route's kernel against whole trip rows: first-order rows at
-    # g and columns as rows at conj(g) (the adjoint, or minus the transpose
-    # for boson beta), and the second-order label block; each within 1e-13 of
-    # the junction order's largest entry, since the loop sums run in another
+    # the closed route's kernel against rows, columns and the second-order
+    # label block indexed from the composed trip; each within 1e-13 of the
+    # junction order's largest entry, since the two multiply out in another
     # order and the trip's own entries cancel to the truncation floor near
     # integer u
     species, n_max, us, at = case
     j = blocks.junction(species, n_max)
     g = blocks.free_phases(species, j.modes, us)
-    rows = blocks.trip_rows(j, g, at)
-    cols = blocks.trip_rows(j, np.conj(g), at)
+    trip = blocks.one_way_trip(species, n_max, us)
+    block = np.ix_(at, at)
     if species == "fermion":
-        (a,), (ca,) = rows, cols
-        want = [a[1], np.conj(ca[1]), a[2][..., at]]
+        a = trip.a
+        want = [a[1][..., at, :], np.swapaxes(a[1][..., at], -1, -2), a[2][(Ellipsis,) + block]]
         orders = [j.a[1], j.a[1], j.a[2]]
     else:
-        (alpha, beta), (calpha, cbeta) = rows, cols
-        want = [beta[1], np.conj(calpha[1]), -cbeta[1], alpha[2][..., at], beta[2][..., at]]
+        alpha, beta = trip.alpha, trip.beta
+        want = [
+            beta[1][..., at, :],
+            np.swapaxes(alpha[1][..., at], -1, -2),
+            np.swapaxes(beta[1][..., at], -1, -2),
+            alpha[2][(Ellipsis,) + block],
+            beta[2][(Ellipsis,) + block],
+        ]
         orders = [j.beta[1], j.alpha[1], j.beta[1], j.alpha[2], j.beta[2]]
     got = blocks.trip_lines(j, g, at)
     assert len(got) == len(want)
     for x, (line, ref, order) in enumerate(zip(got, want, orders)):
         assert line.shape == ref.shape, x
         assert np.max(np.abs(line - ref)) <= 1e-13 * np.max(np.abs(order)), x
-
-
-@pytest.mark.parametrize("species", ["boson", "fermion"])
-def test_batched_gate_matches_per_trip_residuals(species, rng, composed_trip):
-    n_max = 40
-    window = blocks.interior_window(species, n_max)
-    us = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 2.0, size=5)])
-    batched = identity_residuals(blocks.trip_stack(species, n_max, us), window=window)
-    per_trip = [identity_residuals(composed_trip(species, n_max, u), window=window) for u in us]
-    for name, r in batched.items():
-        assert r.shape == (3, us.size)
-        want = np.stack([p[name] for p in per_trip], axis=1)
-        np.testing.assert_allclose(r, want, rtol=1e-6, atol=1e-14)
-    worst = max(weighted_residual(r) for r in batched.values())
-    want_worst = max(weighted_residual(r) for p in per_trip for r in p.values())
-    assert worst == pytest.approx(want_worst, rel=1e-6)
-    assert 0.0 < worst < 5e-8
 
 
 # --- the whole-period trip gate ------------------------------------------------
@@ -386,7 +349,7 @@ FAMILY = {
 def test_trip_residual_never_exceeds_the_period_bound(species, n_max, u):
     window = blocks.interior_window(species, n_max)
     bound, _ = _period_bound(species, n_max, blocks.junction(species, n_max))
-    direct = identity_residuals(blocks.trip_stack(species, n_max, u), window=window)
+    direct = identity_residuals(blocks.one_way_trip(species, n_max, u), window=window)
     for name, r in direct.items():
         assert np.all(r <= bound[FAMILY[name]] + ROUNDING), (name, r, bound[FAMILY[name]])
 
@@ -398,7 +361,7 @@ def test_period_bound_is_reached_on_a_fine_grid(species):
     j = blocks.junction(species, 40)
     window = blocks.interior_window(species, 40)
     bound, _ = _period_bound(species, 40, j)
-    direct = identity_residuals(blocks.trip_stack(species, 40, np.linspace(0, 1, 401)), window)
+    direct = identity_residuals(blocks.one_way_trip(species, 40, np.linspace(0, 1, 401)), window)
     for name, r in direct.items():
         top = bound[FAMILY[name]][1]
         assert 0.9 * top <= np.max(r[1]) <= top + ROUNDING

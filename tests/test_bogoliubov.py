@@ -14,16 +14,22 @@ from cavityent.bogoliubov import (
     BosonBogoliubov,
     FermionBogoliubov,
     InvariantViolation,
-    check_identities,
+    check_period,
     compose,
     identity_residuals,
     invert,
+    weighted_residual,
 )
 
 from reflection import mirror
 
 N = 5
 MODES = np.arange(1, N + 1)
+
+
+def _weighted(t, window=None):
+    """The gated size of the identity residuals: the first stage of check_period."""
+    return max(weighted_residual(r) for r in identity_residuals(t, window).values())
 
 
 def _at(orders, h):
@@ -68,15 +74,15 @@ def test_boson_taylor_orders_match_expm(rng):
 
 def test_boson_identities_hold_for_group_element(rng):
     t = _synthetic_boson(rng)
-    residuals = check_identities(t, tol=1e-10)
-    for name, r in residuals.items():
+    assert _weighted(t) <= 1e-10
+    for name, r in identity_residuals(t).items():
         assert np.max(r) < 1e-12, name
 
 
 def test_fermion_identities_hold_for_group_element(rng):
     t = _synthetic_fermion(rng)
-    residuals = check_identities(t, tol=1e-10)
-    for r in residuals.values():
+    assert _weighted(t) <= 1e-10
+    for r in identity_residuals(t).values():
         assert np.max(r) < 1e-12
 
 
@@ -86,16 +92,16 @@ def test_sign_corruption_is_detected(rng):
     upper = np.triu(np.ones((N, N), dtype=bool), k=1)
     bad[1][upper] *= -1.0  # breaks the pair symmetry at first order
     corrupted = BosonBogoliubov(t.alpha, bad, MODES)
-    with pytest.raises(InvariantViolation):
-        check_identities(corrupted)
+    with pytest.raises(InvariantViolation, match="^identity residual"):
+        check_period(corrupted)
 
 
 def test_fermion_corruption_is_detected(rng):
     t = _synthetic_fermion(rng)
     bad = t.a.copy()
     bad[1, 0, 1] += 0.1
-    with pytest.raises(InvariantViolation):
-        check_identities(FermionBogoliubov(bad, MODES))
+    with pytest.raises(InvariantViolation, match="^identity residual"):
+        check_period(FermionBogoliubov(bad, MODES))
 
 
 def test_invert_then_compose_is_identity(rng):
@@ -134,7 +140,7 @@ def test_fermion_compose_matches_matrix_product(rng):
 def test_mirror_is_involutive_and_preserves_identities(rng):
     t = _synthetic_boson(rng)
     m = mirror(t)
-    check_identities(m, tol=1e-10)
+    assert _weighted(m) <= 1e-10
     back = mirror(m)
     assert np.allclose(back.alpha, t.alpha)
     assert np.allclose(back.beta, t.beta)
@@ -162,8 +168,8 @@ def test_window_restricts_residuals(rng):
     corrupted = BosonBogoliubov(t.alpha, bad, MODES)
     inner = identity_residuals(corrupted, window=(1, N - 2))
     assert all(np.max(r) < 1e-12 for r in inner.values())
-    with pytest.raises(InvariantViolation):
-        check_identities(corrupted)
+    with pytest.raises(InvariantViolation, match="^identity residual"):
+        check_period(corrupted)
 
 
 def test_from_phases_builders():
@@ -172,7 +178,7 @@ def test_from_phases_builders():
     assert np.allclose(np.diag(b.alpha[0]), phases)
     assert not b.alpha[1:].any() and not b.beta.any()
     f = FermionBogoliubov.from_phases(MODES, phases)
-    check_identities(f, tol=1e-12)
+    assert _weighted(f) <= 1e-12
     ones = np.ones(N)
     for t in (BosonBogoliubov.from_phases(MODES, ones), FermionBogoliubov.from_phases(MODES, ones)):
         orders = t.alpha if isinstance(t, BosonBogoliubov) else t.a

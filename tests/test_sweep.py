@@ -537,21 +537,20 @@ def test_pauli_blocked_curves_are_exactly_zero(labels, u):
 
 def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
     # every junction a preset sweep reads, its refinement's too, is built
-    # (and its own gate run) first; after that neither the trip assembly nor
-    # the direct identity gate may run, and the closed forms read the trip
-    # through blocks.trip_lines alone, never the numeric route's trip_rows
+    # (and gated) first; after that no trip may be composed, and the closed
+    # forms read the trip through blocks.trip_lines alone
     for species in ("boson", "fermion"):
         for n_max in (40, 80):
             blocks.junction(species, n_max)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a sweep assembled, directly gated or read whole rows of a trip")
+        raise AssertionError("a sweep assembled a trip")
 
-    monkeypatch.setattr(blocks, "trip_stack", forbidden)
-    monkeypatch.setattr(blocks, "trip_rows", forbidden)
     monkeypatch.setattr(blocks, "one_way_trip", forbidden)
-    monkeypatch.setattr(blocks, "check_identities", forbidden)
-    monkeypatch.setattr(bogoliubov, "check_identities", forbidden)
+    monkeypatch.setattr(blocks, "compose", forbidden)
+    monkeypatch.setattr(blocks, "invert", forbidden)
+    monkeypatch.setattr(bogoliubov, "compose", forbidden)
+    monkeypatch.setattr(bogoliubov, "invert", forbidden)
     for name in config.PRESETS:
         assert run_sweep(config.load_config(name)).all_converged
 

@@ -136,8 +136,8 @@ def _check_lines(n_max: int):
     yield max(da, db) < 1e-10, "assembled first-order interference", f"max {max(da, db):.2e}"
 
     junctions = {"boson": bj, "fermion": fj}
-    grid = np.array([0.37, 1.37])
-    s_a, s_b = np.stack([c.series(junctions[c.species], grid) for c in _preset_curves()], axis=1)
+    recurrence = {s: negativity.TripGrid(j, np.array([0.37, 1.37])) for s, j in junctions.items()}
+    s_a, s_b = np.stack([c.series(recurrence[c.species]) for c in _preset_curves()], axis=1)
     worst = float(np.max(np.abs(s_a - s_b)))
     yield worst < 1e-8, "period-1 recurrence of preset curves", f"max {worst:.2e}"
 
@@ -146,8 +146,9 @@ def _check_lines(n_max: int):
     # 0.67, 0.97 and 0.66 ulps at n_max 32, 40 and 80)
     worst = 0.0
     all_ok = True
+    at_u = {s: negativity.TripGrid(j, u) for s, j in junctions.items()}
     for curve, build in _crosscheck_states():
-        closed = curve.series(junctions[curve.species], u)
+        closed = curve.series(at_u[curve.species])
         rho = states.reduce_to_pair(build(trips[curve.species]))
         gap = np.abs(negativity.leading_order(rho) - closed)
         ulps = float(np.max(gap / (np.finfo(float).eps * np.linalg.norm(rho, axis=(1, 2)))))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import configparser
 from importlib import resources
 
-from .sweep import ConfigError, CurveSpec, SweepRequest, config_digest
+from .sweep import ConfigError, CurveSpec, SweepRequest
 
 SWEEP_KEYS = {"u_start", "u_stop", "steps", "n_max"}
 CURVE_KEYS = {"species", "state", "modes", "excite"}
@@ -93,9 +93,7 @@ def parse_config(text: str) -> SweepRequest:
         else:
             raise ConfigError(f"unknown section [{section}]")
 
-    return SweepRequest(
-        curves=tuple(curves), config_sha256=config_digest(text), **sweep_kwargs
-    )
+    return SweepRequest(curves=tuple(curves), config_text=text, **sweep_kwargs)
 
 
 def preset_text(name: str) -> str:

@@ -95,13 +95,14 @@ def leading_order(rho_orders: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # closed route, shared pieces
 #
-# Every closed form takes a junction J and a u grid (a scalar or any array)
-# and returns the series with the orders on the last axis, u.shape + (3,), or
-# zeros(3) for a curve that vanishes identically.  It reads the entries, rows
-# and norms of the states building blocks it needs from the trip's first-order
-# rows and columns at the observed labels and its second-order entries among
-# them (:func:`cavityent.blocks.trip_lines`): O(n) work per label and grid
-# point, and no full second-order row and no (len(u), n, n) array.
+# Every closed form takes a species' :class:`TripGrid`, its junction J on a u
+# grid (a scalar or any array), and returns the series with the orders on the
+# last axis, u.shape + (3,), or zeros(3) for a curve that vanishes
+# identically.  It reads the entries, rows and norms of the states building
+# blocks it needs from the trip's first-order rows and columns at the
+# observed labels and its second-order entries among them
+# (:func:`cavityent.blocks.trip_lines`): O(n) work per label and grid point,
+# and no full second-order row and no (len(u), n, n) array.
 
 
 def _pt_block(d1, d2, x) -> np.ndarray:
@@ -133,17 +134,42 @@ def _orders(zeroth, first, second) -> np.ndarray:
     return np.stack(np.broadcast_arrays(zeroth, first, second))
 
 
+class TripGrid:
+    """What every closed form of a species reads on a u grid, whatever its
+    labels: the junction ``j``, the free phases ``g`` of every mode, shape
+    u.shape + (n,), and ``norm``, the orders of the vacuum norm factor M,
+    shape (3,) + u.shape.  A sweep builds one per species and grid.
+    """
+
+    def __init__(self, j, u):
+        self.j = j
+        if isinstance(j, BosonBogoliubov):
+            self.g = g = blocks.free_phases("boson", j.modes, u)
+            # sum |V1|^2 = 1/2 sum |S|^2 - 1/2 Re(g^T |S|^2 g) with S = beta1 + beta1^T
+            s = np.abs(j.beta[1] + j.beta[1].T) ** 2
+            total = 0.5 * np.sum(s) - 0.5 * np.real(np.sum((g @ s) * g, axis=-1))
+            self.norm = _orders(1.0, 0.0, -0.25 * total)
+            return
+        self.g = g = blocks.free_phases("fermion", j.modes, u)
+        # sum |V1|^2 over all (p, q) = sum |J1[p, q]|^2 + |J1[q, p]|^2
+        # + 2 Re(g_p^T X conj(g_q)), p particles and q antiparticles
+        part = j.modes >= 0
+        pq, qp = j.a[1][np.ix_(part, ~part)], j.a[1][np.ix_(~part, part)].T
+        moving = np.sum((g[..., part] @ np.conj(pq * qp)) * np.conj(g[..., ~part]), axis=-1)
+        total = np.sum(np.abs(pq) ** 2 + np.abs(qp) ** 2) + 2.0 * np.real(moving)
+        self.norm = _orders(1.0, 0.0, -0.5 * total)
+
+
 class TripLines:
     """What the closed forms read of the trip at ``labels`` (storage positions
-    ``at``) on a u grid: ``lines``, the result of
+    ``at``) on a :class:`TripGrid`: ``lines``, the result of
     :func:`cavityent.blocks.trip_lines`, whose second-order blocks are indexed
     by label position; ``rest`` masks every position but ``at``.
     """
 
-    def __init__(self, j, u, labels):
-        boson = isinstance(j, BosonBogoliubov)
-        self.j = j
-        self.g = blocks.free_phases("boson" if boson else "fermion", j.modes, u)
+    def __init__(self, trip: TripGrid, labels):
+        j = self.j = trip.j
+        self.g, self.norm = trip.g, trip.norm
         self.at = [list(j.modes).index(int(m)) for m in labels]
         self.rest = np.ones(j.modes.size, dtype=bool)
         self.rest[self.at] = False
@@ -162,12 +188,11 @@ class BosonPieces(TripLines):
 
     ``v1``: rows k and kp of the pair matrix's first order; ``v``: orders of
     the entry V[k, kp]; ``d``: orders of the one-particle sources D[k, k]
-    and D[kp, k], on the last axis; ``d1``: column k of D's first order;
-    ``norm``: orders of the vacuum norm factor.
+    and D[kp, k], on the last axis; ``d1``: column k of D's first order.
     """
 
-    def __init__(self, j, u, k: int, kp: int):
-        super().__init__(j, u, (k, kp))
+    def __init__(self, trip: TripGrid, k: int, kp: int):
+        super().__init__(trip, (k, kp))
         b1r, a1c, b1c, a2, b2 = self.lines
         g, at = self.g, self.at
         # V = -conj(beta) G^+ + conj(beta1) G^+ alpha1 G^+ at second order, symmetrised
@@ -184,15 +209,11 @@ class BosonPieces(TripLines):
             self.d1[..., at],
             np.conj(a2[..., :, 0]) + np.sum(self.v1 * b1c[..., :1, :], axis=-1),
         )
-        # sum |V1|^2 = 1/2 sum |S|^2 - 1/2 Re(g^T |S|^2 g) with S = beta1 + beta1^T
-        s = np.abs(j.beta[1] + j.beta[1].T) ** 2
-        total = 0.5 * np.sum(s) - 0.5 * np.real(np.sum((g @ s) * g, axis=-1))
-        self.norm = _orders(1.0, 0.0, -0.25 * total)
 
 
-def boson_vacuum_closed(j, u, pair) -> np.ndarray:
+def boson_vacuum_closed(trip: TripGrid, pair) -> np.ndarray:
     """Negativity series of the travelled vacuum on a mode pair."""
-    p = BosonPieces(j, u, *pair)
+    p = BosonPieces(trip, *pair)
     x = cauchy(cauchy(p.norm, p.norm), p.v)
     series = _pt_block(_weight(p.v1[..., 0, p.rest]), _weight(p.v1[..., 1, p.rest]), x)
     # the (2,0)|(0,2) block closes on the double-pair amplitude
@@ -200,13 +221,13 @@ def boson_vacuum_closed(j, u, pair) -> np.ndarray:
     return series
 
 
-def boson_particle_closed(j, u, k: int, pair) -> np.ndarray:
+def boson_particle_closed(trip: TripGrid, k: int, pair) -> np.ndarray:
     """Negativity series of a travelled one-particle state on (k, partner)."""
     k = int(k)
     pk, pkp = (int(m) for m in pair)
     if k not in (pk, pkp):
         raise ValueError("closed form expects the excited mode in the observed pair")
-    pc = BosonPieces(j, u, k, pkp if k == pk else pk)
+    pc = BosonPieces(trip, k, pkp if k == pk else pk)
     v1k, v1kp = pc.v1[..., 0, pc.rest], pc.v1[..., 1, pc.rest]
     d1_rest = pc.d1[..., pc.rest]
 
@@ -262,9 +283,9 @@ class FermionPieces(TripLines):
     antiparticle source E, whichever carries label e.
     """
 
-    def __init__(self, j, u, labels):
-        super().__init__(j, u, labels)
-        self.part = j.modes >= 0
+    def __init__(self, trip: TripGrid, labels):
+        super().__init__(trip, labels)
+        self.part = self.j.modes >= 0
         # first-order rows and columns, second-order block T2[x, y]
         self.r1, self.c1, self.t2 = self.lines
 
@@ -305,29 +326,20 @@ class FermionPieces(TripLines):
         first, second = np.conj(c1[..., xp, at[xq]]), np.conj(self.t2[..., xq, xp])
         return _orders(0.0, first * gq, loop + second * gq)
 
-    def norm(self) -> np.ndarray:
-        """Orders of the vacuum norm factor M, with sum |V1|^2 over all (p, q)
-        = sum |J1[p, q]|^2 + |J1[q, p]|^2 + 2 Re(g_p^T X conj(g_q))."""
-        a1, g, part, anti = self.j.a[1], self.g, self.part, ~self.part
-        pq, qp = a1[np.ix_(part, anti)], a1[np.ix_(anti, part)].T
-        moving = np.sum((g[..., part] @ np.conj(pq * qp)) * np.conj(g[..., anti]), axis=-1)
-        total = np.sum(np.abs(pq) ** 2 + np.abs(qp) ** 2) + 2.0 * np.real(moving)
-        return _orders(1.0, 0.0, -0.5 * total)
 
-
-def fermion_vacuum_closed(j, u, pair) -> np.ndarray:
+def fermion_vacuum_closed(trip: TripGrid, pair) -> np.ndarray:
     """Negativity series of the travelled vacuum on a particle-antiparticle pair."""
     kappa, kappa_p = max(pair), min(pair)
     if kappa < 0 or kappa_p >= 0:
         raise ValueError("vacuum negativity at this order needs opposite charges")
-    pc = FermionPieces(j, u, (kappa, kappa_p))
+    pc = FermionPieces(trip, (kappa, kappa_p))
     anti, part = ~pc.part & pc.rest, pc.part & pc.rest
-    m = pc.norm()
+    m = pc.norm
     x = -cauchy(cauchy(m, m), pc.v(0, 1))
     return _pt_block(_weight(pc.v1_row(0)[..., anti]), _weight(pc.v1_col(1)[..., part]), x)
 
 
-def fermion_particle_closed(j, u, kappa: int, pair) -> np.ndarray:
+def fermion_particle_closed(trip: TripGrid, kappa: int, pair) -> np.ndarray:
     """Negativity series of a travelled single excitation on an observed pair.
 
     A partner of the opposite charge cannot share a negative block with the
@@ -340,8 +352,8 @@ def fermion_particle_closed(j, u, kappa: int, pair) -> np.ndarray:
     partner = next(int(m) for m in pair if int(m) != kappa)
     if (kappa >= 0) != (partner >= 0):
         return np.zeros(3)
-    pc = FermionPieces(j, u, (kappa, partner))
-    m = pc.norm()
+    pc = FermionPieces(trip, (kappa, partner))
+    m = pc.norm
     m2 = cauchy(m, m)
     if kappa >= 0:
         d1 = _weight(pc.v1_row(1)[..., ~pc.part])
@@ -354,12 +366,12 @@ def fermion_particle_closed(j, u, kappa: int, pair) -> np.ndarray:
     return _pt_block(d1, d2, x)
 
 
-def fermion_pair_closed(j, u, kappa: int, kappa_p: int) -> np.ndarray:
+def fermion_pair_closed(trip: TripGrid, kappa: int, kappa_p: int) -> np.ndarray:
     """Negativity series of a travelled particle-antiparticle pair state."""
     if kappa < 0 or kappa_p >= 0:
         raise ValueError("pair state wants a particle label and an antiparticle label")
-    pc = FermionPieces(j, u, (kappa, kappa_p))
-    m = pc.norm()
+    pc = FermionPieces(trip, (kappa, kappa_p))
+    m = pc.norm
     c0 = pc.pair_scalar(0, 1)
     d1 = _weight(pc.source1(0)[..., pc.part & pc.rest])
     d2 = _weight(pc.source1(1)[..., ~pc.part & pc.rest])

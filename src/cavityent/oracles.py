@@ -68,15 +68,19 @@ def _ladder(h) -> list[CavityGeometry]:
 
 
 def _boson_overlaps_once(ladder, n_max: int, n_panels: int) -> np.ndarray:
-    """(alpha, beta) of every h, shape (2, len(ladder), n, n), at one panel count."""
+    """(alpha, beta) of every h, shape (2, len(ladder), n, n), at one panel count.
+
+    Three (n, nodes) tables are alive at once: the inertial sines, one h's
+    accelerated sines and their weighted copy, the floor unless sines are computed twice.
+    """
     xi, wi = gauss_panels(n_panels)
     n = np.arange(1, n_max + 1)
-    inertial = np.sin(np.pi * np.outer(n, xi))             # shared by the ladder
+    inertial = np.outer(n, xi)                              # sin(pi n xi), in place
+    np.sin(np.multiply(np.pi, inertial, out=inertial), out=inertial)
     inv_root = 1.0 / np.sqrt(n)
     col = n[None, :].astype(float)
-    # one h at a time, in two (n, nodes) buffers reused across the ladder:
-    # tables for the whole ladder at once would hold four times the memory
-    # for no gain in speed
+    # one h at a time: tables for the whole ladder at once would hold four
+    # times the memory for no gain in speed
     rindler = np.empty((n_max, xi.size))
     weighted = np.empty_like(rindler)
     out = np.empty((2, len(ladder), n_max, n_max))
@@ -106,33 +110,34 @@ def _fermion_overlaps_once(ladder, n_max: int, n_panels: int) -> np.ndarray:
     sin.sin products over kappa >= 0, the blocks of the full matrix are
     therefore C + S where both labels share a sign and C - S where they
     differ, with the kappa < 0 indices reversed.
+
+    Two (n_max, nodes) tables are alive at once, with the trig function as
+    the outer loop: one buffer holds the inertial cos table, then the sin
+    table, the other each (function, h)'s accelerated table.  The expressions
+    and GEMM shapes are those of four live tables, so every bit is the same.
     """
     xi, wi = gauss_panels(n_panels)
     omega = (np.arange(n_max) + 0.5) * np.pi               # inertial frequencies
-    cos_i = np.cos(np.outer(omega, xi))                    # shared by the ladder
-    sin_i = np.sin(np.outer(omega, xi))
-    # the phase table and one buffer for both weighted trig tables, reused
-    # across the ladder
-    phase = np.empty((n_max, xi.size))
-    weighted = np.empty_like(phase)
+    inertial = np.empty((n_max, xi.size))
+    accelerated = np.empty_like(inertial)
+    cs = np.empty((2, len(ladder), n_max, n_max))          # C and S of every h
+    for f, trig in enumerate((np.cos, np.sin)):
+        np.outer(omega, xi, out=inertial)
+        trig(inertial, out=inertial)
+        for k, geo in enumerate(ladder):
+            a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
+            x = a * (1.0 + r * xi)
+            np.outer(omega / big_l, np.log1p(r * xi), out=accelerated)  # frequency x ell
+            trig(accelerated, out=accelerated)
+            accelerated *= wi / np.sqrt(big_l * x)
+            cs[f, k] = accelerated @ inertial.T
+    del inertial, accelerated                              # before the blocks are assembled
+    same, differ = cs[0] + cs[1], cs[0] - cs[1]
     out = np.empty((len(ladder), 2 * n_max, 2 * n_max))
-    for k, geo in enumerate(ladder):
-        a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
-        x = a * (1.0 + r * xi)
-        ell = np.log1p(r * xi)
-        np.outer(omega / big_l, ell, out=phase)            # accelerated frequency x ell
-        weight = wi / np.sqrt(big_l * x)
-        np.cos(phase, out=weighted)
-        weighted *= weight
-        c = weighted @ cos_i.T
-        np.sin(phase, out=weighted)
-        weighted *= weight
-        s = weighted @ sin_i.T
-        same, differ = c + s, c - s
-        out[k, :n_max, :n_max] = same[::-1, ::-1]
-        out[k, :n_max, n_max:] = differ[::-1, :]
-        out[k, n_max:, :n_max] = differ[:, ::-1]
-        out[k, n_max:, n_max:] = same
+    out[:, :n_max, :n_max] = same[:, ::-1, ::-1]
+    out[:, :n_max, n_max:] = differ[:, ::-1, :]
+    out[:, n_max:, :n_max] = differ[:, :, ::-1]
+    out[:, n_max:, n_max:] = same
     return out
 
 

@@ -27,7 +27,6 @@ truncation noise, from firing the gate.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -124,27 +123,27 @@ class CurveSpec:
                 stacklevel=3,
             )
 
-    def series(self, junction, u) -> np.ndarray:
+    def series(self, trip) -> np.ndarray:
         """Closed-form negativity series (orders h^0, h^1, h^2 on the last axis).
 
-        ``junction`` is this curve's species junction and ``u`` a scalar or
-        an array of trip durations; the result has shape u.shape + (3,), or
-        is zeros(3) for a curve that vanishes identically.
+        ``trip`` is the :class:`cavityent.negativity.TripGrid` of this curve's
+        species on a scalar or an array u of trip durations; the result has
+        shape u.shape + (3,), or is zeros(3) for a curve that vanishes.
         """
         if self.species == "boson":
             if self.state == "vacuum":
-                return negativity.boson_vacuum_closed(junction, u, self.modes)
-            return negativity.boson_particle_closed(junction, u, int(self.excite), self.modes)
+                return negativity.boson_vacuum_closed(trip, self.modes)
+            return negativity.boson_particle_closed(trip, int(self.excite), self.modes)
         if self.state == "vacuum":
             if (self.modes[0] >= 0) == (self.modes[1] >= 0):
                 return np.zeros(3)
-            return negativity.fermion_vacuum_closed(junction, u, self.modes)
+            return negativity.fermion_vacuum_closed(trip, self.modes)
         if self.state == "one-particle":
-            return negativity.fermion_particle_closed(junction, u, int(self.excite), self.modes)
+            return negativity.fermion_particle_closed(trip, int(self.excite), self.modes)
         if (self.modes[0] - self.modes[1]) % 2 == 0:
             return np.zeros(3)
         kappa, kappa_p = max(self.modes), min(self.modes)
-        return negativity.fermion_pair_closed(junction, u, kappa, kappa_p)
+        return negativity.fermion_pair_closed(trip, kappa, kappa_p)
 
 
 def check_n_max(n_max: int, deepest: int) -> None:
@@ -173,7 +172,7 @@ class SweepRequest:
     u_stop: float = 1.0
     steps: int = 101
     n_max: int = 40
-    config_sha256: str = ""
+    config_text: str = dataclasses.field(default="", repr=False)
 
     def __post_init__(self):
         if not self.curves:
@@ -201,6 +200,11 @@ class SweepRequest:
                         f"curve {curve.name}: mode label {m} lies outside the "
                         f"{curve.species} labels {lo}..{hi} at n_max {self.n_max}"
                     )
+
+    @property
+    def config_sha256(self) -> str:
+        """Digest of the config text, "" without one; only JSON output reads it."""
+        return config_digest(self.config_text) if self.config_text else ""
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.u_start, self.u_stop, self.steps)
@@ -232,15 +236,16 @@ def curve_series(curves, grid: np.ndarray, n_max: int) -> np.ndarray:
     """Closed series for every (u, curve), shape (len(grid), len(curves), 3).
 
     Each species' junction has passed the whole-period trip gate
-    (:func:`blocks.junction`) and every curve reads it for the whole grid at
-    once.
+    (:func:`blocks.junction`).  Its phases and vacuum norm factor on the grid
+    are formed once (:class:`negativity.TripGrid`), and every curve of the
+    species reads them for the whole grid at once.
     """
     out = np.empty((grid.size, len(curves), 3))
     for species in sorted({c.species for c in curves}):
-        junction = blocks.junction(species, n_max)
+        trip = negativity.TripGrid(blocks.junction(species, n_max), grid)
         for col, curve in enumerate(curves):
             if curve.species == species:
-                out[:, col] = curve.series(junction, grid)
+                out[:, col] = curve.series(trip)
     return out
 
 
@@ -262,13 +267,6 @@ def _spot_indices(values: np.ndarray, count: int = SPOT_POINTS) -> list[int]:
 def run_sweep(request: SweepRequest) -> SweepResult:
     grid = request.grid()
     curves = request.curves
-    # build every junction the sweep reads, the refinement's too, before any
-    # curve: the quadratures' large temporaries then reuse each other's freed
-    # heap instead of landing between the curves' arrays, which raised the
-    # peak RSS of cold sweeps
-    for n_max in (request.n_max, 2 * request.n_max):
-        for species in sorted({c.species for c in curves}):
-            blocks.junction(species, n_max)
     table = curve_series(curves, grid, request.n_max)
 
     powers = {c.name: _curve_power(table[:, j]) for j, c in enumerate(curves)}
@@ -399,4 +397,6 @@ def emit(result: SweepResult, fmt: str = "csv", path: str | None = None) -> str:
 
 
 def config_digest(text: str) -> str:
+    import hashlib  # here, since it loads OpenSSL's libcrypto
+
     return hashlib.sha256(text.encode()).hexdigest()

@@ -150,23 +150,23 @@ def test_closed_form_series_track_numeric_negativity(
 ):
     bj, fj = boson_junction, fermion_junction
     combos = [
-        (negativity.boson_vacuum_closed(bj, U, (1, 4)),
+        (negativity.boson_vacuum_closed(negativity.TripGrid(bj, U), (1, 4)),
          states.boson_vacuum_state(boson_trip, (1, 4))),
-        (negativity.boson_vacuum_closed(bj, U, (1, 3)),
+        (negativity.boson_vacuum_closed(negativity.TripGrid(bj, U), (1, 3)),
          states.boson_vacuum_state(boson_trip, (1, 3))),
-        (negativity.boson_particle_closed(bj, U, 1, (1, 4)),
+        (negativity.boson_particle_closed(negativity.TripGrid(bj, U), 1, (1, 4)),
          states.boson_particle_state(boson_trip, 1, (1, 4))),
-        (negativity.boson_particle_closed(bj, U, 1, (1, 3)),
+        (negativity.boson_particle_closed(negativity.TripGrid(bj, U), 1, (1, 3)),
          states.boson_particle_state(boson_trip, 1, (1, 3))),
-        (negativity.fermion_vacuum_closed(fj, U, (2, -1)),
+        (negativity.fermion_vacuum_closed(negativity.TripGrid(fj, U), (2, -1)),
          states.fermion_vacuum_state(fermion_trip, (2, -1))),
-        (negativity.fermion_vacuum_closed(fj, U, (1, -1)),
+        (negativity.fermion_vacuum_closed(negativity.TripGrid(fj, U), (1, -1)),
          states.fermion_vacuum_state(fermion_trip, (1, -1))),
-        (negativity.fermion_particle_closed(fj, U, 1, (1, 4)),
+        (negativity.fermion_particle_closed(negativity.TripGrid(fj, U), 1, (1, 4)),
          states.fermion_particle_state(fermion_trip, 1, (1, 4))),
-        (negativity.fermion_particle_closed(fj, U, 1, (1, 3)),
+        (negativity.fermion_particle_closed(negativity.TripGrid(fj, U), 1, (1, 3)),
          states.fermion_particle_state(fermion_trip, 1, (1, 3))),
-        (negativity.fermion_pair_closed(fj, U, 2, -1),
+        (negativity.fermion_pair_closed(negativity.TripGrid(fj, U), 2, -1),
          states.fermion_pair_state(fermion_trip, 2, -1, (2, -1))),
     ]
     for series, state in combos:
@@ -195,15 +195,16 @@ def test_vacuum_leading_powers_and_coefficients(boson_junction, boson_trip):
     series = negativity.leading_order(
         states.reduce_to_pair(states.boson_vacuum_state(boson_trip, (1, 3)))
     )
-    want = negativity.boson_vacuum_closed(boson_junction, U, (1, 3))[2]
+    want = negativity.boson_vacuum_closed(negativity.TripGrid(boson_junction, U), (1, 3))[2]
     assert series[1] == 0.0
     assert series[2] == pytest.approx(want, rel=1e-12)
 
 
 def test_particle_curve_dominates_vacuum_curve(boson_junction):
     grid = np.linspace(0.0, 1.0, 101)
-    particles = negativity.boson_particle_closed(boson_junction, grid, 1, (1, 4))[:, 1]
-    vacua = negativity.boson_vacuum_closed(boson_junction, grid, (1, 4))[:, 1]
+    on_grid = negativity.TripGrid(boson_junction, grid)
+    particles = negativity.boson_particle_closed(on_grid, 1, (1, 4))[:, 1]
+    vacua = negativity.boson_vacuum_closed(on_grid, (1, 4))[:, 1]
     for u, particle, vacuum in zip(grid, particles, vacua):
         trip = blocks.one_way_trip("boson", N_MAX, float(u))
         a1 = abs(trip.alpha[1, 0, 3])
@@ -214,7 +215,8 @@ def test_particle_curve_dominates_vacuum_curve(boson_junction):
 
 def test_fermion_exclusion_and_pair_vacuum_relations(fermion_junction, fermion_trip):
     # A mode occupied before the trip cannot receive a created partner.
-    series = negativity.fermion_particle_closed(fermion_junction, U, 1, (1, -2))
+    on_u = negativity.TripGrid(fermion_junction, U)
+    series = negativity.fermion_particle_closed(on_u, 1, (1, -2))
     assert np.max(np.abs(series)) == 0.0
     rho = states.reduce_to_pair(states.fermion_particle_state(fermion_trip, 1, (1, -2)))
     for h in PROBE_H:
@@ -222,8 +224,8 @@ def test_fermion_exclusion_and_pair_vacuum_relations(fermion_junction, fermion_t
 
     # Adding the observed pair in the in-state leaves the leading slope at
     # its vacuum value, which in turn reads off one transform entry.
-    vacuum = negativity.fermion_vacuum_closed(fermion_junction, U, (2, -1))
-    pair = negativity.fermion_pair_closed(fermion_junction, U, 2, -1)
+    vacuum = negativity.fermion_vacuum_closed(on_u, (2, -1))
+    pair = negativity.fermion_pair_closed(on_u, 2, -1)
     assert pair[1] == pytest.approx(vacuum[1], abs=1e-8)
 
     modes = fermion_trip.modes
@@ -309,16 +311,16 @@ def test_reported_negativity_survives_convention_changes(
     flipped_fj = FermionBogoliubov(np.ascontiguousarray(fj.a[:, ::-1, ::-1]), fj.modes[::-1])
 
     probes = [
-        (lambda j: negativity.boson_vacuum_closed(j, U, (1, 4)),
+        (lambda j: negativity.boson_vacuum_closed(negativity.TripGrid(j, U), (1, 4)),
          lambda t: states.boson_vacuum_state(t, (1, 4)),
          [(bj, rephased_bj), (bj, flipped_bj)], [(boson_trip, rephased_b)]),
-        (lambda j: negativity.boson_particle_closed(j, U, 1, (1, 4)),
+        (lambda j: negativity.boson_particle_closed(negativity.TripGrid(j, U), 1, (1, 4)),
          lambda t: states.boson_particle_state(t, 1, (1, 4)),
          [(bj, rephased_bj), (bj, flipped_bj)], [(boson_trip, rephased_b)]),
-        (lambda j: negativity.fermion_vacuum_closed(j, U, (2, -1)),
+        (lambda j: negativity.fermion_vacuum_closed(negativity.TripGrid(j, U), (2, -1)),
          lambda t: states.fermion_vacuum_state(t, (2, -1)),
          [(fj, rephased_fj), (fj, flipped_fj)], [(fermion_trip, rephased_f), (fermion_trip, flipped)]),
-        (lambda j: negativity.fermion_pair_closed(j, U, 2, -1),
+        (lambda j: negativity.fermion_pair_closed(negativity.TripGrid(j, U), 2, -1),
          lambda t: states.fermion_pair_state(t, 2, -1, (2, -1)),
          [(fj, rephased_fj), (fj, flipped_fj)], [(fermion_trip, rephased_f), (fermion_trip, flipped)]),
     ]

@@ -214,6 +214,29 @@ def test_sweep_and_check_never_import_numpy_polynomial(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_csv_sweeps_and_check_never_load_openssl(tmp_path):
+    # only the JSON metadata records the config digest, so hashlib, and with
+    # it OpenSSL's libcrypto, is imported only when a JSON sweep reads it
+    fig1b = tmp_path / "b.json"
+    script = "\n".join([
+        "import json, sys",
+        "from cavityent import cli, config, sweep",
+        "assert cli.main(['check']) == 0",
+        "assert '_hashlib' not in sys.modules, 'check loaded _hashlib'",
+        f"assert cli.main(['sweep', 'fig1a', '--steps', '5', '--out', {str(tmp_path / 'a.csv')!r}]) == 0",
+        "assert '_hashlib' not in sys.modules, 'a CSV sweep loaded _hashlib'",
+        f"assert cli.main(['sweep', 'fig1b', '--steps', '5', '--out', {str(fig1b)!r}]) == 0",
+        f"meta = json.load(open({str(fig1b)!r}))['metadata']",
+        "assert meta['config_sha256'] == sweep.config_digest(config.preset_text('fig1b'))",
+    ])
+    src = pathlib.Path(cavityent.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_check_gates_each_junction_once(monkeypatch, capsys):
     # every suite of check reads the same gated junctions: from an empty
     # junction cache, one whole-period gate per species

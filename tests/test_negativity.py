@@ -158,7 +158,7 @@ H = (1e-2, 5e-3, 2.5e-3)
 
 
 def test_boson_vacuum_closed_matches_numeric(boson_junction, boson_trip):
-    series = neg.boson_vacuum_closed(boson_junction, U, (1, 4))
+    series = neg.boson_vacuum_closed(neg.TripGrid(boson_junction, U), (1, 4))
     rho = states.reduce_to_pair(states.boson_vacuum_state(boson_trip, (1, 4)))
     for h in H:
         assert neg.negativity_at(rho, h) == pytest.approx(
@@ -167,7 +167,7 @@ def test_boson_vacuum_closed_matches_numeric(boson_junction, boson_trip):
 
 
 def test_boson_vacuum_closed_same_parity_matches_numeric(boson_junction, boson_trip):
-    series = neg.boson_vacuum_closed(boson_junction, U, (1, 3))
+    series = neg.boson_vacuum_closed(neg.TripGrid(boson_junction, U), (1, 3))
     assert series[1] == 0.0
     rho = states.reduce_to_pair(states.boson_vacuum_state(boson_trip, (1, 3)))
     for h in H:
@@ -177,7 +177,7 @@ def test_boson_vacuum_closed_same_parity_matches_numeric(boson_junction, boson_t
 
 
 def test_fermion_vacuum_closed_matches_numeric(fermion_junction, fermion_trip):
-    series = neg.fermion_vacuum_closed(fermion_junction, U, (2, -1))
+    series = neg.fermion_vacuum_closed(neg.TripGrid(fermion_junction, U), (2, -1))
     rho = states.reduce_to_pair(states.fermion_vacuum_state(fermion_trip, (2, -1)))
     for h in H:
         assert neg.negativity_at(rho, h) == pytest.approx(
@@ -189,7 +189,7 @@ def test_fermion_vacuum_parity_zero_reads_zero_on_both_routes(fermion_junction, 
     # the first-order entry at omega_m = -omega_n is an exact zero that
     # carries about 1e-13 of extraction dust; both routes read the curve as
     # zero, the numeric one to rounding of |rho_k|
-    closed = neg.fermion_vacuum_closed(fermion_junction, U, (8, -9))
+    closed = neg.fermion_vacuum_closed(neg.TripGrid(fermion_junction, U), (8, -9))
     assert np.array_equal(closed, np.zeros(3))
     rho = states.reduce_to_pair(states.fermion_vacuum_state(fermion_trip, (8, -9)))
     numeric = neg.leading_order(rho)
@@ -199,17 +199,17 @@ def test_fermion_vacuum_parity_zero_reads_zero_on_both_routes(fermion_junction, 
 
 def test_fermion_vacuum_closed_rejects_same_charge(fermion_junction):
     with pytest.raises(ValueError):
-        neg.fermion_vacuum_closed(fermion_junction, U, (1, 2))
+        neg.fermion_vacuum_closed(neg.TripGrid(fermion_junction, U), (1, 2))
 
 
 def test_fermion_particle_closed_pauli_zero(fermion_junction):
-    series = neg.fermion_particle_closed(fermion_junction, U, 1, (1, -2))
+    series = neg.fermion_particle_closed(neg.TripGrid(fermion_junction, U), 1, (1, -2))
     assert np.array_equal(series, np.zeros(3))
 
 
 def test_fermion_particle_closed_requires_membership(fermion_junction):
     with pytest.raises(ValueError):
-        neg.fermion_particle_closed(fermion_junction, U, 3, (1, 4))
+        neg.fermion_particle_closed(neg.TripGrid(fermion_junction, U), 3, (1, 4))
 
 
 # --- the closed route's pieces against the states building blocks ------------
@@ -238,7 +238,7 @@ def test_boson_pieces_match_the_states_blocks(boson_junction, u, labels):
     trip = blocks.one_way_trip("boson", 40, u)
     v = states.boson_pair_matrix(trip)
     d = states.boson_source_matrix(trip, v)
-    pieces = neg.BosonPieces(boson_junction, u, k, kp)
+    pieces = neg.BosonPieces(neg.TripGrid(boson_junction, u), k, kp)
     _close(pieces.v1, v[1][[i, l]])
     _close(pieces.v, v[:, i, l])
     _close(pieces.d, d[:, [i, l], i])
@@ -258,13 +258,13 @@ def test_fermion_pieces_match_the_states_blocks(fermion_junction, u, labels):
     v = states.fermion_pair_matrix(trip)
     sources = {True: states.fermion_particle_source(trip, v),
                False: states.fermion_antiparticle_source(trip, v)}
-    pieces = neg.FermionPieces(fermion_junction, u, labels)
+    pieces = neg.FermionPieces(neg.TripGrid(fermion_junction, u), labels)
     part = pieces.part
 
     def index(m):
         return m if m >= 0 else m + 40
 
-    _close(pieces.norm(), states.fermion_norm_factor(v))
+    _close(pieces.norm, states.fermion_norm_factor(v))
     for x, m in enumerate(labels):
         if m >= 0:
             _close(pieces.v1_row(x)[~part], v[1][index(m)])

@@ -1,5 +1,7 @@
 """Quadrature overlaps, order extraction and the brute-force Fock windows."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cavityent import blocks, oracles
 from cavityent.geometry import CavityGeometry
 
 import fock
+import quadrature
 
 
 # --- order extraction ------------------------------------------------------
@@ -174,68 +177,41 @@ def test_gauss_rule_is_leggauss_bit_for_bit():
     assert np.array_equal(oracles.GAUSS_WEIGHTS, w)
 
 
-def _reference_panels(n_panels):
-    x, w = np.polynomial.legendre.leggauss(12)
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
-
-
-def _reference_boson_tables(ladder, n_max, n_panels):
-    """The boson overlap expressions with a fresh array for every table."""
-    xi, wi = _reference_panels(n_panels)
-    n = np.arange(1, n_max + 1)
-    inertial = np.sin(np.pi * np.outer(n, xi))
-    inv_root = 1.0 / np.sqrt(n)
-    col = n[None, :].astype(float)
-    out = np.empty((2, len(ladder), n_max, n_max))
-    for k, geo in enumerate(ladder):
-        a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
-        x = a * (1.0 + r * xi)
-        ell = np.log1p(r * xi)
-        rindler = np.sin(np.pi * np.outer(n, ell) / big_l)
-        p = (rindler * wi) @ inertial.T
-        q = (rindler * (wi / x)) @ inertial.T
-        row = n[:, None] / big_l
-        out[0, k] = inv_root[:, None] * (col * p + row * q) * inv_root[None, :]
-        out[1, k] = inv_root[:, None] * (col * p - row * q) * inv_root[None, :]
-    return out
-
-
-def _reference_fermion_tables(ladder, n_max, n_panels):
-    """The fermion overlap expressions with a fresh array for every table."""
-    xi, wi = _reference_panels(n_panels)
-    omega = (np.arange(n_max) + 0.5) * np.pi
-    cos_i = np.cos(np.outer(omega, xi))
-    sin_i = np.sin(np.outer(omega, xi))
-    out = np.empty((len(ladder), 2 * n_max, 2 * n_max))
-    for k, geo in enumerate(ladder):
-        a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
-        x = a * (1.0 + r * xi)
-        ell = np.log1p(r * xi)
-        phase = np.outer(omega / big_l, ell)
-        weight = wi / np.sqrt(big_l * x)
-        c = (np.cos(phase) * weight) @ cos_i.T
-        s = (np.sin(phase) * weight) @ sin_i.T
-        same, differ = c + s, c - s
-        out[k] = np.block([[same[::-1, ::-1], differ[::-1, :]], [differ[:, ::-1], same]])
-    return out
-
-
 @pytest.mark.parametrize("n_max", [31, 40, 56, 80, 112])
 def test_reused_table_buffers_give_bit_identical_overlaps(n_max):
-    # both panel counts of the first convergence step of the junction ladder
-    ladder = oracles._ladder(blocks.DEFAULT_LADDER)
-    for n_panels in (max(16, n_max), 2 * max(16, n_max)):
-        assert np.array_equal(
-            oracles._boson_overlaps_once(ladder, n_max, n_panels),
-            _reference_boson_tables(ladder, n_max, n_panels),
-        )
-        assert np.array_equal(
-            oracles._fermion_overlaps_once(ladder, n_max, n_panels),
-            _reference_fermion_tables(ladder, n_max, n_panels),
-        )
+    # both panel counts of the first convergence step, for the junction
+    # ladder and for the ladder of `cavityent check`
+    for h in (blocks.DEFAULT_LADDER, CHECK_LADDER):
+        ladder = oracles._ladder(h)
+        for n_panels in (max(16, n_max), 2 * max(16, n_max)):
+            assert np.array_equal(
+                oracles._boson_overlaps_once(ladder, n_max, n_panels),
+                quadrature.boson_tables(ladder, n_max, n_panels),
+            )
+            assert np.array_equal(
+                oracles._fermion_overlaps_once(ladder, n_max, n_panels),
+                quadrature.fermion_tables(ladder, n_max, n_panels),
+            )
+
+
+@pytest.mark.parametrize(
+    "overlaps", [oracles.boson_overlaps, oracles.fermion_overlaps], ids=["boson", "fermion"]
+)
+def test_overlap_quadrature_holds_at_most_four_and_a_half_tables(overlaps):
+    # the working set of a junction ladder's quadrature at n_max 56, counted
+    # in (n_max, nodes) tables of its converged pass (2 n_max panels of 12
+    # nodes): the fermion keeps two trig tables alive (3.3 in all), the boson
+    # three, its floor (4.05); four live fermion trig tables would read 5.8
+    n_max = 56
+    table = n_max * 24 * n_max * np.dtype(float).itemsize
+    overlaps(blocks.DEFAULT_LADDER, n_max)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        overlaps(blocks.DEFAULT_LADDER, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * table, f"peak {peak / table:.2f} tables"
 
 
 @pytest.mark.parametrize("overlaps", [oracles.boson_overlaps, oracles.fermion_overlaps])

@@ -366,7 +366,7 @@ def test_numeric_route_gives_pauli_blocked_curves_power_zero(curve, u):
 @settings(max_examples=15, deadline=None)
 @given(curve=low_curves(), u=st.floats(0.0, 1.0))
 def test_closed_and_numeric_leading_orders_agree(curve, u):
-    closed = curve.series(blocks.junction(curve.species, N_MAX), u)
+    closed = curve.series(negativity.TripGrid(blocks.junction(curve.species, N_MAX), u))
     rho = _numeric_rho(curve, u)
     gap = np.abs(negativity.leading_order(rho) - closed)
     assert np.all(gap <= ULPS * EPS * _order_scale(curve, u, rho))

@@ -89,7 +89,7 @@ def test_pauli_blocked_curve_warns_but_is_accepted():
 def test_same_charge_vacuum_curve_warns_and_is_zero():
     with pytest.warns(UserWarning, match="same-charge"):
         c = _curve(name="f", species="fermion", modes=(1, 2))
-    assert np.array_equal(c.series(None, np.linspace(0.0, 1.0, 5)), np.zeros(3))
+    assert np.array_equal(c.series(None), np.zeros(3))
 
 
 def test_request_needs_curves_and_unique_names():
@@ -458,16 +458,20 @@ def test_closed_series_on_a_grid_match_single_points():
     us = np.linspace(0.0, 1.0, 7)
     for curve in STACK_CURVES:
         j = blocks.junction(curve.species, 40)
-        got = np.broadcast_to(curve.series(j, us), (us.size, 3))
-        want = np.stack([curve.series(j, u) for u in us])
+        got = np.broadcast_to(curve.series(negativity.TripGrid(j, us)), (us.size, 3))
+        want = np.stack([curve.series(negativity.TripGrid(j, u)) for u in us])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def _series_at_40(curve, u):
+    return curve.series(negativity.TripGrid(blocks.junction(curve.species, 40), u))
 
 
 @pytest.fixture(scope="module")
 def period_scale():
     """Largest |series| of a curve over 21 points of one period."""
     grid = np.linspace(0.0, 1.0, 21)
-    return lambda curve: np.max(np.abs(curve.series(blocks.junction(curve.species, 40), grid)))
+    return lambda curve: np.max(np.abs(_series_at_40(curve, grid)))
 
 
 @st.composite
@@ -492,7 +496,7 @@ def interior_curves(draw):
 def test_curve_series_repeat_after_one_period(period_scale, curve, u):
     # measured against the curve's largest |series| over the period, since at
     # its zeros both values are rounding noise
-    got = curve.series(blocks.junction(curve.species, 40), np.array([u, u + 1.0]))
+    got = _series_at_40(curve, np.array([u, u + 1.0]))
     s_u, s_next = np.broadcast_to(got, (2, 3))
     assert np.max(np.abs(s_next - s_u)) <= 1e-10 * period_scale(curve)
 
@@ -504,7 +508,7 @@ def test_curve_series_is_symmetric_about_half_a_period(period_scale, curve, u):
     # at u (up to the global fermion sign), and no negativity sees either;
     # only rounding separates the two values, a few 1e-15 absolute, which is
     # up to ~3e-12 of a curve whose largest value is ~1e-3
-    got = curve.series(blocks.junction(curve.species, 40), np.array([u, 1.0 - u]))
+    got = _series_at_40(curve, np.array([u, 1.0 - u]))
     s_u, s_mirror = np.broadcast_to(got, (2, 3))
     assert np.max(np.abs(s_mirror - s_u)) <= 1e-10 * period_scale(curve)
 
@@ -529,10 +533,11 @@ def test_pauli_blocked_curves_are_exactly_zero(labels, u):
                 curves.append(CurveSpec("c", "fermion", "pair", (a, b)))
         else:
             curves = [CurveSpec("c", "fermion", "vacuum", (a, b))]
+    trip = negativity.TripGrid(j, u)
     for curve in curves:
-        assert np.array_equal(curve.series(j, u), np.zeros(3))
+        assert np.array_equal(curve.series(trip), np.zeros(3))
     if curves[0].state == "one-particle":
-        assert np.array_equal(negativity.fermion_particle_closed(j, u, a, (a, b)), np.zeros(3))
+        assert np.array_equal(negativity.fermion_particle_closed(trip, a, (a, b)), np.zeros(3))
 
 
 def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
@@ -553,6 +558,25 @@ def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
     monkeypatch.setattr(bogoliubov, "invert", forbidden)
     for name in config.PRESETS:
         assert run_sweep(config.load_config(name)).all_converged
+
+
+def test_sweep_forms_phases_once_per_species_and_grid(monkeypatch):
+    # the phases and the vacuum norm factor depend only on the species'
+    # junction and the u grid: fig1a's four curves read two species, each on
+    # the sweep grid and on the refinement's spot points, so four calls
+    calls = []
+    real = blocks.free_phases
+
+    def counted(species, modes, u):
+        calls.append((species, np.size(u)))
+        return real(species, modes, u)
+
+    monkeypatch.setattr(blocks, "free_phases", counted)
+    request = config.load_config("fig1a")
+    assert run_sweep(request).all_converged
+    assert len(request.curves) == 4
+    assert sorted(species for species, _ in calls) == ["boson", "boson", "fermion", "fermion"]
+    assert sorted(size for _, size in calls)[2:] == [request.steps] * 2
 
 
 def test_closed_route_imports_nothing_from_states():

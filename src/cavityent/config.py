@@ -107,9 +107,12 @@ def load_config(source: str) -> SweepRequest:
     """Load a config from a file path or a preset name."""
     if source in PRESETS:
         return parse_config(preset_text(source))
+    # UTF-8 whatever the locale: config_sha256 is the digest of the UTF-8 text
     try:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {source!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {source!r} is not UTF-8 text: {exc}") from exc
     return parse_config(text)

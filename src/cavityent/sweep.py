@@ -267,6 +267,15 @@ def _spot_indices(values: np.ndarray, count: int = SPOT_POINTS) -> list[int]:
 def run_sweep(request: SweepRequest) -> SweepResult:
     grid = request.grid()
     curves = request.curves
+    # The 2 n_max refinement junctions are built before anything else, boson
+    # first: the boson quadrature at 2 n_max keeps three (n, nodes) tables
+    # alive, the largest transient of a sweep, and run first it lands on the
+    # import-time resident set instead of on top of the heap that the n_max
+    # junctions and curves leave behind.  Building the fermion's first raises
+    # the peak instead.  An earlier loop that built every junction up front
+    # with n_max first moved no peak and was dropped: the order is the point.
+    for species in sorted({c.species for c in curves}):
+        blocks.junction(species, 2 * request.n_max)
     table = curve_series(curves, grid, request.n_max)
 
     powers = {c.name: _curve_power(table[:, j]) for j, c in enumerate(curves)}
@@ -397,6 +406,17 @@ def emit(result: SweepResult, fmt: str = "csv", path: str | None = None) -> str:
 
 
 def config_digest(text: str) -> str:
-    import hashlib  # here, since it loads OpenSSL's libcrypto
+    """SHA-256 hex digest of the config text's UTF-8 bytes.
 
-    return hashlib.sha256(text.encode()).hexdigest()
+    CPython's built-in SHA-256 (``_sha2`` from Python 3.12, ``_sha256``
+    before) gives hashlib's digest without loading OpenSSL's libcrypto, about
+    3.4 MiB of resident memory; hashlib serves builds that lack both.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()

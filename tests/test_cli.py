@@ -47,6 +47,16 @@ def test_sweep_rejects_unknown_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # the config digest is of the UTF-8 text; a stray 0xff byte ended in an
+    # uncaught UnicodeDecodeError (exit 1) instead of exit 2
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"\xff[curve:x]\nspecies = boson\nstate = vacuum\nmodes = 1, 4\n")
+    assert cli.main(["sweep", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not UTF-8" in err
+
+
 def test_sweep_rejects_bad_override(capsys):
     assert cli.main(["sweep", "fig1a", "--steps", "1"]) == cli.EXIT_CONFIG
 
@@ -214,9 +224,9 @@ def test_sweep_and_check_never_import_numpy_polynomial(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_csv_sweeps_and_check_never_load_openssl(tmp_path):
-    # only the JSON metadata records the config digest, so hashlib, and with
-    # it OpenSSL's libcrypto, is imported only when a JSON sweep reads it
+def test_no_subcommand_loads_openssl(tmp_path):
+    # the JSON metadata's config digest comes from CPython's built-in SHA-256,
+    # so no subcommand imports hashlib's _hashlib and OpenSSL's libcrypto
     fig1b = tmp_path / "b.json"
     script = "\n".join([
         "import json, sys",
@@ -226,6 +236,7 @@ def test_csv_sweeps_and_check_never_load_openssl(tmp_path):
         f"assert cli.main(['sweep', 'fig1a', '--steps', '5', '--out', {str(tmp_path / 'a.csv')!r}]) == 0",
         "assert '_hashlib' not in sys.modules, 'a CSV sweep loaded _hashlib'",
         f"assert cli.main(['sweep', 'fig1b', '--steps', '5', '--out', {str(fig1b)!r}]) == 0",
+        "assert '_hashlib' not in sys.modules, 'a JSON sweep loaded _hashlib'",
         f"meta = json.load(open({str(fig1b)!r}))['metadata']",
         "assert meta['config_sha256'] == sweep.config_digest(config.preset_text('fig1b'))",
     ])

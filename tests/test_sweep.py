@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -436,6 +437,11 @@ def test_config_digest_is_sha256():
     )
 
 
+@given(text=st.text())
+def test_config_digest_matches_hashlib(text):
+    assert sweep.config_digest(text) == hashlib.sha256(text.encode()).hexdigest()
+
+
 # --- the closed route on a grid ----------------------------------------------------
 
 
@@ -577,6 +583,24 @@ def test_sweep_forms_phases_once_per_species_and_grid(monkeypatch):
     assert len(request.curves) == 4
     assert sorted(species for species, _ in calls) == ["boson", "boson", "fermion", "fermion"]
     assert sorted(size for _, size in calls)[2:] == [request.steps] * 2
+
+
+def test_sweep_builds_the_refinement_junctions_first(monkeypatch):
+    # the boson quadrature at 2 n_max is a sweep's largest transient: built
+    # before anything else it peaks on the import-time resident set, not on
+    # the heap that the n_max junctions and curves leave behind
+    built = []
+    real = blocks.build_junction
+
+    def recorded(species, n_max):
+        built.append((species, n_max))
+        return real(species, n_max)
+
+    monkeypatch.setattr(blocks, "_cache", {})
+    monkeypatch.setattr(blocks, "build_junction", recorded)
+    assert run_sweep(config.load_config("fig1a")).all_converged
+    assert built[:2] == [("boson", 80), ("fermion", 80)]
+    assert sorted(built[2:]) == [("boson", 40), ("fermion", 40)]
 
 
 def test_closed_route_imports_nothing_from_states():

@@ -4,17 +4,67 @@ The paper's trip is inertial, then uniformly accelerated for a dimensionless
 duration u, then inertial again.  It is assembled from two ingredient types:
 
 * the junction J between the inertial and the uniformly accelerated mode
-  bases, whose h^1 and h^2 blocks are extracted from the exact overlap
-  quadrature (independent of any printed series coefficients), one
-  quadrature call over the whole h ladder per species, memoized in the
-  process and never stored on disk;
+  bases: the identity at h^0 plus h^1 and h^2 blocks, built either of two
+  ways below, each memoized in the process and never stored on disk;
 * the diagonal free-evolution phases of the accelerated segment.
 
 The one-way trip J^-1 P(u) J matches onto the accelerated basis, evolves
 and matches back.  :func:`one_way_trip` composes it with the group algebra
 of :mod:`cavityent.bogoliubov` for the numeric route; :func:`trip_lines`
 multiplies its orders out and reads only what the closed forms need.
-Neither gates a trip: :func:`junction` has gated every trip of the u period.
+Neither gates a trip: :func:`junction` and :func:`table_junction` have gated
+every trip of the u period.
+
+Junction blocks
+---------------
+:func:`build_junction` extracts the blocks from the exact overlap quadrature
+of :mod:`cavityent.oracles`, one quadrature call over the whole h ladder per
+species; sweep rows and ``cavityent check`` read it.
+:func:`build_table_junction` writes them from closed forms with O(n^2)
+elementwise work; a sweep's 2 n_max convergence refinement reads it.
+``cavityent check`` holds the two against each other, which keeps the
+quadrature as the independent oracle of the printed coefficients.
+
+The closed forms expand the overlap integrals in h.  Let xi in [0, 1] run
+across the cavity (proper length 1), whose trailing wall lies a = 1/h - 1/2
+from the Rindler horizon, and eps = 1/a = h + h^2/2 + O(h^3).  Inertial
+boson mode n is sin(pi n xi) at frequency pi n; accelerated mode m is
+sin(pi m l / L) with l = log(1 + eps xi) and L = log(1 + eps), at frequency
+pi m / L.  The Klein-Gordon product on the junction slice gives
+
+    alpha_mn, beta_mn = (mn)^(-1/2) int_0^1 sin(pi m l/L) sin(pi n xi)
+                        (n +- m / (L (a + xi))) dxi,
+
+with l/L = xi + (eps/2) xi (1 - xi) + O(eps^2) and
+1/(L (a + xi)) = 1 + eps (1/2 - xi) + O(eps^2).  Expanding the sine about
+pi m xi leaves, at each order of h, polynomials in xi times sines and
+cosines of pi m xi and pi n xi, that is the elementary integrals of
+xi^k cos(pi j xi) and xi^k sin(pi j xi) over [0, 1] with j = m -+ n.  They
+are rational in m and n over powers of pi, and their endpoint factor
+(-1)^j keeps odd orders only where m - n is odd and even orders only where
+it is even (the mirror symmetry xi -> 1 - xi, h -> -h); the diagonal of
+alpha2 collects the j = 0 integrals.  With d = m - n:
+
+    alpha1 = -2 sqrt(mn) / (pi^2 d^3)             (d odd)
+    beta1  =  2 sqrt(mn) / (pi^2 (m + n)^3)       (d odd)
+    alpha2 =  sqrt(mn) (m + 2n) / (pi^2 d^4)      (d even, d != 0)
+    alpha2 = -pi^2 n^2 / 240                      (m = n)
+    beta2  =  sqrt(mn) (2n - m) / (pi^2 (m + n)^4)  (d even)
+
+and zero elsewhere (Bruschi, Fuentes and Louko, arXiv 1105.1875).  The
+Dirac modes of label kappa have frequency pi omega, omega = kappa + 1/2
+(negative for antiparticles), and the spinor product is
+int_0^1 cos(pi (omega_m l/L - omega_n xi)) (L (a + xi))^(-1/2) dxi; the same
+expansion gives, with d = kappa_m - kappa_n,
+
+    a1 = -(omega_m + omega_n) / (pi^2 d^3)                                (d odd)
+    a2 = (omega_m^2 + 8 omega_m omega_n + 3 omega_n^2) / (4 pi^2 d^4)     (d even, d != 0)
+    a2 = -pi^2 omega^2 / 240 - 1/96                                       (m = n)
+
+where -1/96 is the h^2 term of int_0^1 (L (a + xi))^(-1/2) dxi (Friis, Lee,
+Bruschi and Louko, "Kinematic entanglement degradation of fermionic cavity
+modes").  Against the extraction the tables agree to the extraction's own
+error (see ``cavityent check``).
 """
 
 from __future__ import annotations
@@ -42,7 +92,8 @@ MIN_N_MAX = 31
 # which grows with the cutoff because mode n expands in about h n at the fixed
 # ladder top: (boson / fermion) 8.41e-10 / 8.12e-10 at 116, 9.64e-10 /
 # 9.32e-10 at 118, 1.03e-9 / 9.97e-10 at 119 and 1.10e-9 / 1.07e-9 at 120.
-# A sweep also builds the junctions of its 2 n_max refinement.
+# The table junction has no drift and passes the gate up to n_max 236 at
+# least, so a sweep's 2 n_max refinement does not bind.
 MAX_N_MAX = 118
 
 _cache: dict[tuple, object] = {}
@@ -68,19 +119,28 @@ def junction(species: str, n_max: int):
 
     Blocks are extracted from the finite-h overlap quadrature sampled on
     ``DEFAULT_LADDER``, using the mirror symmetry to split even and odd
-    orders.  The zeroth order is the identity by construction (asserted, then
-    snapped exactly).  Before the result is released, its structural
-    identities and those of every trip of the u period
+    orders (:func:`build_junction`); sweep rows read this junction.  The
+    zeroth order is the identity by construction (asserted, then snapped
+    exactly).  Before the result is released, its structural identities
+    and those of every trip of the u period
     (:func:`cavityent.bogoliubov.check_period`, one set of residual blocks,
-    nothing per u) are gated on
-    the interior window; results are memoized per (species, n_max) for the
-    life of the process.
+    nothing per u) are gated on the interior window; results are memoized
+    per (species, n_max) for the life of the process.
     """
-    key = (species, n_max)
+    return _gated("quadrature", build_junction, species, n_max)
+
+
+def table_junction(species: str, n_max: int):
+    """The junction built from the closed-form tables (:func:`build_table_junction`),
+    gated and memoized as :func:`junction` is, under its own key."""
+    return _gated("tables", build_table_junction, species, n_max)
+
+
+def _gated(source: str, build, species: str, n_max: int):
+    key = (source, species, n_max)
     if key in _cache:
         return _cache[key]
-
-    result = build_junction(species, n_max)
+    result = build(species, n_max)
     check_period(result, tol=GATE_TOL, window=interior_window(species, n_max))
     _cache[key] = result
     return result
@@ -118,6 +178,44 @@ def build_junction(species: str, n_max: int):
     else:
         raise ValueError(f"unknown species {species!r}")
     return result
+
+
+def build_table_junction(species: str, n_max: int):
+    """The junction blocks from their closed forms, unmemoized and ungated.
+
+    O(n^2) elementwise work: no quadrature, no ladder, no drift check.  See
+    the module docstring for the forms and where they come from.
+    """
+    if species == "boson":
+        modes = boson_modes(n_max)
+        m, n = modes[:, None], modes[None, :]
+        d, s = m - n, m + n
+        root = np.sqrt(m * n) / np.pi**2
+        odd = d % 2 == 1                                     # m - n and m + n odd
+        off = np.where(d == 0, 1, d)                         # the diagonal has its own form
+        alpha = np.zeros((3, n_max, n_max))
+        beta = np.zeros_like(alpha)
+        alpha[0] = np.eye(n_max)
+        alpha[1] = np.where(odd, -2.0 * root / off**3, 0.0)
+        beta[1] = np.where(odd, 2.0 * root / s**3, 0.0)
+        alpha[2] = np.where(odd, 0.0, root * (m + 2 * n) / off**4)
+        alpha[2][np.diag_indices(n_max)] = -(np.pi**2) * modes**2 / 240.0
+        beta[2] = np.where(odd, 0.0, root * (2 * n - m) / s**4)
+        return BosonBogoliubov(alpha, beta, modes)
+    if species == "fermion":
+        modes = fermion_modes(n_max)
+        omega = modes + 0.5
+        wm, wn = omega[:, None], omega[None, :]
+        d = modes[:, None] - modes[None, :]
+        odd = d % 2 == 1
+        off = np.where(d == 0, 1, d)
+        a = np.zeros((3, 2 * n_max, 2 * n_max))
+        a[0] = np.eye(2 * n_max)
+        a[1] = np.where(odd, -(wm + wn) / (np.pi**2 * off**3), 0.0)
+        a[2] = np.where(odd, 0.0, (wm**2 + 8 * wm * wn + 3 * wn**2) / (4 * np.pi**2 * off**4))
+        a[2][np.diag_indices(2 * n_max)] = -(np.pi**2) * omega**2 / 240.0 - 1.0 / 96.0
+        return FermionBogoliubov(a, modes)
+    raise ValueError(f"unknown species {species!r}")
 
 
 def free_phases(species: str, modes, u) -> np.ndarray:

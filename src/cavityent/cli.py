@@ -3,13 +3,15 @@
 Two subcommands:
 
 * ``sweep``: run a configured u sweep and write CSV or JSON rows.
-* ``check``: run the structural invariant suites and report each one.
+* ``check``: run the structural invariant suites and report each one.  Its
+  junction tables line holds the closed-form junction coefficients against
+  the quadrature extraction, which is independent of any printed series
+  coefficients.
 
-Exit codes: 0 success, 2 configuration error (including an n_max below
-``blocks.MIN_N_MAX``, for either subcommand; a junction cutoff above
-``blocks.MAX_N_MAX``, which is n_max for ``check`` and its 2 n_max
-refinement for ``sweep``; non-finite or non-increasing u bounds; and a curve
-label outside the cutoff's modes), 3 convergence gate failure, 4 invariant
+Exit codes: 0 success, 2 configuration error (including an n_max outside
+``blocks.MIN_N_MAX``..``blocks.MAX_N_MAX``, for either subcommand;
+non-finite or non-increasing u bounds; and a curve label outside the
+cutoff's modes), 3 convergence gate failure, 4 invariant
 violation (including a numerical routine that cannot reach its accuracy
 target).
 """
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import blocks, negativity, oracles, states, sweep
 from ._version import __version__
-from .bogoliubov import InvariantViolation
+from .bogoliubov import FermionBogoliubov, InvariantViolation
 from .config import PRESETS, load_config, parse_config, preset_text
 from .sweep import ConfigError
 
@@ -124,6 +126,9 @@ def _check_lines(n_max: int):
     dust = float(np.max(np.abs(fj.a[1][off])))
     yield dust < 1e-10, "fermion a(1) parity zeros", f"max {dust:.2e}"
 
+    for species, quadrature in (("boson", bj), ("fermion", fj)):
+        yield _tables_line(species, quadrature, n_max)
+
     # one trip per species, shared by the interference line and the cross-check
     u = 0.3
     trips = {species: blocks.one_way_trip(species, n_max, u) for species in ("boson", "fermion")}
@@ -160,6 +165,48 @@ def _check_lines(n_max: int):
         yield True, "closed vs numeric series, all five families", f"worst {worst:.2f} of 256 ulps"
 
 
+def _table_tolerances(n_max: int) -> dict[str, float]:
+    """Tolerance of each junction block's gap between the closed-form tables
+    and the quadrature extraction, relative to the block's largest entry.
+
+    The gap is the extraction's error.  Measured at n_max 31 / 40 / 80 / 118:
+    alpha1 and a1 2.9e-13 / 3.0e-13 / 7.6e-12 / 1.8e-10, the odd part's h^8
+    tail, 7.6e-12 (n_max/80)^8 above a rounding floor of 6e-13; alpha2 and a2
+    1.0e-10 / 5.0e-10 / 3.5e-8 / 3.6e-7, the even part's tail,
+    5e-10 (n_max/40)^6; beta1 3.6e-11 / 1.4e-10 / 2.9e-10 / 2.6e-10 and beta2
+    2.3e-8 / 1.5e-8 / 3.9e-8 / 6.7e-8, quadrature rounding amplified by
+    1/h_top and 1/h_top^2 of the ladder top, which the cutoff does not move.
+    Each tolerance is ten times its law.
+    """
+    first = 1e-11 + 1e-10 * (n_max / 80) ** 8
+    second = 5e-9 * (n_max / 40) ** 6
+    return {"alpha1": first, "beta1": 3e-9, "alpha2": second, "beta2": 7e-7,
+            "a1": first, "a2": second}
+
+
+def _junction_orders(j) -> dict[str, np.ndarray]:
+    """The h^1 and h^2 blocks of a junction, keyed as :func:`_table_tolerances`."""
+    if isinstance(j, FermionBogoliubov):
+        return {"a1": j.a[1], "a2": j.a[2]}
+    return {"alpha1": j.alpha[1], "beta1": j.beta[1], "alpha2": j.alpha[2], "beta2": j.beta[2]}
+
+
+def _tables_line(species: str, quadrature, n_max: int):
+    """The junction tables against the quadrature extraction."""
+    extracted = _junction_orders(quadrature)
+    tol = _table_tolerances(n_max)
+    gaps = {
+        name: float(np.max(np.abs(t - extracted[name])) / np.max(np.abs(t)))
+        for name, t in _junction_orders(blocks.build_table_junction(species, n_max)).items()
+    }
+    worst = max(gaps, key=lambda name: gaps[name] / tol[name])
+    return (
+        gaps[worst] < tol[worst],
+        f"{species} junction tables vs quadrature extraction",
+        f"worst {worst} {gaps[worst]:.2e} of {tol[worst]:.1e}",
+    )
+
+
 def _preset_curves():
     curves = []
     for name in PRESETS:
@@ -183,7 +230,7 @@ def _crosscheck_states():
 
 
 def _cmd_check(args) -> int:
-    sweep.check_n_max(args.nmax, deepest=args.nmax)
+    sweep.check_n_max(args.nmax)
     failed = False
     for ok, label, detail in _check_lines(args.nmax):
         status = "ok  " if ok else "FAIL"

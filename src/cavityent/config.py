@@ -50,12 +50,18 @@ def _get(section, key: str, cast, default, where: str):
 
 
 def parse_config(text: str) -> SweepRequest:
-    """Parse and validate config text into a sweep request."""
+    """Parse and validate config text into a sweep request.
+
+    One leading byte-order mark is skipped; ``config_sha256`` stays the
+    digest of the whole text.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text.removeprefix("\ufeff"))
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+        # configparser's messages run over several lines; a reason is one
+        reason = " ".join(str(exc).split())
+        raise ConfigError(f"malformed config: {reason}") from exc
 
     sweep_kwargs = {}
     curves = []

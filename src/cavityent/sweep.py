@@ -7,16 +7,17 @@ figure-style panels plot: the h -> 0 limit of N/h for linear curves and of
 N/h^2 for the parity-suppressed ones, so a sweep takes no value of h at
 all.  A request is validated up front: its u bounds must be finite and
 increasing, its n_max at least ``blocks.MIN_N_MAX``, below which the trips
-of the u period fail the identity gate, and at most half
-``blocks.MAX_N_MAX``, above which the refinement's junction fails its drift
-check, and every curve's mode labels must exist at that cutoff.
+of the u period fail the identity gate, and at most ``blocks.MAX_N_MAX``,
+above which its junction fails the drift check, and every curve's mode
+labels must exist at that cutoff.
 
 No trip is assembled: each species' junction passes one identity gate that
 covers every trip of the u period (:func:`blocks.junction`), and the
 closed series read junction rows for the whole grid at once (see
 :mod:`cavityent.negativity`).  Convergence in the mode cutoff is checked by
-re-evaluating a handful of grid points per curve at doubled n_max, all spot
-points of one species in one batch; a curve whose values move by more than
+re-evaluating a handful of grid points per curve at doubled n_max, on the
+junction from the closed-form tables (:func:`blocks.table_junction`), all
+spot points of one species in one batch; a curve whose values move by more than
 ``CONVERGENCE_GATE`` of the curve's largest |value| on the grid is flagged
 in every one of its rows.
 Measuring against the curve's scale rather than the local value keeps spot
@@ -146,19 +147,17 @@ class CurveSpec:
         return negativity.fermion_pair_closed(trip, kappa, kappa_p)
 
 
-def check_n_max(n_max: int, deepest: int) -> None:
-    """Raise :class:`ConfigError` for a cutoff below ``blocks.MIN_N_MAX``, or
-    one whose command builds junctions up to a cutoff ``deepest`` above
-    ``blocks.MAX_N_MAX``."""
+def check_n_max(n_max: int) -> None:
+    """Raise :class:`ConfigError` for a cutoff outside
+    ``blocks.MIN_N_MAX``..``blocks.MAX_N_MAX``."""
     if n_max < blocks.MIN_N_MAX:
         raise ConfigError(
             f"n_max {n_max} is below {blocks.MIN_N_MAX}, the smallest cutoff "
             "whose trips pass the identity gate over a whole u period"
         )
-    if deepest > blocks.MAX_N_MAX:
-        needs = "" if deepest == n_max else f" needs junctions at n_max {deepest}, which"
+    if n_max > blocks.MAX_N_MAX:
         raise ConfigError(
-            f"n_max {n_max}{needs} is above {blocks.MAX_N_MAX}, the largest cutoff "
+            f"n_max {n_max} is above {blocks.MAX_N_MAX}, the largest cutoff "
             "whose junction passes the zeroth-order drift check"
         )
 
@@ -189,8 +188,7 @@ class SweepRequest:
                 f"u_stop {self.u_stop} must exceed u_start {self.u_start}: rows run "
                 "over ascending u"
             )
-        # the convergence gate builds the junctions at 2 n_max too
-        check_n_max(self.n_max, deepest=2 * self.n_max)
+        check_n_max(self.n_max)
         for curve in self.curves:
             modes = blocks.boson_modes if curve.species == "boson" else blocks.fermion_modes
             lo, hi = modes(self.n_max)[[0, -1]]
@@ -232,17 +230,17 @@ class SweepResult:
         return all(self.converged.values())
 
 
-def curve_series(curves, grid: np.ndarray, n_max: int) -> np.ndarray:
+def curve_series(curves, grid: np.ndarray, junctions: dict) -> np.ndarray:
     """Closed series for every (u, curve), shape (len(grid), len(curves), 3).
 
-    Each species' junction has passed the whole-period trip gate
-    (:func:`blocks.junction`).  Its phases and vacuum norm factor on the grid
+    ``junctions`` maps each species to its junction, which has passed the
+    whole-period trip gate.  Its phases and vacuum norm factor on the grid
     are formed once (:class:`negativity.TripGrid`), and every curve of the
     species reads them for the whole grid at once.
     """
     out = np.empty((grid.size, len(curves), 3))
     for species in sorted({c.species for c in curves}):
-        trip = negativity.TripGrid(blocks.junction(species, n_max), grid)
+        trip = negativity.TripGrid(junctions[species], grid)
         for col, curve in enumerate(curves):
             if curve.species == species:
                 out[:, col] = curve.series(trip)
@@ -267,26 +265,26 @@ def _spot_indices(values: np.ndarray, count: int = SPOT_POINTS) -> list[int]:
 def run_sweep(request: SweepRequest) -> SweepResult:
     grid = request.grid()
     curves = request.curves
-    # The 2 n_max refinement junctions are built before anything else, boson
-    # first: the boson quadrature at 2 n_max keeps three (n, nodes) tables
-    # alive, the largest transient of a sweep, and run first it lands on the
-    # import-time resident set instead of on top of the heap that the n_max
-    # junctions and curves leave behind.  Building the fermion's first raises
-    # the peak instead.  An earlier loop that built every junction up front
-    # with n_max first moved no peak and was dropped: the order is the point.
-    for species in sorted({c.species for c in curves}):
-        blocks.junction(species, 2 * request.n_max)
-    table = curve_series(curves, grid, request.n_max)
+    species_set = sorted({c.species for c in curves})
+    # Rows read the quadrature junctions at n_max; the 2 n_max refinement
+    # reads the closed-form tables, built first, boson then fermion.  Built
+    # after the n_max quadrature instead, the tables and their gate land on
+    # the heap that the quadrature leaves behind: the benchmark's cold seed-0
+    # cutoff sweep (n_max 56) peaked at 40.1 MiB that way and 39.2 MiB this
+    # way (medians of 8 runs each).
+    fine_junctions = {s: blocks.table_junction(s, 2 * request.n_max) for s in species_set}
+    junctions = {s: blocks.junction(s, request.n_max) for s in species_set}
+    table = curve_series(curves, grid, junctions)
 
     powers = {c.name: _curve_power(table[:, j]) for j, c in enumerate(curves)}
     values = np.stack([table[:, j, powers[c.name]] for j, c in enumerate(curves)], axis=1)
 
     deltas: dict[str, float] = {}
-    for species in sorted({c.species for c in curves}):
+    for species in species_set:
         cols = [j for j, c in enumerate(curves) if c.species == species]
         spots = {j: _spot_indices(values[:, j]) for j in cols}
         points = sorted(set().union(*spots.values()))
-        fine = curve_series([curves[j] for j in cols], grid[points], 2 * request.n_max)
+        fine = curve_series([curves[j] for j in cols], grid[points], fine_junctions)
         for col, j in enumerate(cols):
             curve = curves[j]
             scale = float(np.max(np.abs(values[:, j])))

@@ -3,7 +3,9 @@
 The first- and second-order junction entries below were frozen from the
 quadrature + mirrored-ladder extraction at n_max = 40 and double-checked
 against the closed forms that exist for a handful of entries (the 2/pi^2
-family at first order, the -n^2 pi^2 / 240 diagonal at second order).
+family at first order, the -n^2 pi^2 / 240 diagonal at second order).  The
+structural checks run on both junction builders: the quadrature extraction
+and the closed-form tables.
 """
 
 import math
@@ -13,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityent import blocks, oracles
+from cavityent import blocks, cli, oracles
 from cavityent.bogoliubov import (
     BosonBogoliubov,
+    FermionBogoliubov,
+    InvariantViolation,
     check_period,
     identity_residuals,
     period_residuals,
@@ -61,6 +65,10 @@ def _fidx(kappa, n_max=40):
     return kappa + n_max
 
 
+# both junction builders, gated and memoized
+BUILDERS = {"quadrature": blocks.junction, "tables": blocks.table_junction}
+
+
 def test_default_ladder():
     assert np.allclose(blocks.DEFAULT_LADDER, [0.02, 0.01, 0.005, 0.0025])
 
@@ -104,28 +112,30 @@ def test_junction_entries_are_real(boson_junction, fermion_junction):
     assert np.max(np.abs(fermion_junction.a.imag)) == 0.0
 
 
-def test_boson_parity_selection(boson_junction):
+def test_boson_parity_selection():
     modes = blocks.boson_modes(40)
     total = modes[:, None] + modes[None, :]
     diff = modes[:, None] - modes[None, :]
-    b1 = boson_junction.beta[1]
-    assert np.max(np.abs(b1[total % 2 == 0])) <= 1e-10
-    a1 = boson_junction.alpha[1]
     off_even = (diff % 2 == 0) & (diff != 0)
-    assert np.max(np.abs(a1[off_even])) <= 1e-10
-    assert np.max(np.abs(np.diag(a1))) <= 1e-12
+    for source, junction in BUILDERS.items():
+        j = junction("boson", 40)
+        assert np.max(np.abs(j.beta[1][total % 2 == 0])) <= 1e-10, source
+        assert np.max(np.abs(j.alpha[1][off_even])) <= 1e-10, source
+        assert np.max(np.abs(np.diag(j.alpha[1]))) <= 1e-12, source
 
 
-def test_fermion_parity_selection(fermion_junction):
+def test_fermion_parity_selection():
     modes = blocks.fermion_modes(40)
     same_parity = (modes[:, None] - modes[None, :]) % 2 == 0
-    a1 = fermion_junction.a[1]
-    assert np.max(np.abs(a1[same_parity])) <= 1e-10
+    for source, junction in BUILDERS.items():
+        a1 = junction("fermion", 40).a[1]
+        assert np.max(np.abs(a1[same_parity])) <= 1e-10, source
 
 
-def test_fermion_first_order_antisymmetric(fermion_junction):
-    a1 = fermion_junction.a[1]
-    assert np.max(np.abs(a1 + a1.T)) <= 1e-10
+def test_fermion_first_order_antisymmetric():
+    for source, junction in BUILDERS.items():
+        a1 = junction("fermion", 40).a[1]
+        assert np.max(np.abs(a1 + a1.T)) <= 1e-10, source
 
 
 def test_beta_decays_along_columns(boson_junction):
@@ -136,14 +146,16 @@ def test_beta_decays_along_columns(boson_junction):
         assert all(b < a for a, b in zip(tail, tail[1:]))
 
 
-def test_mirror_action_on_junction(boson_junction):
-    m = mirror(boson_junction)
+def test_mirror_action_on_junction():
     # every first-order entry sits on an odd-parity slot, so negating h
     # flips the whole order; second order is even and survives unchanged
-    assert np.allclose(m.beta[1], -boson_junction.beta[1], atol=1e-14)
-    assert np.allclose(m.alpha[1], -boson_junction.alpha[1], atol=1e-14)
-    assert np.allclose(m.alpha[2], boson_junction.alpha[2], atol=1e-14)
-    check_period(m, tol=5e-8, window=blocks.interior_window("boson", 40))
+    for junction in BUILDERS.values():
+        j = junction("boson", 40)
+        m = mirror(j)
+        assert np.allclose(m.beta[1], -j.beta[1], atol=1e-14)
+        assert np.allclose(m.alpha[1], -j.alpha[1], atol=1e-14)
+        assert np.allclose(m.alpha[2], j.alpha[2], atol=1e-14)
+        check_period(m, tol=5e-8, window=blocks.interior_window("boson", 40))
 
 
 def test_junction_gate_passes(boson_junction, fermion_junction):
@@ -153,6 +165,65 @@ def test_junction_gate_passes(boson_junction, fermion_junction):
 
 def test_junction_is_memoized(boson_junction):
     assert blocks.junction("boson", 40) is boson_junction
+    tables = blocks.table_junction("boson", 40)
+    assert tables is not boson_junction
+    assert blocks.table_junction("boson", 40) is tables
+
+
+# --- the closed-form tables ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_max", [31, 40, 56])
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_tables_match_the_extraction_within_the_check_law(species, n_max):
+    # the gap is the extraction's error; check's per-block law bounds it
+    tol = cli._table_tolerances(n_max)
+    extracted = cli._junction_orders(blocks.build_junction(species, n_max))
+    tables = cli._junction_orders(blocks.build_table_junction(species, n_max))
+    for name, t in tables.items():
+        gap = np.max(np.abs(t - extracted[name])) / np.max(np.abs(t))
+        assert gap < tol[name], (name, gap, tol[name])
+
+
+def test_table_zeroth_order_is_exact_and_entries_real():
+    boson = blocks.build_table_junction("boson", 40)
+    fermion = blocks.build_table_junction("fermion", 40)
+    assert np.array_equal(boson.alpha[0], np.eye(40)) and not np.any(boson.beta[0])
+    assert np.array_equal(fermion.a[0], np.eye(80))
+    for x in (boson.alpha, boson.beta, fermion.a):
+        assert not np.any(x.imag)
+
+
+@pytest.mark.parametrize("n_max", [62, 118, 160, 236])
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_table_junction_passes_the_period_gate(species, n_max):
+    # a sweep refines at 2 n_max, up to 2 MAX_N_MAX = 236, on the tables
+    j = blocks.build_table_junction(species, n_max)
+    bound = check_period(j, tol=blocks.GATE_TOL, window=blocks.interior_window(species, n_max))
+    assert max(weighted_residual(r) for r in bound.values()) < blocks.GATE_TOL
+
+
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+def test_perturbed_table_junction_fails_the_gate(monkeypatch, species):
+    # one in-window first-order entry off by 4.5e-7: the whole-period bound
+    # reads 7.2e-8 at n_max 40, above GATE_TOL
+    real = blocks.build_table_junction
+
+    def perturbed(sp, n_max):
+        j = real(sp, n_max)
+        i, k = (int(np.flatnonzero(j.modes == m)[0]) for m in (2, 3))
+        if sp == "boson":
+            alpha = j.alpha.copy()
+            alpha[1, i, k] += 4.5e-7
+            return BosonBogoliubov(alpha, j.beta, j.modes)
+        a = j.a.copy()
+        a[1, i, k] += 4.5e-7
+        return FermionBogoliubov(a, j.modes)
+
+    monkeypatch.setattr(blocks, "build_table_junction", perturbed)
+    monkeypatch.setattr(blocks, "_cache", {})
+    with pytest.raises(InvariantViolation, match="whole u period"):
+        blocks.table_junction(species, 40)
 
 
 def test_interior_window():

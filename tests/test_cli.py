@@ -70,13 +70,12 @@ def test_cutoff_below_the_trip_gate_floor_is_a_config_error(argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["sweep", "fig1a", "--nmax", "60"], ["check", "--nmax", "119"], ["check", "--nmax", "120"]],
-    ids=["sweep-60", "check-119", "check-120"],
+    [["sweep", "fig1a", "--nmax", "119"], ["check", "--nmax", "119"], ["check", "--nmax", "120"]],
+    ids=["sweep-119", "check-119", "check-120"],
 )
 def test_cutoff_above_the_drift_ceiling_is_a_config_error(argv, capsys):
-    # 119 is the first cutoff past blocks.MAX_N_MAX; a sweep also builds its
-    # 2 n_max refinement, so --nmax 60 used to build every n_max-60 junction
-    # and then exit 4 on the drift of the n_max-120 one
+    # 119 is the first cutoff past blocks.MAX_N_MAX for both subcommands: a
+    # sweep's 2 n_max refinement reads the table junction, which has no drift
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -246,6 +245,25 @@ def test_no_subcommand_loads_openssl(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_same_charge_one_particle_curve_converges_at_a_deep_cutoff(tmp_path):
+    # excite 4 on fermion labels (4, 0): the refinement moves the curve's
+    # maxima by the mode-truncation residual, which falls as n_max^-3
+    # (1.23e-3 at n_max 40, 7.3e-5 at 100), so the 1e-4 gate fails at 40 and
+    # passes from about 90 up
+    path = tmp_path / "same-charge.cfg"
+    path.write_text(
+        "[curve:f]\nspecies = fermion\nstate = one-particle\nmodes = 4, 0\nexcite = 4\n"
+    )
+    deltas = {}
+    for n_max, code in ((40, cli.EXIT_CONVERGENCE), (100, cli.EXIT_OK)):
+        out = tmp_path / f"{n_max}.json"
+        argv = ["sweep", str(path), "--nmax", str(n_max), "--out", str(out)]
+        assert cli.main(argv) == code
+        deltas[n_max] = json.loads(out.read_text())["metadata"]["curves"]["f"]["convergence_delta"]
+    assert deltas[100] < sweep.CONVERGENCE_GATE < deltas[40]
+    assert deltas[100] / deltas[40] == pytest.approx((40 / 100) ** 3, rel=0.2)
 
 
 def test_check_gates_each_junction_once(monkeypatch, capsys):

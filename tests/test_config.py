@@ -1,5 +1,8 @@
 """INI config parsing and the shipped presets."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from cavityent import config
@@ -93,3 +96,34 @@ def test_load_config_from_path(tmp_path):
 def test_load_config_missing_path():
     with pytest.raises(ConfigError):
         config.load_config("/no/such/file.cfg")
+
+
+def test_config_with_a_byte_order_mark_parses_as_the_plain_file(tmp_path):
+    # editors that save "UTF-8 with BOM" put U+FEFF before the first header
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(MINIMAL, encoding="utf-8")
+    bom.write_text(MINIMAL, encoding="utf-8-sig")
+    want = config.load_config(str(plain))
+    got = config.load_config(str(bom))
+    assert dataclasses.replace(got, config_text=want.config_text) == want
+    # the digest stays that of the whole file, as sha256sum prints it
+    assert got.config_sha256 == hashlib.sha256(bom.read_bytes()).hexdigest()
+    assert got.config_sha256 != want.config_sha256
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\ufeff\ufeff" + MINIMAL,  # only one mark is skipped
+        "not ini at all [",
+        MINIMAL + "dangling line\n",
+        MINIMAL + "[curve:boson-vacuum-14]\n",  # duplicate section
+        MINIMAL + "modes = 2, 3\n",  # duplicate key
+    ],
+    ids=["two-marks", "no-header", "bad-line", "duplicate-section", "duplicate-key"],
+)
+def test_malformed_config_reason_is_one_line(text):
+    with pytest.raises(ConfigError, match="^malformed config: ") as exc:
+        config.parse_config(text)
+    assert "\n" not in str(exc.value)
+    assert "line" in str(exc.value)

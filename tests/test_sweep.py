@@ -137,13 +137,12 @@ def test_request_rejects_malformed_u_grids(bounds, key):
         SweepRequest(curves=(_curve(),), **bounds)
 
 
-def test_request_cutoff_ceiling_counts_the_refinement():
-    # the convergence gate builds junctions at 2 n_max, which must pass the
-    # drift check: n_max up to MAX_N_MAX // 2 runs, one more is rejected
-    largest = blocks.MAX_N_MAX // 2
-    SweepRequest(curves=(_curve(),), n_max=largest)
-    with pytest.raises(ConfigError, match=f"n_max {largest + 1} needs junctions at n_max"):
-        SweepRequest(curves=(_curve(),), n_max=largest + 1)
+def test_request_cutoff_ceiling_is_the_drift_ceiling():
+    # the refinement at 2 n_max reads the table junction, which has no drift
+    # check, so only the n_max junction bounds the cutoff
+    SweepRequest(curves=(_curve(),), n_max=blocks.MAX_N_MAX)
+    with pytest.raises(ConfigError, match=f"n_max {blocks.MAX_N_MAX + 1} is above"):
+        SweepRequest(curves=(_curve(),), n_max=blocks.MAX_N_MAX + 1)
 
 
 def test_request_accepts_the_outermost_labels():
@@ -551,8 +550,8 @@ def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
     # (and gated) first; after that no trip may be composed, and the closed
     # forms read the trip through blocks.trip_lines alone
     for species in ("boson", "fermion"):
-        for n_max in (40, 80):
-            blocks.junction(species, n_max)
+        blocks.junction(species, 40)
+        blocks.table_junction(species, 80)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a sweep assembled a trip")
@@ -586,21 +585,27 @@ def test_sweep_forms_phases_once_per_species_and_grid(monkeypatch):
 
 
 def test_sweep_builds_the_refinement_junctions_first(monkeypatch):
-    # the boson quadrature at 2 n_max is a sweep's largest transient: built
-    # before anything else it peaks on the import-time resident set, not on
-    # the heap that the n_max junctions and curves leave behind
+    # the refinement reads the table junctions, built before the n_max
+    # quadrature so that they do not land on the heap it leaves behind; no
+    # quadrature runs at 2 n_max
     built = []
-    real = blocks.build_junction
 
-    def recorded(species, n_max):
-        built.append((species, n_max))
-        return real(species, n_max)
+    def recorded(source, build):
+        def wrapped(species, n_max):
+            built.append((source, species, n_max))
+            return build(species, n_max)
+        return wrapped
 
     monkeypatch.setattr(blocks, "_cache", {})
-    monkeypatch.setattr(blocks, "build_junction", recorded)
+    monkeypatch.setattr(blocks, "build_junction", recorded("quadrature", blocks.build_junction))
+    monkeypatch.setattr(
+        blocks, "build_table_junction", recorded("tables", blocks.build_table_junction)
+    )
     assert run_sweep(config.load_config("fig1a")).all_converged
-    assert built[:2] == [("boson", 80), ("fermion", 80)]
-    assert sorted(built[2:]) == [("boson", 40), ("fermion", 40)]
+    assert built == [
+        ("tables", "boson", 80), ("tables", "fermion", 80),
+        ("quadrature", "boson", 40), ("quadrature", "fermion", 40),
+    ]
 
 
 def test_closed_route_imports_nothing_from_states():

@@ -25,7 +25,9 @@ from importlib import resources
 
 from .sweep import ConfigError, CurveSpec, SweepRequest
 
-SWEEP_KEYS = {"u_start", "u_stop", "steps", "n_max"}
+# each [sweep] key and its cast; a key the section leaves out keeps
+# SweepRequest's default
+SWEEP_KEYS = {"u_start": float, "u_stop": float, "steps": int, "n_max": int}
 CURVE_KEYS = {"species", "state", "modes", "excite"}
 PRESETS = ("fig1a", "fig1b")
 
@@ -40,24 +42,23 @@ def _parse_modes(raw: str, where: str) -> tuple[int, int]:
         raise ConfigError(f"{where}: bad mode label in {raw!r}") from exc
 
 
-def _get(section, key: str, cast, default, where: str):
-    if key not in section:
-        return default
+def _get(section, key: str, cast, where: str):
     try:
         return cast(section[key])
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {section[key]!r}") from exc
 
 
-def parse_config(text: str) -> SweepRequest:
+def parse_config(text: str, source: str = "<string>") -> SweepRequest:
     """Parse and validate config text into a sweep request.
 
-    One leading byte-order mark is skipped; ``config_sha256`` stays the
-    digest of the whole text.
+    ``source`` names the text in parse errors: a path or a preset name.  One
+    leading byte-order mark is skipped; ``config_sha256`` stays the digest of
+    the whole text.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text.removeprefix("\ufeff"))
+        parser.read_string(text.removeprefix("\ufeff"), source)
     except configparser.Error as exc:
         # configparser's messages run over several lines; a reason is one
         reason = " ".join(str(exc).split())
@@ -68,14 +69,12 @@ def parse_config(text: str) -> SweepRequest:
     for section in parser.sections():
         body = parser[section]
         if section == "sweep":
-            unknown = set(body) - SWEEP_KEYS
+            unknown = set(body) - SWEEP_KEYS.keys()
             if unknown:
                 raise ConfigError(f"[sweep]: unknown keys {sorted(unknown)}")
             sweep_kwargs = {
-                "u_start": _get(body, "u_start", float, 0.0, "[sweep]"),
-                "u_stop": _get(body, "u_stop", float, 1.0, "[sweep]"),
-                "steps": _get(body, "steps", int, 101, "[sweep]"),
-                "n_max": _get(body, "n_max", int, 40, "[sweep]"),
+                key: _get(body, key, cast, "[sweep]")
+                for key, cast in SWEEP_KEYS.items() if key in body
             }
         elif section.startswith("curve:"):
             name = section[len("curve:"):].strip()
@@ -93,7 +92,7 @@ def parse_config(text: str) -> SweepRequest:
                     species=body["species"].strip(),
                     state=body["state"].strip(),
                     modes=_parse_modes(body["modes"], f"[{section}]"),
-                    excite=_get(body, "excite", int, None, f"[{section}]"),
+                    excite=_get(body, "excite", int, f"[{section}]") if "excite" in body else None,
                 )
             )
         else:
@@ -112,7 +111,7 @@ def preset_text(name: str) -> str:
 def load_config(source: str) -> SweepRequest:
     """Load a config from a file path or a preset name."""
     if source in PRESETS:
-        return parse_config(preset_text(source))
+        return parse_config(preset_text(source), source)
     # UTF-8 whatever the locale: config_sha256 is the digest of the UTF-8 text
     try:
         with open(source, encoding="utf-8") as fh:
@@ -121,4 +120,4 @@ def load_config(source: str) -> SweepRequest:
         raise ConfigError(f"cannot read config {source!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {source!r} is not UTF-8 text: {exc}") from exc
-    return parse_config(text)
+    return parse_config(text, source)

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -144,11 +145,72 @@ def test_removed_h_flag_is_rejected(argv, capsys):
     assert "unrecognized arguments: --h" in capsys.readouterr().err
 
 
+CHECK_LINE = re.compile(r"^(ok  |FAIL) (.+) \((\S+) of (\S+)\)$")
+
+
+def _check(argv, capsys):
+    """Exit code and printed lines of ``check``; every line's status must be
+    its value < tolerance."""
+    code = cli.main(["check", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    for line in lines:
+        status, _, value, tol = CHECK_LINE.match(line).groups()
+        assert (status == "ok  ") == (float(value) < float(tol)), line
+    return code, lines
+
+
 def test_check_passes_below_the_default_cutoff(capsys):
-    # the overlap residual at n_max 32 (1.5e-8 / 1.7e-8) is the truncated
-    # tail, above the n_max-40 tolerance of 1e-8 but within its n^-3 law
-    assert cli.main(["check", "--nmax", "32"]) == cli.EXIT_OK
-    assert "FAIL" not in capsys.readouterr().out
+    # at the floor, n_max 31, the finite-h identity residual (the truncated
+    # mode tail, 1.37e-8 / 1.58e-8) is the largest of any cutoff, and its
+    # tolerance follows the same n^-3 law: 2e-8 (40 / 31)^3 = 4.3e-8
+    code, lines = _check(["--nmax", "31"], capsys)
+    assert code == cli.EXIT_OK and len(lines) == 7
+
+
+def test_check_passes_at_the_drift_ceiling(capsys):
+    # at n_max 118 the identity tolerance is 7.8e-10, 13 times below the
+    # n_max 40 one; the residual (2.9e-10 / 3.4e-10) keeps the same share
+    code, lines = _check(["--nmax", "118"], capsys)
+    assert code == cli.EXIT_OK and len(lines) == 7
+
+
+def test_perturbed_boson_overlaps_fail_the_identity_line(monkeypatch, capsys):
+    # an interior entry of the h = H_REF overlaps off by 1e-7, five times the
+    # identity tolerance at n_max 40
+    original = oracles.boson_overlaps
+
+    def perturbed(h, n_max, *args, **kwargs):
+        alpha, beta = original(h, n_max, *args, **kwargs)
+        if np.ndim(h) == 0:
+            alpha = alpha.copy()
+            alpha[2, 3] += 1e-7
+        return alpha, beta
+
+    monkeypatch.setattr(oracles, "boson_overlaps", perturbed)
+    code, lines = _check([], capsys)
+    assert code == cli.EXIT_INVARIANT
+    assert lines[0].startswith("FAIL boson finite-h overlap identities (")
+    assert all(line.startswith("ok   ") for line in lines[1:])
+
+
+def test_check_evaluates_the_identities_at_h_ref_only(monkeypatch, capsys):
+    # from an empty junction cache, each species makes one overlap call at
+    # the scalar H_REF and one on the junction's ladder
+    calls = {"boson": [], "fermion": []}
+    for species in calls:
+        original = getattr(oracles, f"{species}_overlaps")
+
+        def spy(h, n_max, *args, _species=species, _original=original, **kwargs):
+            calls[_species].append(h)
+            return _original(h, n_max, *args, **kwargs)
+
+        monkeypatch.setattr(oracles, f"{species}_overlaps", spy)
+    monkeypatch.setattr(blocks, "_cache", {})
+    assert cli.main(["check"]) == cli.EXIT_OK
+    for h_values in calls.values():
+        assert len(h_values) == 2
+        assert h_values[0] == bogoliubov.H_REF
+        np.testing.assert_array_equal(h_values[1], blocks.DEFAULT_LADDER)
 
 
 def test_sweep_convergence_exit_code(tmp_path, monkeypatch, capsys):
@@ -162,10 +224,9 @@ def test_sweep_convergence_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_check_reports_all_ok(capsys):
-    assert cli.main(["check"]) == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("ok  ") >= 5
+    code, lines = _check([], capsys)
+    assert code == cli.EXIT_OK and len(lines) == 7
+    assert all(line.startswith("ok   ") for line in lines)
 
 
 def test_check_cross_checks_every_family(capsys):

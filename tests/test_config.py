@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from cavityent import config
-from cavityent.sweep import ConfigError, config_digest
+from cavityent.sweep import ConfigError, SweepRequest, config_digest
 
 MINIMAL = """\
 [curve:boson-vacuum-14]
@@ -30,6 +30,8 @@ def test_sweep_section_overrides():
     text = "[sweep]\nsteps = 11\nn_max = 32\nu_stop = 2.0\n" + MINIMAL
     req = config.parse_config(text)
     assert (req.steps, req.n_max, req.u_stop) == (11, 32, 2.0)
+    # a key the section leaves out keeps the request's default
+    assert req.u_start == SweepRequest.u_start
 
 
 def test_excite_key_parsed():
@@ -127,3 +129,16 @@ def test_malformed_config_reason_is_one_line(text):
         config.parse_config(text)
     assert "\n" not in str(exc.value)
     assert "line" in str(exc.value)
+
+
+def test_malformed_config_reason_names_its_source(tmp_path, monkeypatch):
+    path = tmp_path / "bad.cfg"
+    path.write_text(MINIMAL + "stray line\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        config.load_config(str(path))
+    assert repr(str(path)) in str(exc.value) and "<string>" not in str(exc.value)
+    # a preset is named by its preset name
+    monkeypatch.setattr(config, "preset_text", lambda name: MINIMAL + "stray line\n")
+    with pytest.raises(ConfigError) as exc:
+        config.load_config("fig1a")
+    assert "'fig1a'" in str(exc.value) and "<string>" not in str(exc.value)

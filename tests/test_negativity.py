@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cavityent import blocks, states
 from cavityent import negativity as neg
 from cavityent.bogoliubov import InvariantViolation
+from cavityent.sweep import CurveSpec
 
 
 def _bell(p: float) -> np.ndarray:
@@ -281,3 +282,56 @@ def test_fermion_pieces_match_the_states_blocks(fermion_junction, u, labels):
         _close(pieces.v(xp, 1 - xp), v[:, index(kappa), index(kappa_p)])
         _close(pieces.pair_scalar(xp, 1 - xp),
                states.fermion_pair_scalar(trip, sources[False], kappa, kappa_p))
+
+
+# --- the paper's first-order forms -----------------------------------------------
+#
+# Each curve family of the linear panel has a one-line h^1 coefficient in the
+# junction's first-order tables (arXiv 1201.0549); it shares no code with the
+# closed series.  Labels differ by an odd number, where the first-order
+# entries are not parity zeros.
+
+
+@pytest.fixture(scope="module")
+def tables():
+    return {s: blocks.table_junction(s, 40) for s in ("boson", "fermion")}
+
+
+def _assert_first_order(curve, j, u, form, top):
+    # a coherence under the first-order floor counts as a parity zero, and the
+    # curve opens at h^2 there (near the zeros of the sines)
+    want = form if form > neg.FIRST_ORDER_FLOOR else 0.0
+    assert abs(curve.series(neg.TripGrid(j, u))[1] - want) < 1e-12 * top
+
+
+@settings(max_examples=50, deadline=None)
+@given(u=st.floats(0.0, 1.0), k=st.integers(1, 20), kp=st.integers(1, 20), particle=st.booleans())
+def test_boson_first_order_curves_are_the_papers_forms(tables, u, k, kp, particle):
+    assume((k - kp) % 2)
+    j = tables["boson"]
+    a1, b1 = abs(j.alpha[1, k - 1, kp - 1]), abs(j.beta[1, k - 1, kp - 1])
+    s_minus, s_plus = np.sin(np.pi * (k - kp) * u), np.sin(np.pi * (k + kp) * u)
+    if particle:
+        curve = CurveSpec("c", "boson", "one-particle", (k, kp), k)
+        form = 2 * np.sqrt(a1**2 * s_minus**2 + 2 * b1**2 * s_plus**2)
+        top = 2 * np.sqrt(a1**2 + 2 * b1**2)
+    else:
+        curve = CurveSpec("c", "boson", "vacuum", (k, kp))
+        form, top = 2 * b1 * abs(s_plus), 2 * b1
+    _assert_first_order(curve, j, u, form, top)
+
+
+@settings(max_examples=50, deadline=None)
+@given(u=st.floats(0.0, 1.0), k=st.integers(-20, 19), kp=st.integers(-20, 19), first=st.booleans())
+def test_fermion_first_order_curves_are_the_papers_forms(tables, u, k, kp, first):
+    # opposite charges make a vacuum curve, equal charges a one-particle curve
+    # (either label excited); at omega_k = -omega_k' the a1 entry is an exact
+    # zero and the curve opens at h^2
+    assume((k - kp) % 2 and k + kp != -1)
+    j = tables["fermion"]
+    if (k >= 0) != (kp >= 0):
+        curve = CurveSpec("c", "fermion", "vacuum", (k, kp))
+    else:
+        curve = CurveSpec("c", "fermion", "one-particle", (k, kp), k if first else kp)
+    top = 2 * abs(j.a[1, k + 40, kp + 40])
+    _assert_first_order(curve, j, u, top * abs(np.sin(np.pi * (k - kp) * u)), top)

@@ -8,6 +8,10 @@ duration u, then inertial again.  It is assembled from two ingredient types:
   ways below, each memoized in the process and never stored on disk;
 * the diagonal free-evolution phases of the accelerated segment.
 
+Junction blocks are real in this mode convention (Bruschi, Fuentes and
+Louko, arXiv 1105.1875) and both builders store them as float64; phases,
+and so every trip, are complex128.
+
 The one-way trip J^-1 P(u) J matches onto the accelerated basis, evolves
 and matches back.  :func:`one_way_trip` composes it with the group algebra
 of :mod:`cavityent.bogoliubov` for the numeric route; :func:`trip_lines`

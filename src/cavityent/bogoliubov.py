@@ -12,10 +12,13 @@ and a fermionic one through a single matrix,
 
 Both carry explicit mode labels so that phases and composition cannot
 silently mix up index conventions.  Every matrix is a second-order series
-in the acceleration parameter h, held as a complex array of shape (3, n, n)
-with the order on the leading axis (see :mod:`cavityent.series`); a stack of
+in the acceleration parameter h, held as an array of shape (3, n, n) with
+the order on the leading axis (see :mod:`cavityent.series`); a stack of
 transformations (one per grid point u) keeps its stack axes between the
-order axis and the two mode axes.
+order axis and the two mode axes.  A real array stays real (float64) and a
+complex one complex (complex128): junction blocks are real, so their memo
+holds half the bytes and their identity gate runs real products, while
+phases, and every trip or state that a phase touches, are complex.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ def _check_labels(a, b):
 
 
 def _orders(x, n: int, name: str) -> np.ndarray:
-    """``x`` as a complex order array, rejected unless it is (3, ..., n, n)."""
-    arr = np.asarray(x, dtype=complex)
+    """``x`` as a float64 order array if it is real, complex128 otherwise,
+    rejected unless it is (3, ..., n, n)."""
+    arr = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     if arr.ndim < 3 or arr.shape[0] != N_ORDERS or arr.shape[-2:] != (n, n):
         raise ValueError(
             f"{name} must have shape ({N_ORDERS}, ..., {n}, {n}) for {n} mode labels, "

@@ -14,13 +14,16 @@ Exit codes: 0 success, 2 configuration error (including an n_max outside
 non-finite or non-increasing u bounds; and a curve label outside the
 cutoff's modes), 3 convergence gate failure, 4 invariant
 violation (including a numerical routine that cannot reach its accuracy
-target).
+target), 141 stdout closed by its reader (a pager or ``head`` that exits
+early; 128 + SIGPIPE, the status a shell reports for a writer that SIGPIPE
+ends), for either subcommand and without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_INVARIANT = 4
+EXIT_CLOSED_STDOUT = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,17 +215,22 @@ def _cmd_check(args) -> int:
     failed = False
     for label, value, tol in _check_lines(args.nmax):
         ok = value < tol
-        print(f"{'ok  ' if ok else 'FAIL'} {label} ({value:.3g} of {tol:.3g})")
+        print(f"{'ok  ' if ok else 'FAIL'} {label} ({value:.3g} of {tol:.3g})", flush=True)
         failed = failed or not ok
     return EXIT_INVARIANT if failed else EXIT_OK
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_check(args)
+        args = _build_parser().parse_args(argv)
+        code = _cmd_sweep(args) if args.command == "sweep" else _cmd_check(args)
+        sys.stdout.flush()  # a closed stdout must fail here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; stdout goes to devnull so that the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -308,6 +308,28 @@ def test_no_subcommand_loads_openssl(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["check"], ["sweep", "fig1a", "--steps", "1001"]])
+def test_stdout_closed_by_its_reader_exits_without_a_traceback(argv):
+    # `cavityent check | head -n 1`: the reader takes one line and closes the
+    # pipe.  check flushes each line and the sweep writes about 270 kB of rows
+    # at once, more than a pipe holds, so either writes again after the close.
+    # PYTHONUNBUFFERED is dropped: on an unbuffered stdout CPython drops the
+    # rest of a short write instead of raising, and the sweep would exit 0.
+    src = pathlib.Path(cavityent.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cavityent.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert first.strip()
+    assert err == b""
+    assert proc.returncode == cli.EXIT_CLOSED_STDOUT
+
+
 def test_same_charge_one_particle_curve_converges_at_a_deep_cutoff(tmp_path):
     # excite 4 on fermion labels (4, 0): the refinement moves the curve's
     # maxima by the mode-truncation residual, which falls as n_max^-3

@@ -80,12 +80,9 @@ from .bogoliubov import BosonBogoliubov, FermionBogoliubov, check_period, compos
 
 DEFAULT_LADDER = oracles.geometric_ladder(top=0.02, count=4)
 
-# Weighted identity residual above which a junction or a trip is rejected.
-GATE_TOL = 5e-8
-
 # Smallest n_max from which every trip of a whole u period passes the
-# GATE_TOL gate, both species, by the bound of check_period.  The residual is
-# the truncated mode tail and falls roughly as n_max^-3, but not
+# bogoliubov.GATE_TOL gate, both species, by the bound of check_period.  The
+# residual is the truncated mode tail and falls roughly as n_max^-3, but not
 # monotonically: the weighted bound (boson / fermion) is 4.20e-8 / 5.24e-8 at
 # 28, 2.58e-8 / 5.69e-8 at 30, 2.58e-8 / 3.25e-8 at 31, at most 3.77e-8
 # (fermion, 34) from 31 to 59, and 5.29e-9 / 6.45e-9 at 56.
@@ -145,7 +142,7 @@ def _gated(source: str, build, species: str, n_max: int):
     if key in _cache:
         return _cache[key]
     result = build(species, n_max)
-    check_period(result, tol=GATE_TOL, window=interior_window(species, n_max))
+    check_period(result, window=interior_window(species, n_max))
     _cache[key] = result
     return result
 
@@ -220,6 +217,16 @@ def build_table_junction(species: str, n_max: int):
         a[2][np.diag_indices(2 * n_max)] = -(np.pi**2) * omega**2 / 240.0 - 1.0 / 96.0
         return FermionBogoliubov(a, modes)
     raise ValueError(f"unknown species {species!r}")
+
+
+def phase_parameter(h: float, tau: float) -> float:
+    """Dimensionless duration u of an accelerated segment.
+
+    tau is the proper time elapsed at the cavity centre.  u is normalised so
+    that every accelerated-mode phase is exp(-2 pi i * mode * u) for bosons,
+    making u = 1 one full revolution of the fundamental.
+    """
+    return h * tau / (4.0 * np.arctanh(0.5 * h))
 
 
 def free_phases(species: str, modes, u) -> np.ndarray:

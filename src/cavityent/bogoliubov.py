@@ -137,7 +137,7 @@ def invert(t):
     raise TypeError(f"not a transformation: {t!r}")
 
 
-def _window_slice(modes: np.ndarray, window) -> slice:
+def window_slice(modes: np.ndarray, window) -> slice:
     """Positions of the (ascending) labels inside ``window``: a view, not a copy."""
     if window is None:
         return slice(None)
@@ -159,7 +159,7 @@ def _residual_blocks(t, window=None) -> dict[str, np.ndarray]:
     windowed block of the full products.  Truncating the mode ladder always
     spoils the identities near the edge, so callers should stay in the interior.
     """
-    sl = _window_slice(t.modes, window)
+    sl = window_slice(t.modes, window)
 
     def less_eye(x: np.ndarray) -> np.ndarray:
         diag = np.einsum("...ii->...i", x[0])
@@ -214,7 +214,7 @@ def period_residuals(j, window=None) -> dict[str, np.ndarray]:
 
 def _period_bound(j, res: dict[str, np.ndarray], window) -> dict[str, np.ndarray]:
     """:func:`period_residuals` from the junction's residual blocks ``res``."""
-    sl = _window_slice(j.modes, window)
+    sl = window_slice(j.modes, window)
     moving = j.modes[sl, None] != j.modes[None, sl]
     if isinstance(j, BosonBogoliubov):
         families = {
@@ -237,31 +237,34 @@ def _period_bound(j, res: dict[str, np.ndarray], window) -> dict[str, np.ndarray
 
 H_REF = 0.08
 
+# Weighted identity residual above which a junction or a trip is rejected.
+GATE_TOL = 5e-8
 
-def _gate(residuals: dict[str, np.ndarray], tol: float, what: str) -> dict[str, np.ndarray]:
+
+def _gate(residuals: dict[str, np.ndarray], what: str) -> dict[str, np.ndarray]:
     worst_by = {k: weighted_residual(v) for k, v in residuals.items()}
     worst = max(worst_by.values())
-    if worst > tol:
+    if worst > GATE_TOL:
         detail = ", ".join(f"{k}={v:.3e}" for k, v in worst_by.items())
         raise InvariantViolation(
-            f"{what} residual {worst:.3e} at h={H_REF} exceeds {tol:.1e} ({detail})"
+            f"{what} residual {worst:.3e} at h={H_REF} exceeds {GATE_TOL:.1e} ({detail})"
         )
     return residuals
 
 
-def check_period(j, tol: float = 1e-8, window=None) -> dict[str, np.ndarray]:
+def check_period(j, window=None) -> dict[str, np.ndarray]:
     """Gate the junction ``j`` and every trip of the u period it makes.
 
     Each gate raises :class:`InvariantViolation` if its weighted residual
-    (:func:`weighted_residual`) exceeds ``tol``.  The junction's own
+    (:func:`weighted_residual`) exceeds ``GATE_TOL``.  The junction's own
     identities (the per-order maxima of :func:`identity_residuals`) are gated
     first, then the bound of :func:`period_residuals` on every trip
     J^-1 P(u) J at once; both read the junction's residual blocks, formed
     once.  Returns the trip bound.
     """
     res = _residual_blocks(j, window)
-    _gate(_maxima(res), tol, "identity")
-    return _gate(_period_bound(j, res, window), tol, "trip identity (whole u period)")
+    _gate(_maxima(res), "identity")
+    return _gate(_period_bound(j, res, window), "trip identity (whole u period)")
 
 
 def weighted_residual(r: np.ndarray) -> float:

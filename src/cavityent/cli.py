@@ -30,7 +30,7 @@ import numpy as np
 
 from . import blocks, negativity, oracles, states, sweep
 from ._version import __version__
-from .bogoliubov import H_REF, FermionBogoliubov, InvariantViolation
+from .bogoliubov import H_REF, FermionBogoliubov, InvariantViolation, window_slice
 from .config import PRESETS, load_config
 from .sweep import ConfigError
 
@@ -98,22 +98,22 @@ def _cmd_sweep(args) -> int:
 def _check_lines(n_max: int):
     """Yield (label, value, tolerance) for each invariant of the suite; a line
     passes when its value is below its tolerance."""
-    # The finite-h overlap residual is the truncated mode tail at the interior
-    # window: it grows as h^2 and falls as n_max^-3, so only h = H_REF, the
-    # largest acceleration of interest, can decide.  Measured at h = 0.08,
-    # 0.04, 0.02, 0.01 (boson / fermion):
-    #   n_max  31: 1.37e-8 3.27e-9 8.08e-10 2.01e-10 / 1.58e-8 3.81e-9 9.43e-10 2.35e-10
-    #   n_max  40: 7.78e-9 1.85e-9 4.57e-10 1.14e-10 / 8.94e-9 2.14e-9 5.29e-10 1.32e-10
-    #   n_max  80: 9.83e-10 2.33e-10 5.76e-11 1.43e-11 / 1.15e-9 2.74e-10 6.76e-11 1.69e-11
-    #   n_max 118: 2.86e-10 6.76e-11 1.67e-11 4.15e-12 / 3.37e-10 8.01e-11 1.98e-11 4.93e-12
-    # so the residual at H_REF is 0.32 to 0.46 of 2e-8 (40 / n_max)^3 at every
+    # The finite-h overlap residual is the truncated mode tail on the gate's
+    # interior window: it grows as h^2 and falls as n_max^-3, so only
+    # h = H_REF, the largest acceleration of interest, can decide.  Measured
+    # at h = 0.08, 0.04, 0.02, 0.01 (boson / fermion):
+    #   n_max  31: 1.37e-8 3.27e-9 8.08e-10 2.01e-10 / 1.75e-8 4.14e-9 1.02e-9 2.54e-10
+    #   n_max  40: 7.78e-9 1.85e-9 4.57e-10 1.14e-10 / 9.69e-9 2.28e-9 5.63e-10 1.40e-10
+    #   n_max  80: 9.83e-10 2.33e-10 5.76e-11 1.43e-11 / 1.19e-9 2.83e-10 6.98e-11 1.74e-11
+    #   n_max 118: 2.86e-10 6.76e-11 1.67e-11 4.15e-12 / 3.96e-10 9.43e-11 2.33e-11 5.80e-12
+    # so the residual at H_REF is 0.32 to 0.51 of 2e-8 (40 / n_max)^3 at every
     # cutoff.  The tables lines check the quadrature at smaller h.
     tol = 2e-8 * (40 / n_max) ** 3
-    interior = blocks.interior_window("boson", n_max)[1]
-    residual = oracles.overlap_identity_residuals(*oracles.boson_overlaps(H_REF, n_max), interior)
+    window = window_slice(blocks.boson_modes(n_max), blocks.interior_window("boson", n_max))
+    residual = oracles.overlap_identity_residuals(*oracles.boson_overlaps(H_REF, n_max), window)
     yield "boson finite-h overlap identities", residual, tol
-    interior = blocks.interior_window("fermion", n_max)[1]
-    residual = oracles.fermion_identity_residual(oracles.fermion_overlaps(H_REF, n_max), interior)
+    window = window_slice(blocks.fermion_modes(n_max), blocks.interior_window("fermion", n_max))
+    residual = oracles.fermion_identity_residual(oracles.fermion_overlaps(H_REF, n_max), window)
     yield "fermion finite-h overlap identities", residual, tol
 
     junctions = {s: blocks.junction(s, n_max) for s in ("boson", "fermion")}

@@ -9,6 +9,14 @@ Two tools live here:
   values into h^0, h^1, h^2 coefficients, splitting even and odd orders
   exactly through the mirror symmetry.
 
+The cavity is rigid, and lengths are in units of its proper length, which
+drops out of every overlap.  Its one parameter is h, the proper length times
+the proper acceleration at the centre, with 0 < h < 2 so that both walls lie
+in one Rindler wedge.  The quadrature reads three numbers of h: the trailing
+wall's distance a = 1/h - 1/2 from the Rindler horizon, the ratio r = 1/a of
+the cavity length to it, and the cavity's Rindler depth
+L = log(1 + r) = 2 artanh(h/2).
+
 The quadrature and the mirrored extraction feed the production junction
 blocks; the finite-h identity residuals let ``cavityent check`` and the
 tests hold the overlaps against something that does not share the series
@@ -18,8 +26,6 @@ derivation.
 from __future__ import annotations
 
 import numpy as np
-
-from .geometry import CavityGeometry
 
 
 # Gauss-Legendre rule per quadrature panel on [-1, 1]: the positive half of
@@ -36,7 +42,9 @@ _HALF_WEIGHTS = np.array([
 ])
 GAUSS_NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
 GAUSS_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
-# panel-count doublings a quadrature may take to reach its tolerance
+# a quadrature has converged once a panel-count doubling moves no overlap
+# entry by OVERLAP_TOL or more, within MAX_DOUBLINGS doublings
+OVERLAP_TOL = 1e-12
 MAX_DOUBLINGS = 4
 
 
@@ -59,12 +67,14 @@ def gauss_panels(n_panels: int):
     return xi, wi
 
 
-def _ladder(h) -> list[CavityGeometry]:
-    """Geometry of each h of a scalar or 1-D ladder."""
+def _ladder(h) -> list[tuple[float, float, float]]:
+    """(a, r, L) of each h of a scalar or 1-D ladder (see the module docstring)."""
     ladder = np.atleast_1d(np.asarray(h, dtype=float))
     if ladder.ndim != 1:
         raise ValueError(f"h must be a scalar or a 1-D ladder, got shape {ladder.shape}")
-    return [CavityGeometry(x) for x in ladder]
+    if not np.all((ladder > 0.0) & (ladder < 2.0)):
+        raise ValueError(f"h must lie in (0, 2), got {h}")
+    return [(1.0 / x - 0.5, x / (1.0 - 0.5 * x), 2.0 * np.arctanh(0.5 * x)) for x in ladder]
 
 
 def _boson_overlaps_once(ladder, n_max: int, n_panels: int) -> np.ndarray:
@@ -84,8 +94,7 @@ def _boson_overlaps_once(ladder, n_max: int, n_panels: int) -> np.ndarray:
     rindler = np.empty((n_max, xi.size))
     weighted = np.empty_like(rindler)
     out = np.empty((2, len(ladder), n_max, n_max))
-    for k, geo in enumerate(ladder):
-        a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
+    for k, (a, r, big_l) in enumerate(ladder):
         x = a * (1.0 + r * xi)
         ell = np.log1p(r * xi)
         np.outer(n, ell, out=rindler)                       # accelerated shapes:
@@ -124,8 +133,7 @@ def _fermion_overlaps_once(ladder, n_max: int, n_panels: int) -> np.ndarray:
     for f, trig in enumerate((np.cos, np.sin)):
         np.outer(omega, xi, out=inertial)
         trig(inertial, out=inertial)
-        for k, geo in enumerate(ladder):
-            a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
+        for k, (a, r, big_l) in enumerate(ladder):
             x = a * (1.0 + r * xi)
             np.outer(omega / big_l, np.log1p(r * xi), out=accelerated)  # frequency x ell
             trig(accelerated, out=accelerated)
@@ -141,64 +149,62 @@ def _fermion_overlaps_once(ladder, n_max: int, n_panels: int) -> np.ndarray:
     return out
 
 
-def _converged(compute, n_panels: int, tol: float):
+def _converged(compute, n_panels: int):
     coarse = compute(n_panels)
     for _ in range(MAX_DOUBLINGS):
         n_panels *= 2
         fine = compute(n_panels)
-        if float(np.max(np.abs(coarse - fine))) < tol:
+        if float(np.max(np.abs(coarse - fine))) < OVERLAP_TOL:
             return fine
         coarse = fine
-    raise ConvergenceError(f"quadrature did not converge to {tol:.1e}")
+    raise ConvergenceError(f"quadrature did not converge to {OVERLAP_TOL:.1e}")
 
 
-def boson_overlaps(h, n_max: int, tol: float = 1e-12):
+def boson_overlaps(h, n_max: int):
     """Exact junction matrices (alpha, beta) at finite h for modes 1..n_max.
 
     Row m, column n is the overlap of accelerated mode m with inertial mode n
     on the junction slice.  Both matrices are real in this convention.  ``h``
     is a scalar or a 1-D ladder; for a ladder both matrices carry a leading
     ladder axis, and the whole ladder converges as one: every panel doubling
-    must move no entry of any h by ``tol`` or more.
+    must move no entry of any h by ``OVERLAP_TOL`` or more.
     """
     ladder = _ladder(h)
-    out = _converged(lambda p: _boson_overlaps_once(ladder, n_max, p), max(16, n_max), tol)
+    out = _converged(lambda p: _boson_overlaps_once(ladder, n_max, p), max(16, n_max))
     if np.ndim(h) == 0:
         out = out[:, 0]
     return out[0], out[1]
 
 
-def fermion_overlaps(h, n_max: int, tol: float = 1e-12) -> np.ndarray:
+def fermion_overlaps(h, n_max: int) -> np.ndarray:
     """Exact junction matrix at finite h for modes kappa = -n_max..n_max-1.
 
     ``h`` is a scalar or a 1-D ladder, which gives a leading ladder axis and
     converges as one, as in :func:`boson_overlaps`.
     """
     ladder = _ladder(h)
-    out = _converged(lambda p: _fermion_overlaps_once(ladder, n_max, p), max(16, n_max), tol)
+    out = _converged(lambda p: _fermion_overlaps_once(ladder, n_max, p), max(16, n_max))
     return out[0] if np.ndim(h) == 0 else out
 
 
-def overlap_identity_residuals(alpha: np.ndarray, beta: np.ndarray, interior: int) -> float:
+def overlap_identity_residuals(alpha: np.ndarray, beta: np.ndarray, window: slice) -> float:
     """Worst deviation of the finite-h overlaps from the structural identities.
 
-    Only the leading ``interior`` rows and columns are examined: the mode
-    ladder is truncated, so identities close only where the missing tail is
-    negligible.
+    Only the rows and columns at the storage positions ``window`` are
+    examined, those of the gate's interior window
+    (:func:`cavityent.bogoliubov.window_slice`): the mode ladder is
+    truncated, so identities close only where the missing tail is negligible.
     """
-    n = alpha.shape[0]
-    eye = np.eye(n)
-    sl = slice(0, interior)
+    eye = np.eye(alpha.shape[0])
     r1 = alpha @ alpha.T.conj() - beta @ beta.T.conj() - eye
     r2 = alpha @ beta.T - beta @ alpha.T
-    return max(float(np.max(np.abs(r[sl, sl]))) for r in (r1, r2))
+    return max(float(np.max(np.abs(r[window, window]))) for r in (r1, r2))
 
 
-def fermion_identity_residual(a: np.ndarray, interior: int) -> float:
-    n = a.shape[0]
-    half = n // 2
-    sl = slice(half - interior, half + interior)
-    r = (a @ a.T.conj() - np.eye(n))[sl, sl]
+def fermion_identity_residual(a: np.ndarray, window: slice) -> float:
+    """Worst deviation of the finite-h overlaps from unitarity at the storage
+    positions ``window``, as in :func:`overlap_identity_residuals`."""
+    r = (a @ a.T.conj() - np.eye(a.shape[0]))[window, window]
     return float(np.max(np.abs(r)))
 
 

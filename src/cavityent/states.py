@@ -35,23 +35,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BosonBogoliubov, FermionBogoliubov
-from .series import N_ORDERS, cauchy, diagonal_stack
+from .series import N_ORDERS, cauchy
 
 
 def _diagonal_phases(m0: np.ndarray) -> np.ndarray:
-    g = np.diagonal(m0, axis1=-2, axis2=-1).copy()
-    if not np.all(np.abs(m0 - diagonal_stack(g)) <= 1e-12):
+    g = np.diag(m0)
+    if not np.all(np.abs(m0 - np.diag(g)) <= 1e-12):
         raise ValueError("zeroth order is not diagonal; not a trip transformation")
     return g
 
 
-def _t(m: np.ndarray) -> np.ndarray:
-    return np.swapaxes(m, -1, -2)
-
-
 def _sub(m: np.ndarray, rows, cols) -> np.ndarray:
-    """Block of the last two axes of ``m`` (boolean or integer selections)."""
-    return m[(Ellipsis,) + np.ix_(rows, cols)]
+    """Block of ``m`` (boolean or integer selections)."""
+    return m[np.ix_(rows, cols)]
 
 
 # sorts above every mode label: pads the rows of a key array
@@ -90,28 +86,22 @@ def boson_pair_matrix(t: BosonBogoliubov) -> np.ndarray:
     a1 = t.alpha[1]
     b1, b2 = t.beta[1], t.beta[2]
     v = np.zeros((N_ORDERS,) + b1.shape, dtype=complex)
-    v[1] = -np.conj(b1) * ginv[..., None, :]
-    v[2] = (
-        -np.conj(b2) * ginv[..., None, :]
-        + np.conj(b1) @ (ginv[..., :, None] * a1 * ginv[..., None, :])
-    )
-    return 0.5 * (v + _t(v))
+    v[1] = -np.conj(b1) * ginv
+    v[2] = -np.conj(b2) * ginv + np.conj(b1) @ (ginv[:, None] * a1 * ginv)
+    return 0.5 * (v + v.transpose(0, 2, 1))
 
 
 def boson_norm_factor(v: np.ndarray) -> np.ndarray:
-    n = np.zeros((N_ORDERS,) + v.shape[1:-2])
-    n[0] = 1.0
-    n[2] = -0.25 * np.sum(np.abs(v[1]) ** 2, axis=(-2, -1))
-    return n
+    return np.array([1.0, 0.0, -0.25 * np.sum(np.abs(v[1]) ** 2)])
 
 
 def boson_source_matrix(t: BosonBogoliubov, v: np.ndarray) -> np.ndarray:
     """Orders of D, with D[:, k] the one-particle source for mode k."""
     g = _diagonal_phases(t.alpha[0])
     d = np.zeros((N_ORDERS,) + v[1].shape, dtype=complex)
-    d[0] = diagonal_stack(np.conj(g))
+    d[0] = np.diag(np.conj(g))
     d[1] = np.conj(t.alpha[1])
-    d[2] = np.conj(t.alpha[2]) + _t(v[1]) @ t.beta[1]
+    d[2] = np.conj(t.alpha[2]) + v[1].T @ t.beta[1]
     return d
 
 
@@ -134,18 +124,15 @@ def fermion_pair_matrix(t: FermionBogoliubov) -> np.ndarray:
     modes, part, anti = _charge_masks(t)
     g = _diagonal_phases(t.a[0])
     a1, a2 = t.a[1], t.a[2]
-    gp = np.conj(g[..., part])[..., :, None]
-    v = np.zeros((N_ORDERS,) + a1.shape[:-2] + (int(part.sum()), int(anti.sum())), dtype=complex)
-    v[1] = -gp * _t(_sub(a1, anti, part))
-    v[2] = -gp * (_t(_sub(a2, anti, part)) + _t(_sub(a1, part, part)) @ v[1])
+    gp = np.conj(g[part])[:, None]
+    v = np.zeros((N_ORDERS, int(part.sum()), int(anti.sum())), dtype=complex)
+    v[1] = -gp * _sub(a1, anti, part).T
+    v[2] = -gp * (_sub(a2, anti, part).T + _sub(a1, part, part).T @ v[1])
     return v
 
 
 def fermion_norm_factor(v: np.ndarray) -> np.ndarray:
-    m = np.zeros((N_ORDERS,) + v.shape[1:-2])
-    m[0] = 1.0
-    m[2] = -0.5 * np.sum(np.abs(v[1]) ** 2, axis=(-2, -1))
-    return m
+    return np.array([1.0, 0.0, -0.5 * np.sum(np.abs(v[1]) ** 2)])
 
 
 def fermion_particle_source(t: FermionBogoliubov, v: np.ndarray) -> np.ndarray:
@@ -153,8 +140,8 @@ def fermion_particle_source(t: FermionBogoliubov, v: np.ndarray) -> np.ndarray:
     modes, part, anti = _charge_masks(t)
     g = _diagonal_phases(t.a[0])
     a1c = np.conj(t.a[1])
-    d = np.zeros((N_ORDERS,) + v.shape[1:-1] + (int(part.sum()),), dtype=complex)
-    d[0] = diagonal_stack(np.conj(g[..., part]))
+    d = np.zeros((N_ORDERS,) + (int(part.sum()),) * 2, dtype=complex)
+    d[0] = np.diag(np.conj(g[part]))
     d[1] = _sub(a1c, part, part)
     d[2] = _sub(np.conj(t.a[2]), part, part) - v[1] @ _sub(a1c, anti, part)
     return d
@@ -165,10 +152,10 @@ def fermion_antiparticle_source(t: FermionBogoliubov, v: np.ndarray) -> np.ndarr
     modes, part, anti = _charge_masks(t)
     g = _diagonal_phases(t.a[0])
     a1 = t.a[1]
-    e = np.zeros((N_ORDERS,) + v.shape[1:-2] + (int(anti.sum()),) * 2, dtype=complex)
-    e[0] = diagonal_stack(g[..., anti])
+    e = np.zeros((N_ORDERS,) + (int(anti.sum()),) * 2, dtype=complex)
+    e[0] = np.diag(g[anti])
     e[1] = _sub(a1, anti, anti)
-    e[2] = _sub(t.a[2], anti, anti) + _t(v[1]) @ _sub(a1, part, anti)
+    e[2] = _sub(t.a[2], anti, anti) + v[1].T @ _sub(a1, part, anti)
     return e
 
 
@@ -177,11 +164,11 @@ def fermion_pair_scalar(t: FermionBogoliubov, e: np.ndarray, kappa: int, kappa_p
     modes, part, anti = _charge_masks(t)
     ik = list(modes[part]).index(kappa)
     iq = list(modes[anti]).index(kappa_p)
-    ac1 = _sub(np.conj(t.a[1]), anti, part)[..., ik]
-    ac2 = _sub(np.conj(t.a[2]), anti, part)[..., ik]
-    c = np.zeros(e.shape[:-2], dtype=complex)
-    c[1] = np.sum(ac1 * e[0][..., iq], axis=-1)
-    c[2] = np.sum(ac1 * e[1][..., iq], axis=-1) + np.sum(ac2 * e[0][..., iq], axis=-1)
+    ac1 = _sub(np.conj(t.a[1]), anti, part)[:, ik]
+    ac2 = _sub(np.conj(t.a[2]), anti, part)[:, ik]
+    c = np.zeros(N_ORDERS, dtype=complex)
+    c[1] = np.sum(ac1 * e[0][:, iq])
+    c[2] = np.sum(ac1 * e[1][:, iq]) + np.sum(ac2 * e[0][:, iq])
     return c
 
 

@@ -398,7 +398,12 @@ def emit(result: SweepResult, fmt: str = "csv", path: str | None = None) -> str:
         with open(path, "w") as fh:
             fh.write(text)
     elif path == "-":
-        sys.stdout.write(text)
+        # an unbuffered text stdout drops the rest of a short write; the byte
+        # stream reports how much it took, so a closed pipe raises on the next write
+        data = memoryview(text.encode(sys.stdout.encoding))
+        sys.stdout.flush()
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
     return text
 
 

@@ -28,15 +28,14 @@ def panels(n_panels: int):
 
 
 def boson_tables(ladder, n_max: int, n_panels: int) -> np.ndarray:
-    """(alpha, beta) of every geometry of ``ladder``, shape (2, len(ladder), n, n)."""
+    """(alpha, beta) of every (a, r, L) of ``ladder``, shape (2, len(ladder), n, n)."""
     xi, wi = panels(n_panels)
     n = np.arange(1, n_max + 1)
     inertial = np.sin(np.pi * np.outer(n, xi))
     inv_root = 1.0 / np.sqrt(n)
     col = n[None, :].astype(float)
     out = np.empty((2, len(ladder), n_max, n_max))
-    for k, geo in enumerate(ladder):
-        a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
+    for k, (a, r, big_l) in enumerate(ladder):
         x = a * (1.0 + r * xi)
         ell = np.log1p(r * xi)
         rindler = np.sin(np.pi * np.outer(n, ell) / big_l)
@@ -49,7 +48,7 @@ def boson_tables(ladder, n_max: int, n_panels: int) -> np.ndarray:
 
 
 def fermion_tables(ladder, n_max: int, n_panels: int) -> np.ndarray:
-    """Overlap matrix of every geometry of ``ladder``, shape
+    """Overlap matrix of every (a, r, L) of ``ladder``, shape
     (len(ladder), 2 n_max, 2 n_max), from the kappa >= 0 trig tables and the
     sign blocks C + S and C - S."""
     xi, wi = panels(n_panels)
@@ -57,8 +56,7 @@ def fermion_tables(ladder, n_max: int, n_panels: int) -> np.ndarray:
     cos_i = np.cos(np.outer(omega, xi))
     sin_i = np.sin(np.outer(omega, xi))
     out = np.empty((len(ladder), 2 * n_max, 2 * n_max))
-    for k, geo in enumerate(ladder):
-        a, r, big_l = geo.left_wall, geo.wall_ratio, geo.log_ratio
+    for k, (a, r, big_l) in enumerate(ladder):
         x = a * (1.0 + r * xi)
         ell = np.log1p(r * xi)
         phase = np.outer(omega / big_l, ell)

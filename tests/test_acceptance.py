@@ -16,10 +16,12 @@ from numpy.polynomial.polynomial import polyval
 
 from cavityent import blocks, config, negativity, oracles, states, sweep
 from cavityent.bogoliubov import (
+    GATE_TOL,
     BosonBogoliubov,
     FermionBogoliubov,
     identity_residuals,
     weighted_residual,
+    window_slice,
 )
 
 import fock
@@ -43,11 +45,13 @@ def _interior_mask(modes, species):
 def test_overlap_matrices_satisfy_structural_identities():
     start = time.perf_counter()
     worst = 0.0
+    boson = window_slice(blocks.boson_modes(N_MAX), blocks.interior_window("boson", N_MAX))
+    fermion = window_slice(blocks.fermion_modes(N_MAX), blocks.interior_window("fermion", N_MAX))
     for h in (0.08, 0.04, 0.02, 0.01):
         a, b = oracles.boson_overlaps(h, N_MAX)
-        worst = max(worst, oracles.overlap_identity_residuals(a, b, interior=20))
+        worst = max(worst, oracles.overlap_identity_residuals(a, b, boson))
         af = oracles.fermion_overlaps(h, N_MAX)
-        worst = max(worst, oracles.fermion_identity_residual(af, interior=20))
+        worst = max(worst, oracles.fermion_identity_residual(af, fermion))
     elapsed = time.perf_counter() - start
     assert worst < IDENTITY_TOL, f"identity residual {worst:.3e}"
     assert elapsed < 60.0, f"overlap suite took {elapsed:.1f} s"
@@ -280,14 +284,14 @@ def test_reported_negativity_survives_convention_changes(
         out_b[:, None] * boson_trip.beta * in_b,
         boson_trip.modes,
     )
-    assert gated(rephased_b, "boson") <= blocks.GATE_TOL
+    assert gated(rephased_b, "boson") <= GATE_TOL
 
     out_f = phases(fermion_trip.modes.size)
     in_f = phases(fermion_trip.modes.size)
     rephased_f = FermionBogoliubov(
         out_f[:, None] * fermion_trip.a * np.conj(in_f), fermion_trip.modes
     )
-    assert gated(rephased_f, "fermion") <= blocks.GATE_TOL
+    assert gated(rephased_f, "fermion") <= GATE_TOL
 
     flipped = FermionBogoliubov(
         np.ascontiguousarray(fermion_trip.a[:, ::-1, ::-1]), fermion_trip.modes[::-1]

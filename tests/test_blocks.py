@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from cavityent import blocks, cli, oracles
 from cavityent.bogoliubov import (
+    GATE_TOL,
     H_REF,
     BosonBogoliubov,
     FermionBogoliubov,
@@ -158,8 +159,8 @@ def test_real_storage_changes_only_the_storage(species, monkeypatch):
     for x, y in zip(real_lines, copy_lines, strict=True):
         assert np.array_equal(x, y)
     window = blocks.interior_window(species, 40)
-    real_bound = check_period(j, tol=blocks.GATE_TOL, window=window)
-    copy_bound = check_period(copy, tol=blocks.GATE_TOL, window=window)
+    real_bound = check_period(j, window=window)
+    copy_bound = check_period(copy, window=window)
     assert real_bound.keys() == copy_bound.keys()
     weights = H_REF ** np.arange(3)
     for name, bound in real_bound.items():
@@ -209,12 +210,12 @@ def test_mirror_action_on_junction():
         assert np.allclose(m.beta[1], -j.beta[1], atol=1e-14)
         assert np.allclose(m.alpha[1], -j.alpha[1], atol=1e-14)
         assert np.allclose(m.alpha[2], j.alpha[2], atol=1e-14)
-        check_period(m, tol=5e-8, window=blocks.interior_window("boson", 40))
+        check_period(m, window=blocks.interior_window("boson", 40))
 
 
 def test_junction_gate_passes(boson_junction, fermion_junction):
     for species, j in (("boson", boson_junction), ("fermion", fermion_junction)):
-        check_period(j, tol=5e-8, window=blocks.interior_window(species, 40))
+        check_period(j, window=blocks.interior_window(species, 40))
 
 
 def test_junction_is_memoized(boson_junction):
@@ -253,8 +254,8 @@ def test_table_zeroth_order_is_exact_and_entries_real():
 def test_table_junction_passes_the_period_gate(species, n_max):
     # a sweep refines at 2 n_max, up to 2 MAX_N_MAX = 236, on the tables
     j = blocks.build_table_junction(species, n_max)
-    bound = check_period(j, tol=blocks.GATE_TOL, window=blocks.interior_window(species, n_max))
-    assert max(weighted_residual(r) for r in bound.values()) < blocks.GATE_TOL
+    bound = check_period(j, window=blocks.interior_window(species, n_max))
+    assert max(weighted_residual(r) for r in bound.values()) < GATE_TOL
 
 
 @pytest.mark.parametrize("species", ["boson", "fermion"])
@@ -291,6 +292,17 @@ def test_accelerated_phases_at_unit_period():
     assert np.allclose(np.diag(p.alpha[0]), 1.0, atol=1e-13)
     pf = blocks.accelerated_phases("fermion", 12, 1.0)
     assert np.allclose(np.diag(pf.a[0]), -1.0, atol=1e-13)
+
+
+def test_phase_parameter_formula():
+    for h, tau in [(0.01, 0.7), (0.2, 3.1)]:
+        u = blocks.phase_parameter(h, tau)
+        assert u * 4 * math.atanh(h / 2) == pytest.approx(h * tau)
+
+
+def test_phase_parameter_small_h_limit():
+    # u -> tau/2 as the walls recede
+    assert blocks.phase_parameter(1e-6, 1.0) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_trip_diagonal_mixing_vanishes(boson_trip, fermion_trip):
@@ -438,11 +450,11 @@ def test_min_n_max_follows_from_the_period_bound():
     # the bound covers every u of the period, so MIN_N_MAX is the first
     # cutoff from which it stays below the gate for both species
     assert blocks.MIN_N_MAX == 31
-    assert _period_bound("fermion", 30)[1] > blocks.GATE_TOL
+    assert _period_bound("fermion", 30)[1] > GATE_TOL
     for n_max in range(31, 60):
         for species in ("boson", "fermion"):
             worst = _period_bound(species, n_max)[1]
-            assert worst < blocks.GATE_TOL, (species, n_max, worst)
+            assert worst < GATE_TOL, (species, n_max, worst)
 
 
 def test_max_n_max_is_the_last_cutoff_through_the_drift_check():

@@ -308,16 +308,25 @@ def test_no_subcommand_loads_openssl(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["check"], ["sweep", "fig1a", "--steps", "1001"]])
-def test_stdout_closed_by_its_reader_exits_without_a_traceback(argv):
+CLOSED_STDOUT_ARGV = (["check"], ["sweep", "fig1a", "--steps", "1001"])
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [(argv, unbuffered) for unbuffered in (False, True) for argv in CLOSED_STDOUT_ARGV],
+    ids=["argv0", "argv1", "argv0-unbuffered", "argv1-unbuffered"],
+)
+def test_stdout_closed_by_its_reader_exits_without_a_traceback(argv, unbuffered):
     # `cavityent check | head -n 1`: the reader takes one line and closes the
     # pipe.  check flushes each line and the sweep writes about 270 kB of rows
     # at once, more than a pipe holds, so either writes again after the close.
-    # PYTHONUNBUFFERED is dropped: on an unbuffered stdout CPython drops the
-    # rest of a short write instead of raising, and the sweep would exit 0.
+    # Under PYTHONUNBUFFERED a text stdout drops the rest of a short write
+    # instead of raising, so the sweep writes its bytes to the byte stream.
     src = pathlib.Path(cavityent.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "cavityent.cli", *argv],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -328,6 +337,24 @@ def test_stdout_closed_by_its_reader_exits_without_a_traceback(argv):
     assert first.strip()
     assert err == b""
     assert proc.returncode == cli.EXIT_CLOSED_STDOUT
+
+
+def test_fermion_identity_line_reads_the_gates_window():
+    # the finite-h identity line's value is the largest unitarity residual of
+    # the h = H_REF overlaps over the labels that the junction gate reads
+    # (-20..20 at n_max 40, both ends included)
+    n_max = 40
+    lines = cli._check_lines(n_max)
+    next(lines)
+    label, value, _ = next(lines)
+    assert label == "fermion finite-h overlap identities"
+    modes = blocks.fermion_modes(n_max)
+    lo, hi = blocks.interior_window("fermion", n_max)
+    inside = (modes >= lo) & (modes <= hi)
+    assert inside.sum() == 41
+    a = oracles.fermion_overlaps(bogoliubov.H_REF, n_max)
+    residual = (a @ a.T - np.eye(2 * n_max))[np.ix_(inside, inside)]
+    assert value == float(np.max(np.abs(residual)))
 
 
 def test_same_charge_one_particle_curve_converges_at_a_deep_cutoff(tmp_path):

@@ -1,12 +1,13 @@
 """Quadrature overlaps, order extraction and the brute-force Fock windows."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cavityent import blocks, oracles
-from cavityent.geometry import CavityGeometry
+from cavityent.bogoliubov import window_slice
 
 import fock
 import quadrature
@@ -100,17 +101,43 @@ def test_fixed_weight_extraction_matches_least_squares_on_junction_ladders(n_max
     assert np.max(np.abs(c[0] - want[0])) < 1e-13
 
 
+# --- cavity numbers --------------------------------------------------------
+
+
+def test_trailing_wall_distance():
+    (a, _, _), = oracles._ladder(0.1)
+    assert a == pytest.approx(1 / 0.1 - 0.5)
+
+
+def test_wall_ratio_and_rindler_depth_agree():
+    for (a, r, big_l), h in zip(oracles._ladder([0.01, 0.1, 0.3]), (0.01, 0.1, 0.3)):
+        assert r == pytest.approx(1 / a)
+        # the leading wall lies one cavity length beyond the trailing one
+        assert big_l == pytest.approx(math.log((a + 1) / a))
+        assert big_l == pytest.approx(2 * math.atanh(h / 2))
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, 2.0, 2.5, float("nan"), [0.02, 2.0]])
+def test_h_out_of_range_rejected(h):
+    with pytest.raises(ValueError, match=r"\(0, 2\)"):
+        oracles._ladder(h)
+    with pytest.raises(ValueError):
+        oracles.fermion_overlaps(h, 8)
+
+
 # --- quadrature overlaps ---------------------------------------------------
 
 
 def test_boson_overlaps_satisfy_identities():
     alpha, beta = oracles.boson_overlaps(0.04, 20)
-    assert oracles.overlap_identity_residuals(alpha, beta, interior=10) < 5e-8
+    window = window_slice(blocks.boson_modes(20), (1, 10))
+    assert oracles.overlap_identity_residuals(alpha, beta, window) < 5e-8
 
 
 def test_fermion_overlaps_satisfy_unitarity():
     a = oracles.fermion_overlaps(0.04, 20)
-    assert oracles.fermion_identity_residual(a, interior=10) < 5e-8
+    window = window_slice(blocks.fermion_modes(20), (-10, 10))
+    assert oracles.fermion_identity_residual(a, window) < 5e-8
 
 
 def test_boson_overlaps_small_h_limit():
@@ -154,14 +181,14 @@ def test_fermion_ladder_call_matches_per_h_calls():
 def test_mirrored_fermion_overlaps_match_four_table_formula(h):
     # reference: cos and sin tables over the full kappa range, no mirroring
     n_max, n_panels = 12, 20
-    geo = CavityGeometry(h)
+    (a, r, big_l), = oracles._ladder(h)
     xi, wi = oracles.gauss_panels(n_panels)
-    x = geo.left_wall * (1.0 + geo.wall_ratio * xi)
-    ell = np.log1p(geo.wall_ratio * xi)
+    x = a * (1.0 + r * xi)
+    ell = np.log1p(r * xi)
     kappa = np.arange(-n_max, n_max)
     omega = (kappa + 0.5) * np.pi
-    capital = (kappa + 0.5) * np.pi / geo.log_ratio
-    weight = wi / np.sqrt(geo.log_ratio * x)
+    capital = (kappa + 0.5) * np.pi / big_l
+    weight = wi / np.sqrt(big_l * x)
     direct = (
         (np.cos(np.outer(capital, ell)) * weight) @ np.cos(np.outer(omega, xi)).T
         + (np.sin(np.outer(capital, ell)) * weight) @ np.sin(np.outer(omega, xi)).T
@@ -215,9 +242,10 @@ def test_overlap_quadrature_holds_at_most_four_and_a_half_tables(overlaps):
 
 
 @pytest.mark.parametrize("overlaps", [oracles.boson_overlaps, oracles.fermion_overlaps])
-def test_ladder_call_raises_when_tolerance_is_out_of_reach(overlaps):
+def test_ladder_call_raises_when_tolerance_is_out_of_reach(overlaps, monkeypatch):
+    monkeypatch.setattr(oracles, "OVERLAP_TOL", 1e-20)
     with pytest.raises(oracles.ConvergenceError):
-        overlaps(CHECK_LADDER, 8, tol=1e-20)
+        overlaps(CHECK_LADDER, 8)
 
 
 def test_overlaps_reject_a_two_dimensional_h():

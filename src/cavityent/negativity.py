@@ -98,11 +98,20 @@ def leading_order(rho_orders: np.ndarray) -> np.ndarray:
 # Every closed form takes a species' :class:`TripGrid`, its junction J on a u
 # grid (a scalar or any array), and returns the series with the orders on the
 # last axis, u.shape + (3,), or zeros(3) for a curve that vanishes
-# identically.  It reads the entries, rows and norms of the states building
-# blocks it needs from the trip's first-order rows and columns at the
-# observed labels and its second-order entries among them
+# identically.  It reads the entries and rows of the states building blocks
+# it needs from the trip's first-order rows and columns at the observed
+# labels and its second-order entries among them
 # (:func:`cavityent.blocks.trip_lines`): O(n) work per label and grid point,
 # and no full second-order row and no (len(u), n, n) array.
+#
+# The states also carry the vacuum norm factor M = 1 + h^2 M2, which the
+# numeric route keeps and the closed forms leave out exactly.  Each form
+# would multiply M into an amplitude whose h^0 term is zero: V, the pair
+# scalar c0, the source D[kp, k] or the fermion source(0, 1), and amp_21.
+# Up to h^2 the Cauchy product then pairs M2 only with that zero.  The boson
+# amp_k = D[k, k] has a non-zero h^0, but reaches the output only through
+# p = amp_k conj(amp_kp) and q = amp_k conj(amp_21), whose partners vanish
+# at h^0; so the h^2 term of amp_k, where M2 would land, drops out as well.
 
 
 def _pt_block(d1, d2, x) -> np.ndarray:
@@ -136,28 +145,14 @@ def _orders(zeroth, first, second) -> np.ndarray:
 
 class TripGrid:
     """What every closed form of a species reads on a u grid, whatever its
-    labels: the junction ``j``, the free phases ``g`` of every mode, shape
-    u.shape + (n,), and ``norm``, the orders of the vacuum norm factor M,
-    shape (3,) + u.shape.  A sweep builds one per species and grid.
+    labels: the junction ``j`` and the free phases ``g`` of every mode,
+    shape u.shape + (n,).  A sweep builds one per species and grid.
     """
 
     def __init__(self, j, u):
         self.j = j
-        if isinstance(j, BosonBogoliubov):
-            self.g = g = blocks.free_phases("boson", j.modes, u)
-            # sum |V1|^2 = 1/2 sum |S|^2 - 1/2 Re(g^T |S|^2 g) with S = beta1 + beta1^T
-            s = np.abs(j.beta[1] + j.beta[1].T) ** 2
-            total = 0.5 * np.sum(s) - 0.5 * np.real(np.sum((g @ s) * g, axis=-1))
-            self.norm = _orders(1.0, 0.0, -0.25 * total)
-            return
-        self.g = g = blocks.free_phases("fermion", j.modes, u)
-        # sum |V1|^2 over all (p, q) = sum |J1[p, q]|^2 + |J1[q, p]|^2
-        # + 2 Re(g_p^T X conj(g_q)), p particles and q antiparticles
-        part = j.modes >= 0
-        pq, qp = j.a[1][np.ix_(part, ~part)], j.a[1][np.ix_(~part, part)].T
-        moving = np.sum((g[..., part] @ np.conj(pq * qp)) * np.conj(g[..., ~part]), axis=-1)
-        total = np.sum(np.abs(pq) ** 2 + np.abs(qp) ** 2) + 2.0 * np.real(moving)
-        self.norm = _orders(1.0, 0.0, -0.5 * total)
+        species = "boson" if isinstance(j, BosonBogoliubov) else "fermion"
+        self.g = blocks.free_phases(species, j.modes, u)
 
 
 class TripLines:
@@ -169,7 +164,7 @@ class TripLines:
 
     def __init__(self, trip: TripGrid, labels):
         j = self.j = trip.j
-        self.g, self.norm = trip.g, trip.norm
+        self.g = trip.g
         self.at = [list(j.modes).index(int(m)) for m in labels]
         self.rest = np.ones(j.modes.size, dtype=bool)
         self.rest[self.at] = False
@@ -214,7 +209,7 @@ class BosonPieces(TripLines):
 def boson_vacuum_closed(trip: TripGrid, pair) -> np.ndarray:
     """Negativity series of the travelled vacuum on a mode pair."""
     p = BosonPieces(trip, *pair)
-    x = cauchy(cauchy(p.norm, p.norm), p.v)
+    x = p.v
     series = _pt_block(_weight(p.v1[..., 0, p.rest]), _weight(p.v1[..., 1, p.rest]), x)
     # the (2,0)|(0,2) block closes on the double-pair amplitude
     series[..., 2] += np.abs(p.v[1]) ** 2
@@ -231,8 +226,7 @@ def boson_particle_closed(trip: TripGrid, k: int, pair) -> np.ndarray:
     v1k, v1kp = pc.v1[..., 0, pc.rest], pc.v1[..., 1, pc.rest]
     d1_rest = pc.d1[..., pc.rest]
 
-    amp_k = cauchy(pc.norm, pc.d[..., 0])
-    amp_kp = cauchy(pc.norm, pc.d[..., 1])
+    amp_k, amp_kp = pc.d[..., 0], pc.d[..., 1]
     amp_21 = _SQRT2 * cauchy(amp_k, pc.v)
     p = cauchy(amp_k, np.conj(amp_kp))
     q = cauchy(amp_k, np.conj(amp_21))
@@ -334,8 +328,7 @@ def fermion_vacuum_closed(trip: TripGrid, pair) -> np.ndarray:
         raise ValueError("vacuum negativity at this order needs opposite charges")
     pc = FermionPieces(trip, (kappa, kappa_p))
     anti, part = ~pc.part & pc.rest, pc.part & pc.rest
-    m = pc.norm
-    x = -cauchy(cauchy(m, m), pc.v(0, 1))
+    x = -pc.v(0, 1)
     return _pt_block(_weight(pc.v1_row(0)[..., anti]), _weight(pc.v1_col(1)[..., part]), x)
 
 
@@ -353,8 +346,6 @@ def fermion_particle_closed(trip: TripGrid, kappa: int, pair) -> np.ndarray:
     if (kappa >= 0) != (partner >= 0):
         return np.zeros(3)
     pc = FermionPieces(trip, (kappa, partner))
-    m = pc.norm
-    m2 = cauchy(m, m)
     if kappa >= 0:
         d1 = _weight(pc.v1_row(1)[..., ~pc.part])
         own = pc.part
@@ -362,7 +353,7 @@ def fermion_particle_closed(trip: TripGrid, kappa: int, pair) -> np.ndarray:
         d1 = _weight(pc.v1_col(1)[..., pc.part])
         own = ~pc.part
     d2 = _weight(pc.source1(0)[..., own & pc.rest])
-    x = cauchy(m2, cauchy(pc.source(0, 0), np.conj(pc.source(0, 1))))
+    x = cauchy(pc.source(0, 0), np.conj(pc.source(0, 1)))
     return _pt_block(d1, d2, x)
 
 
@@ -371,10 +362,9 @@ def fermion_pair_closed(trip: TripGrid, kappa: int, kappa_p: int) -> np.ndarray:
     if kappa < 0 or kappa_p >= 0:
         raise ValueError("pair state wants a particle label and an antiparticle label")
     pc = FermionPieces(trip, (kappa, kappa_p))
-    m = pc.norm
     c0 = pc.pair_scalar(0, 1)
     d1 = _weight(pc.source1(0)[..., pc.part & pc.rest])
     d2 = _weight(pc.source1(1)[..., ~pc.part & pc.rest])
     psi11 = cauchy(pc.source(0, 0), pc.source(1, 1)) + cauchy(pc.v(0, 1), c0)
-    x = -cauchy(cauchy(m, m), cauchy(psi11, np.conj(c0)))
+    x = -cauchy(psi11, np.conj(c0))
     return _pt_block(d1, d2, x)

@@ -24,8 +24,9 @@ only sensible for small mode windows.
 
 The matrix building blocks (pair matrices, sources, norm factors) take one
 transformation, as the state expansions do.  The closed forms in
-:mod:`cavityent.negativity` evaluate the same blocks from junction rows
-without this module, and the tests hold the two against each other.
+:mod:`cavityent.negativity` evaluate the same blocks, except the norm
+factors, from junction rows without this module, and the tests hold the two
+against each other.
 """
 
 from __future__ import annotations

@@ -234,8 +234,8 @@ def curve_series(curves, grid: np.ndarray, junctions: dict) -> np.ndarray:
     """Closed series for every (u, curve), shape (len(grid), len(curves), 3).
 
     ``junctions`` maps each species to its junction, which has passed the
-    whole-period trip gate.  Its phases and vacuum norm factor on the grid
-    are formed once (:class:`negativity.TripGrid`), and every curve of the
+    whole-period trip gate.  Its phases on the grid are formed once
+    (:class:`negativity.TripGrid`), and every curve of the
     species reads them for the whole grid at once.
     """
     out = np.empty((grid.size, len(curves), 3))

@@ -17,6 +17,7 @@ from numpy.polynomial.polynomial import polyval
 from cavityent import blocks, config, negativity, oracles, states, sweep
 from cavityent.bogoliubov import (
     GATE_TOL,
+    H_REF,
     BosonBogoliubov,
     FermionBogoliubov,
     identity_residuals,
@@ -29,7 +30,6 @@ from expansions import amplitudes
 
 U = 0.3
 N_MAX = 40
-IDENTITY_TOL = 1e-8
 STATE_TOL = 1e-5  # 10 h^3 at h = 0.01
 CONVENTION_TOL = 1e-10
 # finite accelerations at which the numeric negativity is compared directly
@@ -43,17 +43,20 @@ def _interior_mask(modes, species):
 
 
 def test_overlap_matrices_satisfy_structural_identities():
+    # the residual is the truncated mode tail: it grows as h^2 and falls as
+    # n_max^-3.  `cavityent check` holds it to this law at H_REF; at n_max 40
+    # it reads 0.36-0.39 (boson) and 0.45-0.48 (fermion) of it at every h
     start = time.perf_counter()
-    worst = 0.0
     boson = window_slice(blocks.boson_modes(N_MAX), blocks.interior_window("boson", N_MAX))
     fermion = window_slice(blocks.fermion_modes(N_MAX), blocks.interior_window("fermion", N_MAX))
     for h in (0.08, 0.04, 0.02, 0.01):
+        law = 2e-8 * (h / H_REF) ** 2 * (40 / N_MAX) ** 3
         a, b = oracles.boson_overlaps(h, N_MAX)
-        worst = max(worst, oracles.overlap_identity_residuals(a, b, boson))
-        af = oracles.fermion_overlaps(h, N_MAX)
-        worst = max(worst, oracles.fermion_identity_residual(af, fermion))
+        residual = oracles.overlap_identity_residuals(a, b, boson)
+        assert residual < law, f"boson identity residual {residual:.3e} at h = {h}"
+        residual = oracles.fermion_identity_residual(oracles.fermion_overlaps(h, N_MAX), fermion)
+        assert residual < law, f"fermion identity residual {residual:.3e} at h = {h}"
     elapsed = time.perf_counter() - start
-    assert worst < IDENTITY_TOL, f"identity residual {worst:.3e}"
     assert elapsed < 60.0, f"overlap suite took {elapsed:.1f} s"
 
 

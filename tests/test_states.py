@@ -150,6 +150,23 @@ def test_norm_orders_stay_normalised(boson_trip, fermion_trip):
         assert abs(n[2]) < 1e-3  # truncation tail only
 
 
+@settings(max_examples=10, deadline=None)
+@given(u=st.floats(0.0, 1.0), kappa=st.integers(0, 39), kappa_p=st.integers(-40, -1))
+def test_norm_factor_partners_vanish_at_zeroth_order(u, kappa, kappa_p):
+    # the closed forms drop the vacuum norm factor M = 1 + h^2 M2 because
+    # every amplitude it multiplies there vanishes at h^0: pair entries,
+    # off-diagonal sources and the pair scalar
+    boson = blocks.one_way_trip("boson", 40, u)
+    fermion = blocks.one_way_trip("fermion", 40, u)
+    v_b, v_f = states.boson_pair_matrix(boson), states.fermion_pair_matrix(fermion)
+    e = states.fermion_antiparticle_source(fermion, v_f)
+    assert not np.any(v_b[0]) and not np.any(v_f[0])
+    for source in (states.boson_source_matrix(boson, v_b),
+                   states.fermion_particle_source(fermion, v_f), e):
+        assert np.array_equal(source[0], np.diag(np.diag(source[0])))
+    assert states.fermion_pair_scalar(fermion, e, kappa, kappa_p)[0] == 0.0
+
+
 def test_reduced_matrix_shape_and_hermiticity(boson_trip, fermion_trip):
     rho_b = states.reduce_to_pair(states.boson_vacuum_state(boson_trip, (1, 4)))
     assert rho_b.shape == (N_ORDERS, 16, 16)

@@ -13,11 +13,9 @@ Louko, arXiv 1105.1875) and both builders store them as float64; phases,
 and so every trip, are complex128.
 
 The one-way trip J^-1 P(u) J matches onto the accelerated basis, evolves
-and matches back.  :func:`one_way_trip` composes it with the group algebra
-of :mod:`cavityent.bogoliubov` for the numeric route; :func:`trip_lines`
-multiplies its orders out and reads only what the closed forms need.
-Neither gates a trip: :func:`junction` and :func:`table_junction` have gated
-every trip of the u period.
+and matches back.  :func:`one_way_trip` composes it for the numeric route;
+:func:`junction` and :func:`table_junction` have gated every trip of the u
+period.  The closed route reads only junctions and :func:`free_phases`.
 
 Junction blocks
 ---------------
@@ -242,68 +240,6 @@ def accelerated_phases(species: str, n_max: int, u):
     modes = boson_modes(n_max) if species == "boson" else fermion_modes(n_max)
     cls = BosonBogoliubov if species == "boson" else FermionBogoliubov
     return cls.from_phases(modes, free_phases(species, modes, u))
-
-
-def trip_lines(j, g, rows) -> tuple[np.ndarray, ...]:
-    """What the closed forms read of the trip J^-1 P J at phases ``g``.
-
-    ``g`` holds the phase of every mode on its last axis, any grid axes in
-    front; ``rows`` are the storage positions of the observed labels.  A
-    first-order line has shape g.shape[:-1] + (len(rows), n): entry (x, m) of
-    a row is trip entry (rows[x], m), of a column trip entry (m, rows[x]).  A
-    second-order block has shape g.shape[:-1] + (len(rows), len(rows)), entry
-    (x, y) the trip entry (rows[x], rows[y]).  Returns
-
-    * fermions: the rows and columns of a1 and the block of a2;
-    * bosons: the rows of beta1, the columns of alpha1 and beta1, and the
-      blocks of alpha2 and beta2.
-
-    With G = diag(g) and the junction's zeroth order exact (identity, zero
-    beta), trip orders (left) multiply out from junction orders (right) as
-    a1 = J1^+ G + G J1 and a2 = J2^+ G + J1^+ G J1 + G J2 for fermions, and
-    alpha1 = alpha1^+ G + G alpha1, beta1 = G beta1 - beta1^T conj(G),
-    alpha2 = alpha2^+ G + alpha1^+ G alpha1 + G alpha2 - beta1^T conj(G beta1),
-    beta2 = G beta2 + alpha1^+ G beta1 - beta2^T conj(G) - beta1^T conj(G alpha1)
-    for bosons.
-
-    Each second-order loop term sum_m x[m, i] g_m y[m, k] is one
-    (grid, n) @ (n, len(rows)^2) product, so a grid point costs
-    O(len(rows) n + len(rows)^2 n), not the O(len(rows) n^2) of whole
-    second-order rows.
-    """
-    rows = np.asarray(rows)
-    gl = g[..., None, :]  # phase of the free mode
-    gr = g[..., rows, None]  # phase of the row label
-    gk = g[..., None, rows]  # phase of the column label
-    block = np.ix_(rows, rows)
-
-    def loops(x, ys, phases):
-        # sum_m conj(x[m, i]) phases_m y[m, k] on the label block, per y of ys
-        pairs = np.conj(x)[:, None, :, None] * np.stack(ys, axis=1)[:, :, None, :]
-        out = phases @ pairs.reshape(x.shape[0], -1)
-        return np.moveaxis(out.reshape(out.shape[:-1] + pairs.shape[1:]), -3, 0)
-
-    if isinstance(j, FermionBogoliubov):
-        a1, a2 = j.a[1], j.a[2]
-        x = a1[:, rows]
-        (aa,) = loops(x, [x], g)
-        return (
-            np.conj(x).T * gl + gr * a1[rows],
-            x.T * gl + gr * np.conj(a1[rows]),
-            gr * a2[block] + aa + np.conj(a2[block]).T * gk,
-        )
-    a1, a2 = j.alpha[1], j.alpha[2]
-    b1, b2 = j.beta[1], j.beta[2]
-    x, y = a1[:, rows], b1[:, rows]
-    aa, ab = loops(x, [x, y], g)
-    bb, ba = loops(np.conj(y), [np.conj(y), np.conj(x)], np.conj(g))
-    return (
-        gr * b1[rows] - y.T * np.conj(gl),
-        x.T * gl + gr * np.conj(a1[rows]),
-        y.T * gl - np.conj(gr) * b1[rows],
-        gr * a2[block] + aa + np.conj(a2[block]).T * gk - bb,
-        gr * b2[block] + ab - b2[block].T * np.conj(gk) - ba,
-    )
 
 
 def one_way_trip(species: str, n_max: int, u):

@@ -39,6 +39,7 @@ EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_INVARIANT = 4
 EXIT_CLOSED_STDOUT = 141
+EPS = np.finfo(float).eps
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,8 +118,10 @@ def _check_lines(n_max: int):
     yield "fermion finite-h overlap identities", residual, tol
 
     junctions = {s: blocks.junction(s, n_max) for s in ("boson", "fermion")}
+    tables = {s: blocks.table_junction(s, n_max) for s in junctions}
     for species, quadrature in junctions.items():
-        yield _tables_line(species, quadrature, n_max)
+        yield _tables_line(species, tables[species], quadrature, n_max)
+    yield _first_order_line(tables)
 
     # one trip per species, shared by the interference line and the cross-check
     u = 0.3
@@ -131,19 +134,26 @@ def _check_lines(n_max: int):
     da = abs(abs(trip.alpha[1, i, j]) - alpha_pred)
     yield "assembled first-order interference", max(da, db), 1e-10
 
-    recurrence = {s: negativity.TripGrid(j, np.array([0.37, 1.37])) for s, j in junctions.items()}
-    s_a, s_b = np.stack([c.series(recurrence[c.species]) for c in _preset_curves()], axis=1)
-    yield "period-1 recurrence of preset curves", float(np.max(np.abs(s_a - s_b))), 1e-8
+    # a period later every preset curve repeats to rounding, in ulps of its
+    # largest |order| on the preset grid (6.6 to 8.1 at n_max 31 to 118)
+    ulps = {}
+    for request in map(load_config, PRESETS):
+        grid = np.concatenate([request.grid(), [0.37, 1.37]])
+        series = sweep.curve_series(request.curves, grid, junctions)
+        for curve, s in zip(request.curves, np.moveaxis(series, 1, 0)):
+            ulps[curve.name] = np.max(np.abs(s[-2] - s[-1])) / (EPS * np.max(np.abs(s[:-2])))
+    worst = max(ulps, key=ulps.get)
+    yield f"period-1 recurrence of preset curves, worst {worst}, in ulps", ulps[worst], 256
 
     # both routes are exact in each order, so they agree to rounding: within
     # 256 ulps of each order's |rho_k|_F (the worst of the five curves is
-    # 0.60, 0.97 and 0.66 ulps at n_max 31, 40 and 80)
+    # 0.60, 0.49 and 0.99 ulps at n_max 31, 40 and 80)
     at_u = {s: negativity.TripGrid(j, u) for s, j in junctions.items()}
     ulps = {}
     for curve, build in _crosscheck_states():
         rho = states.reduce_to_pair(build(trips[curve.species]))
         gap = np.abs(negativity.leading_order(rho) - curve.series(at_u[curve.species]))
-        norm = np.finfo(float).eps * np.linalg.norm(rho, axis=(1, 2))
+        norm = EPS * np.linalg.norm(rho, axis=(1, 2))
         ulps[curve.name] = float(np.max(gap / norm))
     worst = max(ulps, key=ulps.get)
     yield f"closed vs numeric series, all five families, worst {worst}, in ulps", ulps[worst], 256
@@ -175,24 +185,42 @@ def _junction_orders(j) -> dict[str, np.ndarray]:
     return {"alpha1": j.alpha[1], "beta1": j.beta[1], "alpha2": j.alpha[2], "beta2": j.beta[2]}
 
 
-def _tables_line(species: str, quadrature, n_max: int):
+def _tables_line(species: str, tables, quadrature, n_max: int):
     """The junction tables against the quadrature extraction."""
     extracted = _junction_orders(quadrature)
     tol = _table_tolerances(n_max)
     gaps = {
         name: float(np.max(np.abs(t - extracted[name])) / np.max(np.abs(t)))
-        for name, t in _junction_orders(blocks.build_table_junction(species, n_max)).items()
+        for name, t in _junction_orders(tables).items()
     }
     worst = max(gaps, key=lambda name: gaps[name] / tol[name])
     label = f"{species} junction tables vs quadrature extraction, worst {worst}"
     return label, gaps[worst], tol[worst]
 
 
-def _preset_curves():
-    curves = []
-    for name in PRESETS:
-        curves.extend(load_config(name).curves)
-    return curves
+def _first_order_line(tables: dict):
+    """fig1a's h^1 coefficients on the junction tables against the paper's
+    one-line forms (arXiv 1201.0549) on the preset grid, in ulps of each
+    form's max; a form under the first-order floor is a parity zero.  The
+    tables carry no truncation here: 3.5 to 7.8 ulps at n_max 31 to 118."""
+    request = load_config("fig1a")
+    u, ulps = request.grid(), {}
+    for curve in request.curves:
+        j = tables[curve.species]
+        k, kp = curve.modes if curve.excite in (None, curve.modes[0]) else curve.modes[::-1]
+        at = (list(j.modes).index(k), list(j.modes).index(kp))
+        minus, plus = np.sin(np.pi * (k - kp) * u), np.sin(np.pi * (k + kp) * u)
+        if curve.species == "fermion":  # 2 |a1| |sin pi (k - k') u|
+            form = 2 * abs(j.a[1][at]) * np.abs(minus)
+        elif curve.state == "vacuum":  # 2 |beta1| |sin pi (k + k') u|
+            form = 2 * abs(j.beta[1][at]) * np.abs(plus)
+        else:  # excited at k
+            form = 2 * np.sqrt(j.alpha[1][at] ** 2 * minus**2 + 2 * j.beta[1][at] ** 2 * plus**2)
+        form = np.where(form > negativity.FIRST_ORDER_FLOOR, form, 0.0)
+        gap = np.abs(curve.series(negativity.TripGrid(j, u))[:, 1] - form)
+        ulps[curve.name] = np.max(gap) / (EPS * np.max(form))
+    worst = max(ulps, key=ulps.get)
+    return f"paper's first-order forms of fig1a, worst {worst}, in ulps", ulps[worst], 256
 
 
 def _crosscheck_states():

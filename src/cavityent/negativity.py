@@ -95,14 +95,27 @@ def leading_order(rho_orders: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # closed route, shared pieces
 #
-# Every closed form takes a species' :class:`TripGrid`, its junction J on a u
-# grid (a scalar or any array), and returns the series with the orders on the
-# last axis, u.shape + (3,), or zeros(3) for a curve that vanishes
-# identically.  It reads the entries and rows of the states building blocks
-# it needs from the trip's first-order rows and columns at the observed
-# labels and its second-order entries among them
-# (:func:`cavityent.blocks.trip_lines`): O(n) work per label and grid point,
-# and no full second-order row and no (len(u), n, n) array.
+# Every closed form takes a species' :class:`TripGrid` on a u grid (a scalar
+# or any array) and returns the series with the orders on the last axis,
+# u.shape + (3,), or zeros(3) for a curve that vanishes identically.  It
+# reads the states building blocks at the observed labels: trip entries
+# there, and sums over the free mode m of products of two lines, the trip's
+# first-order rows and columns at a label.  With G = diag(g) and the
+# junction's h^0 order exact, a1 = J1^+ G + G J1 for fermions, and
+# alpha1 = alpha1^+ G + G alpha1 and beta1 = G beta1 - beta1^T conj(G) for
+# bosons; so a line entry is two terms, a junction entry times g_m^(+-1) and
+# one times a label phase, e.g. a1[x, m] = J1[m, x] g_m + g_x J1[x, m] for a
+# real J1, or V1[x, m] = -1/2 S[x, m] (conj(g_x g_m) - 1) with S = beta1 +
+# beta1^T for the boson pair matrix.  A line is held as its terms (c, w, p),
+# c w[m] g_m^p with c a label phase or a constant and w a junction column.
+# A sum of a product of two lines multiplies out term by term
+# (:func:`_mode_sum`); with |g_m| = 1 each term is a constant or one product
+# of the phase table with a column, g @ w or conj(g) @ w = conj(g @ conj(w)),
+# times label phases.  For example
+#   sum_rest |V1[x, m]|^2 = 1/2 sum_rest S[x]^2 - 1/2 Re(g_x (g @ (S[x]^2 rest))).
+# The trip's second-order entries at the labels multiply out the same way
+# (a2 = J2^+ G + J1^+ G J1 + G J2 and so on).  Only len(u)-sized arithmetic
+# follows the products.
 #
 # The states also carry the vacuum norm factor M = 1 + h^2 M2, which the
 # numeric route keeps and the closed forms leave out exactly.  Each form
@@ -127,90 +140,143 @@ def _pt_block(d1, d2, x) -> np.ndarray:
         opened = (np.conj(x[1]) * x[2]).real / x1 - 0.5 * (d1 + d2)
     root = np.sqrt(0.25 * (d1 - d2) ** 2 + np.abs(x[2]) ** 2)
     closed = np.maximum(0.0, root - 0.5 * (d1 + d2))
-    return np.stack(
-        [np.zeros_like(x1), np.where(linear, x1, 0.0), np.where(linear, opened, closed)],
-        axis=-1,
-    )
-
-
-def _weight(x: np.ndarray) -> np.ndarray:
-    """Summed squared magnitude over the last axis."""
-    return np.sum(np.abs(x) ** 2, axis=-1)
+    series = np.zeros(np.shape(x1) + (3,))
+    series[..., 1], series[..., 2] = np.where(linear, x1, 0.0), np.where(linear, opened, closed)
+    return series
 
 
 def _orders(zeroth, first, second) -> np.ndarray:
-    """Order array (3, ...) from three parts that broadcast together."""
-    return np.stack(np.broadcast_arrays(zeroth, first, second))
+    """Order array (3, ...) from three parts that broadcast to ``second``."""
+    out = np.empty((3,) + np.shape(second), dtype=complex)
+    out[0], out[1], out[2] = zeroth, first, second
+    return out
+
+
+def _conj(line) -> tuple:
+    """The complex conjugate of a line held as terms (c, w, p)."""
+    return tuple((np.conj(c), np.conj(w), -p) for c, w, p in line)
+
+
+def _mode_sum(g, first, second, mask=None, power=0) -> np.ndarray:
+    """sum_m first[m] second[m] g_m^power over ``mask`` (all modes by default),
+    for lines held as terms (c, w, p)."""
+    if mask is not None:
+        second = tuple((c, w * mask, p) for c, w, p in second)
+    total = 0.0
+    for c1, w1, p1 in first:
+        for c2, w2, p2 in second:
+            p = p1 + p2 + power
+            assert abs(p) <= 1, "a product term beyond g_m^+-1"
+            # sum_m w conj(g_m) = conj(g @ conj(w))
+            s = w1 @ w2 if p == 0 else g @ (w1 * w2) if p == 1 else np.conj(g @ np.conj(w1 * w2))
+            total = total + c1 * c2 * s
+    return total
 
 
 class TripGrid:
-    """What every closed form of a species reads on a u grid, whatever its
-    labels: the junction ``j`` and the free phases ``g`` of every mode,
-    shape u.shape + (n,).  A sweep builds one per species and grid.
-    """
+    """The junction ``j``, each label's storage ``position`` and the phase table
+    ``g``, shape u.shape + (n,), that a species' closed forms read on a grid."""
 
     def __init__(self, j, u):
-        self.j = j
-        species = "boson" if isinstance(j, BosonBogoliubov) else "fermion"
+        self.j, species = j, "boson" if isinstance(j, BosonBogoliubov) else "fermion"
+        self.position = dict(zip(j.modes.tolist(), range(j.modes.size)))
         self.g = blocks.free_phases(species, j.modes, u)
 
 
-class TripLines:
-    """What the closed forms read of the trip at ``labels`` (storage positions
-    ``at``) on a :class:`TripGrid`: ``lines``, the result of
-    :func:`cavityent.blocks.trip_lines`, whose second-order blocks are indexed
-    by label position; ``rest`` masks every position but ``at``.
-    """
+class _Pieces:
+    """The labels' storage positions ``at`` on a :class:`TripGrid`; ``rest``
+    masks every position but ``at``."""
 
     def __init__(self, trip: TripGrid, labels):
-        j = self.j = trip.j
-        self.g = trip.g
-        self.at = [list(j.modes).index(int(m)) for m in labels]
-        self.rest = np.ones(j.modes.size, dtype=bool)
+        self.j, self.g = trip.j, trip.g
+        self.at = [trip.position[int(m)] for m in labels]
+        self.rest = np.ones(self.j.modes.size, dtype=bool)
         self.rest[self.at] = False
-        self.lines = blocks.trip_lines(j, self.g, self.at)
 
     def phase(self, x: int) -> np.ndarray:
         return self.g[..., self.at[x]]
+
+    def entry(self, line, y: int) -> np.ndarray:
+        """The line's entry at label y, its two terms added in order."""
+        k, g = self.at[y], self.phase(y)
+        t0, t1 = (c * w[k] * (g if p == 1 else np.conj(g)) if p else c * w[k] for c, w, p in line)
+        return t0 + t1
+
+    def col(self, x: int, row: bool = False) -> tuple:
+        """Trip alpha1[m, x] = alpha1[m, x] g_m + g_x conj(alpha1[x, m]) (fermions:
+        a1), or with ``row`` the trip row alpha1[x, m], each junction entry conjugated."""
+        w = self.a1[:, self.at[x]], np.conj(self.a1[self.at[x]])
+        w = np.conj(w) if row else w
+        return ((1.0, w[0], 1), (self.phase(x), w[1], 0))
+
+    def second(self, x: int, y: int, beta: bool = False) -> np.ndarray:
+        """Trip alpha2[x, y] (fermions: a2), or beta2[x, y] with ``beta``."""
+        (i, k), gx, gy = (self.at[x], self.at[y]), self.phase(x), self.phase(y)
+        a1, b1 = self.a1, self.b1
+        right, left = (b1, a1) if beta else (a1, b1)
+        loops = self.g @ (np.conj(a1[:, i]) * right[:, k])  # then less the conj(g) loop
+        if left is not None:
+            loops = loops - np.conj(self.g @ (np.conj(b1[:, i]) * left[:, k]))
+        if beta:
+            return gx * self.b2[i, k] - self.b2[k, i] * np.conj(gy) + loops
+        return gx * self.a2[i, k] + np.conj(self.a2[k, i]) * gy + loops
+
+    def overlap(self, line, mask, other=None) -> np.ndarray:
+        """sum over ``mask`` of line[m] conj(other[m]), or the real |line[m]|^2."""
+        if other is None:
+            return _mode_sum(self.g, line, _conj(line), mask).real
+        return _mode_sum(self.g, line, _conj(other), mask)
 
 
 # ---------------------------------------------------------------------------
 # closed route, bosons
 
 
-class BosonPieces(TripLines):
-    """What the boson closed forms read for the labels (k, kp).
-
-    ``v1``: rows k and kp of the pair matrix's first order; ``v``: orders of
-    the entry V[k, kp]; ``d``: orders of the one-particle sources D[k, k]
-    and D[kp, k], on the last axis; ``d1``: column k of D's first order.
-    """
+class BosonPieces(_Pieces):
+    """What the boson closed forms read at (k, kp), by index x; ``v``: V[k, kp]'s orders."""
 
     def __init__(self, trip: TripGrid, k: int, kp: int):
         super().__init__(trip, (k, kp))
-        b1r, a1c, b1c, a2, b2 = self.lines
-        g, at = self.g, self.at
+        (self.a1, self.a2), (self.b1, self.b2) = self.j.alpha[1:], self.j.beta[1:]
         # V = -conj(beta) G^+ + conj(beta1) G^+ alpha1 G^+ at second order, symmetrised
-        gr = np.conj(g[..., at, None])
-        self.v1 = -0.5 * (np.conj(b1r) * np.conj(g[..., None, :]) + np.conj(b1c) * gr)
-        other = at[::-1]
-        hop = np.sum(np.conj(b1r * g[..., None, :]) * a1c[..., ::-1, :], axis=-1)
-        raw2 = (hop - np.conj(b2[..., [0, 1], [1, 0]])) * np.conj(g[..., other])
-        self.v = _orders(0.0, self.v1[..., 0, at[1]], 0.5 * np.sum(raw2, axis=-1))
-        # D = conj(alpha) + V1^T beta1 at second order
-        self.d1 = np.conj(a1c[..., 0, :])
-        self.d = _orders(
-            np.stack(np.broadcast_arrays(np.conj(self.phase(0)), 0.0), axis=-1),
-            self.d1[..., at],
-            np.conj(a2[..., :, 0]) + np.sum(self.v1 * b1c[..., :1, :], axis=-1),
-        )
+        r, c = self.entry(self.beta_row(0), 1), self.entry(self.beta_col(0), 1)
+        v1 = -0.5 * (np.conj(r) * np.conj(self.phase(1)) + np.conj(c) * np.conj(self.phase(0)))
+        raw2 = [
+            (_mode_sum(self.g, _conj(self.beta_row(x)), self.col(1 - x), power=-1)
+             - np.conj(self.second(x, 1 - x, beta=True))) * np.conj(self.phase(1 - x))
+            for x in (0, 1)
+        ]
+        self.v = _orders(0.0, v1, 0.5 * (raw2[0] + raw2[1]))
+
+    def sources(self) -> np.ndarray:
+        """Orders of D[k, k] and D[kp, k] on the last axis, D = conj(alpha) +
+        V1^T beta1 at second order."""
+        first = [np.conj(self.entry(self.col(0), y)) for y in (0, 1)]
+        pairs = [_mode_sum(self.g, self.pair_row(x), self.beta_col(0)) for x in (0, 1)]
+        second = [np.conj(self.second(x, 0)) + pairs[x] for x in (0, 1)]
+        out = _orders(0.0, np.stack(first, axis=-1), np.stack(second, axis=-1))
+        out[0][..., 0] = np.conj(self.phase(0))
+        return out
+
+    # the lines besides col: trip beta1[x, m], beta1[m, x], and V1[x, m]
+    def beta_row(self, x: int) -> tuple:
+        i = self.at[x]
+        return ((self.phase(x), self.b1[i], 0), (-1.0, self.b1[:, i], -1))
+
+    def beta_col(self, x: int) -> tuple:
+        i = self.at[x]
+        return ((1.0, self.b1[:, i], 1), (-np.conj(self.phase(x)), self.b1[i], 0))
+
+    def pair_row(self, x: int) -> tuple:
+        s = np.conj(self.b1[self.at[x]] + self.b1[:, self.at[x]])
+        return ((-0.5 * np.conj(self.phase(x)), s, -1), (0.5, s, 0))
 
 
 def boson_vacuum_closed(trip: TripGrid, pair) -> np.ndarray:
     """Negativity series of the travelled vacuum on a mode pair."""
     p = BosonPieces(trip, *pair)
-    x = p.v
-    series = _pt_block(_weight(p.v1[..., 0, p.rest]), _weight(p.v1[..., 1, p.rest]), x)
+    d1, d2 = (p.overlap(p.pair_row(x), p.rest) for x in (0, 1))
+    series = _pt_block(d1, d2, p.v)
     # the (2,0)|(0,2) block closes on the double-pair amplitude
     series[..., 2] += np.abs(p.v[1]) ** 2
     return series
@@ -223,18 +289,16 @@ def boson_particle_closed(trip: TripGrid, k: int, pair) -> np.ndarray:
     if k not in (pk, pkp):
         raise ValueError("closed form expects the excited mode in the observed pair")
     pc = BosonPieces(trip, k, pkp if k == pk else pk)
-    v1k, v1kp = pc.v1[..., 0, pc.rest], pc.v1[..., 1, pc.rest]
-    d1_rest = pc.d1[..., pc.rest]
-
-    amp_k, amp_kp = pc.d[..., 0], pc.d[..., 1]
+    amp_k, amp_kp = np.moveaxis(pc.sources(), -1, 0)
     amp_21 = _SQRT2 * cauchy(amp_k, pc.v)
     p = cauchy(amp_k, np.conj(amp_kp))
     q = cauchy(amp_k, np.conj(amp_21))
 
-    d1 = _weight(v1kp)
-    d2 = _weight(d1_rest)
-    d3 = 2.0 * _weight(v1k)
-    e2 = _SQRT2 * pc.phase(0) * np.sum(d1_rest * np.conj(v1k), axis=-1)
+    # weights of V1's rows and of D1's column k = conj(trip alpha1[m, k]) off the labels
+    d1 = pc.overlap(pc.pair_row(1), pc.rest)
+    d2 = pc.overlap(pc.col(0), pc.rest)
+    d3 = 2.0 * pc.overlap(pc.pair_row(0), pc.rest)
+    e2 = _SQRT2 * pc.phase(0) * pc.overlap(_conj(pc.col(0)), pc.rest, pc.pair_row(0))
 
     s2 = np.abs(p[1]) ** 2 + np.abs(q[1]) ** 2
     linear = np.sqrt(s2) > FIRST_ORDER_FLOOR
@@ -246,19 +310,12 @@ def boson_particle_closed(trip: TripGrid, k: int, pair) -> np.ndarray:
         )
     # without a first-order coherence the 3x3 block only opens at second
     # order, through its lowest eigenvalue
-    block = np.stack(
-        [
-            np.stack([d1, p[2], q[2]], axis=-1),
-            np.stack([np.conj(p[2]), d2, e2], axis=-1),
-            np.stack([np.conj(q[2]), np.conj(e2), d3], axis=-1),
-        ],
-        axis=-2,
-    )
+    rows = ((d1, p[2], q[2]), (np.conj(p[2]), d2, e2), (np.conj(q[2]), np.conj(e2), d3))
+    block = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
     closed = np.maximum(0.0, -np.linalg.eigvalsh(block)[..., 0])
-    series = np.stack(
-        [np.zeros_like(s2), np.where(linear, np.sqrt(s2), 0.0), np.where(linear, opened, closed)],
-        axis=-1,
-    )
+    series = np.zeros(np.shape(s2) + (3,))
+    series[..., 1] = np.where(linear, np.sqrt(s2), 0.0)
+    series[..., 2] = np.where(linear, opened, closed)
     # the (1,2)|(3,0) block rides on the twice-paired amplitude
     series[..., 2] += np.sqrt(3.0) * np.abs(pc.v[1]) ** 2
     return series
@@ -268,56 +325,39 @@ def boson_particle_closed(trip: TripGrid, k: int, pair) -> np.ndarray:
 # closed route, fermions
 
 
-class FermionPieces(TripLines):
-    """What the fermion closed forms read at two labels, by their index x in ``labels``.
-
-    Row x of the pair matrix V (particle rows, antiparticle columns) is
-    valid at the antiparticle positions, column x at the particle ones;
-    ``source(e, o)`` is entry (o, e) of the particle source D or the
-    antiparticle source E, whichever carries label e.
-    """
+class FermionPieces(_Pieces):
+    """What the fermion closed forms read at two labels, by index x.  Row x of the pair
+    matrix V (particle rows, antiparticle columns) is -conj(g_x) T1[m, x], column x
+    -conj(g_m) T1[x, m], column x of the source D or E conj(T1[m, x]) or T1[m, x]."""
 
     def __init__(self, trip: TripGrid, labels):
         super().__init__(trip, labels)
         self.part = self.j.modes >= 0
-        # first-order rows and columns, second-order block T2[x, y]
-        self.r1, self.c1, self.t2 = self.lines
-
-    def v1_row(self, x: int) -> np.ndarray:
-        return -np.conj(self.phase(x))[..., None] * self.c1[..., x, :]
-
-    def v1_col(self, x: int) -> np.ndarray:
-        return -np.conj(self.g) * self.r1[..., x, :]
+        (self.a1, self.a2), self.b1 = self.j.a[1:], None
 
     def v(self, xp: int, xq: int) -> np.ndarray:
-        """Orders of V[p, q]: -conj(g_p) (T[q, p] + sum_p' T1[p', p] V1[p', q])."""
-        c1, at, part = self.c1, self.at, self.part
-        hop = np.sum(c1[..., xp, part] * self.v1_col(xq)[..., part], axis=-1)
+        """Orders of V[p, q] = -conj(g_p) (T[q, p] - sum_part T1[m, p] conj(g_m) T1[q, m])."""
         gp = -np.conj(self.phase(xp))
-        return _orders(0.0, gp * c1[..., xp, at[xq]], gp * (self.t2[..., xq, xp] + hop))
-
-    def source1(self, xe: int) -> np.ndarray:
-        """Column e of the first order of D (particle e) or E (antiparticle e)."""
-        c1 = self.c1[..., xe, :]
-        return np.conj(c1) if self.part[self.at[xe]] else c1
+        hop = _mode_sum(self.g, self.col(xp), self.col(xq, row=True), self.part, power=-1)
+        return _orders(0.0, gp * self.entry(self.col(xp), xq), gp * (self.second(xq, xp) - hop))
 
     def source(self, xe: int, xo: int) -> np.ndarray:
         """Orders of D[o, e] = conj(T[o, e]) - (V1 conj(T1))[o, e], or of
-        E[o, e] = T[o, e] + (V1^T T1)[o, e]."""
-        c1, t2, at, part = self.c1, self.t2[..., xo, xe], self.at, self.part
+        E[o, e] = T[o, e] + (V1^T T1)[o, e], whichever carries label e."""
         zeroth = self.phase(xe) if xe == xo else 0.0
-        if part[at[xe]]:
-            hop = np.sum(self.v1_row(xo)[..., ~part] * np.conj(c1[..., xe, ~part]), axis=-1)
-            return np.conj(_orders(zeroth, c1[..., xe, at[xo]], t2 - np.conj(hop)))
-        hop = np.sum(self.v1_col(xo)[..., part] * c1[..., xe, part], axis=-1)
-        return _orders(zeroth, c1[..., xe, at[xo]], t2 + hop)
+        first = self.entry(self.col(xe), xo)
+        if self.part[self.at[xe]]:
+            # (V1 conj(T1))[o, e] = -conj(g_o) sum_anti T1[m, o] conj(T1[m, e])
+            loop = self.overlap(self.col(xe), ~self.part, self.col(xo))
+            return np.conj(_orders(zeroth, first, self.second(xo, xe) + self.phase(xo) * loop))
+        hop = _mode_sum(self.g, self.col(xo, row=True), self.col(xe), self.part, power=-1)
+        return _orders(zeroth, first, self.second(xo, xe) - hop)
 
     def pair_scalar(self, xp: int, xq: int) -> np.ndarray:
         """Orders of the closed-loop amplitude c0 of the pair b_p^+ c_q^+|0>."""
-        c1, at, anti = self.c1, self.at, ~self.part
         gq = self.phase(xq)
-        loop = np.sum(np.conj(c1[..., xp, anti]) * c1[..., xq, anti], axis=-1)
-        first, second = np.conj(c1[..., xp, at[xq]]), np.conj(self.t2[..., xq, xp])
+        loop = self.overlap(self.col(xq), ~self.part, self.col(xp))
+        first, second = np.conj(self.entry(self.col(xp), xq)), np.conj(self.second(xq, xp))
         return _orders(0.0, first * gq, loop + second * gq)
 
 
@@ -327,9 +367,9 @@ def fermion_vacuum_closed(trip: TripGrid, pair) -> np.ndarray:
     if kappa < 0 or kappa_p >= 0:
         raise ValueError("vacuum negativity at this order needs opposite charges")
     pc = FermionPieces(trip, (kappa, kappa_p))
-    anti, part = ~pc.part & pc.rest, pc.part & pc.rest
-    x = -pc.v(0, 1)
-    return _pt_block(_weight(pc.v1_row(0)[..., anti]), _weight(pc.v1_col(1)[..., part]), x)
+    d1 = pc.overlap(pc.col(0), ~pc.part & pc.rest)
+    d2 = pc.overlap(pc.col(1, row=True), pc.part & pc.rest)
+    return _pt_block(d1, d2, -pc.v(0, 1))
 
 
 def fermion_particle_closed(trip: TripGrid, kappa: int, pair) -> np.ndarray:
@@ -346,13 +386,9 @@ def fermion_particle_closed(trip: TripGrid, kappa: int, pair) -> np.ndarray:
     if (kappa >= 0) != (partner >= 0):
         return np.zeros(3)
     pc = FermionPieces(trip, (kappa, partner))
-    if kappa >= 0:
-        d1 = _weight(pc.v1_row(1)[..., ~pc.part])
-        own = pc.part
-    else:
-        d1 = _weight(pc.v1_col(1)[..., pc.part])
-        own = ~pc.part
-    d2 = _weight(pc.source1(0)[..., own & pc.rest])
+    own = pc.part if kappa >= 0 else ~pc.part
+    d1 = pc.overlap(pc.col(1, row=kappa < 0), ~own)
+    d2 = pc.overlap(pc.col(0), own & pc.rest)
     x = cauchy(pc.source(0, 0), np.conj(pc.source(0, 1)))
     return _pt_block(d1, d2, x)
 
@@ -363,8 +399,8 @@ def fermion_pair_closed(trip: TripGrid, kappa: int, kappa_p: int) -> np.ndarray:
         raise ValueError("pair state wants a particle label and an antiparticle label")
     pc = FermionPieces(trip, (kappa, kappa_p))
     c0 = pc.pair_scalar(0, 1)
-    d1 = _weight(pc.source1(0)[..., pc.part & pc.rest])
-    d2 = _weight(pc.source1(1)[..., ~pc.part & pc.rest])
+    d1 = pc.overlap(pc.col(0), pc.part & pc.rest)
+    d2 = pc.overlap(pc.col(1), ~pc.part & pc.rest)
     psi11 = cauchy(pc.source(0, 0), pc.source(1, 1)) + cauchy(pc.v(0, 1), c0)
     x = -cauchy(psi11, np.conj(c0))
     return _pt_block(d1, d2, x)

@@ -234,9 +234,9 @@ def curve_series(curves, grid: np.ndarray, junctions: dict) -> np.ndarray:
     """Closed series for every (u, curve), shape (len(grid), len(curves), 3).
 
     ``junctions`` maps each species to its junction, which has passed the
-    whole-period trip gate.  Its phases on the grid are formed once
-    (:class:`negativity.TripGrid`), and every curve of the
-    species reads them for the whole grid at once.
+    whole-period trip gate.  Its phase table on the grid is formed once
+    (:class:`negativity.TripGrid`), and each curve of the species reads the
+    whole grid through products of that table with junction columns.
     """
     out = np.empty((grid.size, len(curves), 3))
     for species in sorted({c.species for c in curves}):

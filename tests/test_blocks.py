@@ -128,8 +128,6 @@ def test_phases_and_trips_are_complex(boson_junction, fermion_junction):
         for t in (type(j).from_phases(j.modes, g), blocks.one_way_trip(species, 40, 0.3)):
             for x in _order_arrays(t):
                 assert x.dtype == np.complex128, species
-        for line in blocks.trip_lines(j, g, [0, 3]):
-            assert line.dtype == np.complex128, species
 
 
 def _complex_copy(j):
@@ -149,14 +147,10 @@ def test_real_storage_changes_only_the_storage(species, monkeypatch):
     copy = _complex_copy(j)
     assert all(x.dtype == np.complex128 for x in _order_arrays(copy))
     us = np.array([0.0, 0.3, 0.75, 1.37])
-    g = blocks.free_phases(species, j.modes, us)
-    rows = [0, 3, 7]
-    real_trip, real_lines = blocks.one_way_trip(species, 40, us), blocks.trip_lines(j, g, rows)
+    real_trip = blocks.one_way_trip(species, 40, us)
     monkeypatch.setitem(blocks._cache, ("quadrature", species, 40), copy)
-    copy_trip, copy_lines = blocks.one_way_trip(species, 40, us), blocks.trip_lines(copy, g, rows)
+    copy_trip = blocks.one_way_trip(species, 40, us)
     for x, y in zip(_order_arrays(real_trip), _order_arrays(copy_trip)):
-        assert np.array_equal(x, y)
-    for x, y in zip(real_lines, copy_lines, strict=True):
         assert np.array_equal(x, y)
     window = blocks.interior_window(species, 40)
     real_bound = check_period(j, window=window)
@@ -390,51 +384,6 @@ def test_trip_on_a_u_array_matches_single_trips(species, rng):
             for k in range(3):
                 scale = np.max(np.abs(one[k]))
                 assert np.max(np.abs(got[k] - one[k])) <= 1e-14 * scale, (u, k)
-
-
-@st.composite
-def label_grids(draw):
-    """A species, a cutoff, a u grid and two or three distinct storage positions."""
-    species = draw(st.sampled_from(["boson", "fermion"]))
-    n_max = draw(st.sampled_from([31, 40, 56]))
-    us = draw(st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=6))
-    size = n_max if species == "boson" else 2 * n_max
-    at = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=3, unique=True))
-    return species, n_max, np.array(us), at
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=label_grids())
-def test_trip_lines_match_trip_rows(case):
-    # the closed route's kernel against rows, columns and the second-order
-    # label block indexed from the composed trip; each within 1e-13 of the
-    # junction order's largest entry, since the two multiply out in another
-    # order and the trip's own entries cancel to the truncation floor near
-    # integer u
-    species, n_max, us, at = case
-    j = blocks.junction(species, n_max)
-    g = blocks.free_phases(species, j.modes, us)
-    trip = blocks.one_way_trip(species, n_max, us)
-    block = np.ix_(at, at)
-    if species == "fermion":
-        a = trip.a
-        want = [a[1][..., at, :], np.swapaxes(a[1][..., at], -1, -2), a[2][(Ellipsis,) + block]]
-        orders = [j.a[1], j.a[1], j.a[2]]
-    else:
-        alpha, beta = trip.alpha, trip.beta
-        want = [
-            beta[1][..., at, :],
-            np.swapaxes(alpha[1][..., at], -1, -2),
-            np.swapaxes(beta[1][..., at], -1, -2),
-            alpha[2][(Ellipsis,) + block],
-            beta[2][(Ellipsis,) + block],
-        ]
-        orders = [j.beta[1], j.alpha[1], j.beta[1], j.alpha[2], j.beta[2]]
-    got = blocks.trip_lines(j, g, at)
-    assert len(got) == len(want)
-    for x, (line, ref, order) in enumerate(zip(got, want, orders)):
-        assert line.shape == ref.shape, x
-        assert np.max(np.abs(line - ref)) <= 1e-13 * np.max(np.abs(order)), x
 
 
 # --- the whole-period trip gate ------------------------------------------------

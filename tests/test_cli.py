@@ -164,14 +164,14 @@ def test_check_passes_below_the_default_cutoff(capsys):
     # mode tail, 1.37e-8 / 1.58e-8) is the largest of any cutoff, and its
     # tolerance follows the same n^-3 law: 2e-8 (40 / 31)^3 = 4.3e-8
     code, lines = _check(["--nmax", "31"], capsys)
-    assert code == cli.EXIT_OK and len(lines) == 7
+    assert code == cli.EXIT_OK and len(lines) == 8
 
 
 def test_check_passes_at_the_drift_ceiling(capsys):
     # at n_max 118 the identity tolerance is 7.8e-10, 13 times below the
     # n_max 40 one; the residual (2.9e-10 / 3.4e-10) keeps the same share
     code, lines = _check(["--nmax", "118"], capsys)
-    assert code == cli.EXIT_OK and len(lines) == 7
+    assert code == cli.EXIT_OK and len(lines) == 8
 
 
 def test_perturbed_boson_overlaps_fail_the_identity_line(monkeypatch, capsys):
@@ -225,7 +225,7 @@ def test_sweep_convergence_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_check_reports_all_ok(capsys):
     code, lines = _check([], capsys)
-    assert code == cli.EXIT_OK and len(lines) == 7
+    assert code == cli.EXIT_OK and len(lines) == 8
     assert all(line.startswith("ok   ") for line in lines)
 
 
@@ -339,6 +339,21 @@ def test_stdout_closed_by_its_reader_exits_without_a_traceback(argv, unbuffered)
     assert proc.returncode == cli.EXIT_CLOSED_STDOUT
 
 
+def test_perturbed_beta1_table_entry_fails_the_first_order_line():
+    # the boson vacuum (1, 4) reads beta1[1, 4] + beta1[4, 1] on the closed
+    # route and |beta1[1, 4]| (3.2e-3) in the paper's form: with one entry
+    # off by 1e-12 the two part by 1.5e-10 of the form's max, about 7e5 ulps
+    tables = {s: blocks.table_junction(s, 40) for s in ("boson", "fermion")}
+    label, value, tol = cli._first_order_line(tables)
+    assert value < tol
+    j = tables["boson"]
+    beta = j.beta.copy()
+    beta[1, 0, 3] += 1e-12
+    tables["boson"] = bogoliubov.BosonBogoliubov(j.alpha, beta, j.modes)
+    label, value, tol = cli._first_order_line(tables)
+    assert value > tol and "boson-vacuum-14" in label
+
+
 def test_fermion_identity_line_reads_the_gates_window():
     # the finite-h identity line's value is the largest unitarity residual of
     # the h = H_REF overlaps over the labels that the junction gate reads
@@ -378,7 +393,8 @@ def test_same_charge_one_particle_curve_converges_at_a_deep_cutoff(tmp_path):
 
 def test_check_gates_each_junction_once(monkeypatch, capsys):
     # every suite of check reads the same gated junctions: from an empty
-    # junction cache, one whole-period gate per species
+    # junction cache, one whole-period gate per species for the quadrature
+    # junction and one for the tables
     gated = []
     original = bogoliubov.check_period
 
@@ -390,7 +406,7 @@ def test_check_gates_each_junction_once(monkeypatch, capsys):
         monkeypatch.setattr(module, "check_period", counted)
     monkeypatch.setattr(blocks, "_cache", {})
     assert cli.main(["check"]) == cli.EXIT_OK
-    assert sorted(gated) == ["BosonBogoliubov", "FermionBogoliubov"]
+    assert sorted(gated) == ["BosonBogoliubov"] * 2 + ["FermionBogoliubov"] * 2
 
 
 def test_version_flag(capsys):

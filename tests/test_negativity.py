@@ -221,11 +221,22 @@ def test_fermion_particle_closed_requires_membership(fermion_junction):
 PIECE_FLOOR = 1e-15
 
 
-def _close(got, want):
-    """Equal within 1e-13 of the piece's largest magnitude (or PIECE_FLOOR)."""
+def _close(got, want, scale=0.0):
+    """Equal within 1e-13 of the piece's largest magnitude or of ``scale``
+    (or PIECE_FLOOR)."""
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= max(1e-13 * np.max(np.abs(want)), PIECE_FLOOR)
+    bound = max(1e-13 * max(np.max(np.abs(want)), scale), PIECE_FLOOR)
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def _term_scale(first, second, mask=True):
+    """The largest term of a mode sum multiplied out, max_m |first| |second|
+    with each line bounded by its terms: the scale of its rounding, which the
+    elementwise sum does not show where the lines cancel (near integer u)."""
+    def bound(line):
+        return sum(np.abs(c)[..., None] * np.abs(w) for c, w, _ in line)
+    return float(np.max(bound(first) * bound(second) * mask))
 
 
 @settings(max_examples=25, deadline=None)
@@ -240,12 +251,23 @@ def test_boson_pieces_match_the_states_blocks(boson_junction, u, labels):
     v = states.boson_pair_matrix(trip)
     d = states.boson_source_matrix(trip, v)
     pieces = neg.BosonPieces(neg.TripGrid(boson_junction, u), k, kp)
-    _close(pieces.v1, v[1][[i, l]])
+    rest = pieces.rest
+    # the label entries, with the hop and source sums in their second orders
     _close(pieces.v, v[:, i, l])
-    _close(pieces.d, d[:, [i, l], i])
-    _close(pieces.d1, d[1][:, i])
+    sources = pieces.sources()
+    _close(sources, d[:, [i, l], i])
+    # the weights and the overlap of the one-particle block, off the labels
+    for x, row in enumerate((i, l)):
+        line = pieces.pair_row(x)
+        _close(pieces.overlap(line, rest), np.sum(np.abs(v[1][row, rest]) ** 2),
+               _term_scale(line, line, rest))
+    line = pieces.col(0)
+    _close(pieces.overlap(line, rest), np.sum(np.abs(d[1][rest, i]) ** 2),
+           _term_scale(line, line, rest))
+    _close(pieces.overlap(neg._conj(line), rest, pieces.pair_row(0)),
+           np.sum(d[1][rest, i] * np.conj(v[1][i, rest])), _term_scale(line, pieces.pair_row(0)))
     # the closed forms drop the vacuum norm factor because these vanish at h^0
-    assert pieces.v[0] == 0.0 and pieces.d[0][..., 1] == 0.0
+    assert pieces.v[0] == 0.0 and sources[0][..., 1] == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -269,12 +291,18 @@ def test_fermion_pieces_match_the_states_blocks(fermion_junction, u, labels):
     # the closed forms drop the vacuum norm factor because these vanish at h^0
     assert pieces.source(0, 1)[0] == 0.0 and pieces.source(1, 0)[0] == 0.0
     for x, m in enumerate(labels):
+        # every weight is |T1[m, x]|^2 or |T1[x, m]|^2 over a charge
+        col, row = pieces.col(x), pieces.col(x, row=True)
         if m >= 0:
-            _close(pieces.v1_row(x)[~part], v[1][index(m)])
+            _close(pieces.overlap(col, ~part), np.sum(np.abs(v[1][index(m)]) ** 2),
+                   _term_scale(col, col))
         else:
-            _close(pieces.v1_col(x)[part], v[1][:, index(m)])
+            _close(pieces.overlap(row, part), np.sum(np.abs(v[1][:, index(m)]) ** 2),
+                   _term_scale(row, row))
         own = sources[m >= 0]
-        _close(pieces.source1(x)[part if m >= 0 else ~part], own[1][:, index(m)])
+        mine = part if m >= 0 else ~part
+        _close(pieces.overlap(col, mine), np.sum(np.abs(own[1][:, index(m)]) ** 2),
+               _term_scale(col, col))
         for y, o in enumerate(labels):
             if (o >= 0) == (m >= 0):
                 _close(pieces.source(x, y), own[:, index(o), index(m)])
@@ -285,6 +313,125 @@ def test_fermion_pieces_match_the_states_blocks(fermion_junction, u, labels):
         _close(pieces.pair_scalar(xp, 1 - xp),
                states.fermion_pair_scalar(trip, sources[False], kappa, kappa_p))
         assert pieces.v(xp, 1 - xp)[0] == 0.0 and pieces.pair_scalar(xp, 1 - xp)[0] == 0.0
+
+
+# --- every sum the pieces read against the composed trip's rows --------------
+#
+# Each line constructor and each second-order label entry of the pieces is
+# spied on: a line gets its elementwise values from the rows of
+# blocks.one_way_trip, and every sum over the free mode (_mode_sum) is held
+# against the elementwise sum of those rows, within 1e-13 of its largest
+# multiplied-out term.
+
+
+def _trip_lines(trip, g):
+    """The elementwise lines, by constructor name, at a storage position i."""
+    a1 = trip.a[1] if hasattr(trip, "a") else trip.alpha[1]
+    if hasattr(trip, "a"):
+        return {"col": lambda i, row=False: a1[..., i, :] if row else a1[..., :, i]}
+    b1 = trip.beta[1]
+    return {
+        "beta_row": lambda i: b1[..., i, :],
+        "col": lambda i, row=False: a1[..., i, :] if row else a1[..., :, i],
+        "beta_col": lambda i: b1[..., :, i],
+        # V1[x, m] = -1/2 conj(beta1[x, m] g_m + beta1[m, x] g_x)
+        "pair_row": lambda i: -0.5 * np.conj(b1[..., i, :] * g + b1[..., :, i] * g[..., i, None]),
+    }
+
+
+def _closed_form(family, labels):
+    a, b = labels
+    return {
+        "boson vacuum": lambda t: neg.boson_vacuum_closed(t, (a, b)),
+        "boson one-particle": lambda t: neg.boson_particle_closed(t, a, (a, b)),
+        "fermion vacuum": lambda t: neg.fermion_vacuum_closed(t, (a, b)),
+        "fermion one-particle": lambda t: neg.fermion_particle_closed(t, a, (a, b)),
+        "fermion pair": lambda t: neg.fermion_pair_closed(t, a, b),
+    }[family]
+
+
+@st.composite
+def closed_cases(draw):
+    """A family, labels in the interior window at n_max 40 that it accepts, and u."""
+    family = draw(st.sampled_from(["boson vacuum", "boson one-particle", "fermion vacuum",
+                                   "fermion one-particle", "fermion pair"]))
+    if family.startswith("boson"):
+        labels = draw(st.lists(st.integers(1, 20), min_size=2, max_size=2, unique=True))
+    elif family == "fermion one-particle":
+        side = draw(st.sampled_from([(0, 19), (-20, -1)]))
+        labels = draw(st.lists(st.integers(*side), min_size=2, max_size=2, unique=True))
+    else:
+        labels = [draw(st.integers(0, 19)), draw(st.integers(-20, -1))]
+    us = draw(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=8))
+    rephasing = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    return family, labels, np.array(us), rephasing
+
+
+def _rephased(t, seed):
+    """t with every mode rephased by d: D T D^+ (boson beta: D beta D).  On a
+    junction this makes its blocks complex, and on a trip it gives the trip
+    of the rephased junction."""
+    d = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, t.modes.size))
+    if hasattr(t, "a"):
+        return type(t)(d[:, None] * t.a * np.conj(d), t.modes)
+    return type(t)(d[:, None] * t.alpha * np.conj(d), d[:, None] * t.beta * d, t.modes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=closed_cases())
+def test_every_sum_the_pieces_read_matches_the_trip_rows(case):
+    # the closed route reads the junction as it is stored: a rephased one,
+    # whose blocks are complex, must give the rows of the rephased trip
+    family, labels, us, rephasing = case
+    species = family.split()[0]
+    j = blocks.junction(species, 40)
+    trip = blocks.one_way_trip(species, 40, us)
+    if rephasing is not None:
+        j, trip = _rephased(j, rephasing), _rephased(trip, rephasing)
+    grid = neg.TripGrid(j, us)
+    lines = _trip_lines(trip, grid.g)
+    dense, sums = {}, []
+    real_sum, real_conj = neg._mode_sum, neg._conj
+
+    def constructor(name, method):
+        def spied(self, x, **row):
+            line = method(self, x, **row)
+            dense[id(line)] = lines[name](self.at[x], **row)
+            return line
+        return spied
+
+    def conj(line):
+        out = real_conj(line)
+        dense[id(out)] = np.conj(dense[id(line)])
+        return out
+
+    def mode_sum(g, first, second, mask=None, power=0):
+        got = real_sum(g, first, second, mask, power)
+        terms = dense[id(first)] * dense[id(second)] * (1.0 if mask is None else mask)
+        terms = terms * {1: g, 0: 1.0, -1: np.conj(g)}[power]
+        bound = 1e-13 * _term_scale(first, second, 1.0 if mask is None else mask)
+        assert np.max(np.abs(got - np.sum(terms, axis=-1))) <= bound, (family, labels)
+        sums.append(got)
+        return got
+
+    def second(self, x, y, beta=False):
+        got = real_second(self, x, y, beta)
+        order = trip.a if species == "fermion" else trip.beta if beta else trip.alpha
+        scale = np.max(np.abs(j.a if species == "fermion" else j.beta if beta else j.alpha))
+        want = order[2][..., self.at[x], self.at[y]]
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, (family, labels)
+        return got
+
+    cls = neg.FermionPieces if species == "fermion" else neg.BosonPieces
+    real_second = cls.second
+    with pytest.MonkeyPatch.context() as mp:
+        for name in lines:
+            mp.setattr(cls, name, constructor(name, getattr(cls, name)))
+        mp.setattr(cls, "second", second)
+        mp.setattr(neg, "_conj", conj)
+        mp.setattr(neg, "_mode_sum", mode_sum)
+        _closed_form(family, labels)(grid)
+    assert sums, family
 
 
 # --- the paper's first-order forms -----------------------------------------------

@@ -547,8 +547,8 @@ def test_pauli_blocked_curves_are_exactly_zero(labels, u):
 
 def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
     # every junction a preset sweep reads, its refinement's too, is built
-    # (and gated) first; after that no trip may be composed, and the closed
-    # forms read the trip through blocks.trip_lines alone
+    # (and gated) first; after that no trip may be composed: the closed forms
+    # read only the junctions and their phase tables
     for species in ("boson", "fermion"):
         blocks.junction(species, 40)
         blocks.table_junction(species, 80)
@@ -566,9 +566,9 @@ def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
 
 
 def test_sweep_forms_phases_once_per_species_and_grid(monkeypatch):
-    # the phases and the vacuum norm factor depend only on the species'
-    # junction and the u grid: fig1a's four curves read two species, each on
-    # the sweep grid and on the refinement's spot points, so four calls
+    # the phases depend only on the species' junction and the u grid:
+    # fig1a's four curves read two species, each on the sweep grid and on
+    # the refinement's spot points, so four calls
     calls = []
     real = blocks.free_phases
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -42,6 +43,8 @@ EXIT_CLOSED_STDOUT = 141
 EPS = np.finfo(float).eps
 
 
+# built once per process: a rebuild costs more than parsing a command line
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavityent",

@@ -15,14 +15,13 @@ No trip is assembled: each species' junction passes one identity gate that
 covers every trip of the u period (:func:`blocks.junction`), and the
 closed series read junction rows for the whole grid at once (see
 :mod:`cavityent.negativity`).  Convergence in the mode cutoff is checked by
-re-evaluating a handful of grid points per curve at doubled n_max, on the
-junction from the closed-form tables (:func:`blocks.table_junction`), all
-spot points of one species in one batch; a curve whose values move by more than
-``CONVERGENCE_GATE`` of the curve's largest |value| on the grid is flagged
-in every one of its rows.
-Measuring against the curve's scale rather than the local value keeps spot
-points that land on a zero of the curve, where both cutoffs hold only
-truncation noise, from firing the gate.
+evaluating the whole grid a second time at doubled n_max, on the junction
+from the closed-form tables (:func:`blocks.table_junction`).  A curve's
+convergence delta is the largest move over the grid divided by the curve's
+largest |value| on it; a curve whose delta reaches ``CONVERGENCE_GATE`` is
+flagged in every one of its rows.  Measuring against the curve's scale
+rather than the local value keeps the curve's zeros, where both cutoffs hold
+only truncation noise, from firing the gate.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from . import blocks, negativity
 from ._version import __version__
 
 CONVERGENCE_GATE = 1e-4
-SPOT_POINTS = 3
 POWER_FLOOR = 1e-10
 
 CSV_COLUMNS = (
@@ -208,19 +206,14 @@ class SweepRequest:
         return np.linspace(self.u_start, self.u_stop, self.steps)
 
 
-@dataclasses.dataclass(frozen=True)
-class Row:
-    u: float
-    value: float
-    power: int
-    curve: CurveSpec
-    converged: bool
-
-
 @dataclasses.dataclass
 class SweepResult:
+    """A sweep's rows as arrays: ``values[i, j]`` is curve j's coefficient at
+    its power at grid point i, and each curve's power, convergence delta and
+    flag are keyed by its name."""
+
     request: SweepRequest
-    rows: list[Row]
+    values: np.ndarray
     powers: dict[str, int]
     deltas: dict[str, float]
     converged: dict[str, bool]
@@ -238,28 +231,11 @@ def curve_series(curves, grid: np.ndarray, junctions: dict) -> np.ndarray:
     (:class:`negativity.TripGrid`), and each curve of the species reads the
     whole grid through products of that table with junction columns.
     """
+    trips = {s: negativity.TripGrid(junctions[s], grid) for s in {c.species for c in curves}}
     out = np.empty((grid.size, len(curves), 3))
-    for species in sorted({c.species for c in curves}):
-        trip = negativity.TripGrid(junctions[species], grid)
-        for col, curve in enumerate(curves):
-            if curve.species == species:
-                out[:, col] = curve.series(trip)
+    for col, curve in enumerate(curves):
+        out[:, col] = curve.series(trips[curve.species])
     return out
-
-
-def _curve_power(series_over_grid: np.ndarray) -> int:
-    if np.max(np.abs(series_over_grid[:, 1])) > POWER_FLOOR:
-        return 1
-    if np.max(np.abs(series_over_grid[:, 2])) > POWER_FLOOR:
-        return 2
-    return 0
-
-
-def _spot_indices(values: np.ndarray, count: int = SPOT_POINTS) -> list[int]:
-    """Grid indices of the largest values: convergence is checked where the
-    curve actually lives, not at its zeros."""
-    order = np.argsort(-values, kind="stable")
-    return sorted(int(i) for i in order[: min(count, values.size)])
 
 
 def run_sweep(request: SweepRequest) -> SweepResult:
@@ -274,38 +250,21 @@ def run_sweep(request: SweepRequest) -> SweepResult:
     fine_junctions = {s: blocks.table_junction(s, 2 * request.n_max) for s in species_set}
     junctions = {s: blocks.junction(s, request.n_max) for s in species_set}
     table = curve_series(curves, grid, junctions)
+    fine = curve_series(curves, grid, fine_junctions)
 
-    powers = {c.name: _curve_power(table[:, j]) for j, c in enumerate(curves)}
-    values = np.stack([table[:, j, powers[c.name]] for j, c in enumerate(curves)], axis=1)
-
-    deltas: dict[str, float] = {}
-    for species in species_set:
-        cols = [j for j, c in enumerate(curves) if c.species == species]
-        spots = {j: _spot_indices(values[:, j]) for j in cols}
-        points = sorted(set().union(*spots.values()))
-        fine = curve_series([curves[j] for j in cols], grid[points], fine_junctions)
-        for col, j in enumerate(cols):
-            curve = curves[j]
-            scale = float(np.max(np.abs(values[:, j])))
-            coarse = values[spots[j], j]
-            refined = fine[[points.index(i) for i in spots[j]], col, powers[curve.name]]
-            delta = float(np.max(np.abs(refined - coarse))) / scale if scale > 0.0 else 0.0
-            deltas[curve.name] = delta
-    deltas = {c.name: deltas[c.name] for c in curves}
-    converged = {name: bool(delta < CONVERGENCE_GATE) for name, delta in deltas.items()}
-
-    rows = [
-        Row(
-            u=u,
-            value=value,
-            power=powers[curve.name],
-            curve=curve,
-            converged=converged[curve.name],
-        )
-        for u, line in zip(grid.tolist(), values.tolist())
-        for value, curve in zip(line, request.curves)
-    ]
-    return SweepResult(request, rows, powers, deltas, converged)
+    # a curve's power is its first order above the floor anywhere on the grid
+    above = (np.max(np.abs(table[:, :, 1:]), axis=0) > POWER_FLOOR).tolist()
+    powers = {c.name: 1 if h1 else 2 if h2 else 0 for c, (h1, h2) in zip(curves, above)}
+    cols, at = np.arange(len(curves)), [powers[c.name] for c in curves]
+    values = table[:, cols, at]
+    scales = np.max(np.abs(values), axis=0).tolist()
+    moves = np.max(np.abs(fine[:, cols, at] - values), axis=0).tolist()
+    deltas = {
+        c.name: move / scale if scale > 0.0 else 0.0
+        for c, move, scale in zip(curves, moves, scales)
+    }
+    converged = {name: delta < CONVERGENCE_GATE for name, delta in deltas.items()}
+    return SweepResult(request, values, powers, deltas, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +281,6 @@ def _metadata(result: SweepResult) -> dict:
         "u_stop": req.u_stop,
         "steps": req.steps,
         "convergence_gate": CONVERGENCE_GATE,
-        "spot_points": SPOT_POINTS,
         "curves": {
             c.name: {
                 "species": c.species,
@@ -338,13 +296,14 @@ def _metadata(result: SweepResult) -> dict:
     }
 
 
-# emit writes each row from one fixed template per format.  The bytes are
-# those of ",".join over the CSV_COLUMNS fields (floats as "{:.17g}",
-# booleans as true/false), and of json.dumps(..., indent=2, sort_keys=True)
-# of the row dicts, keyed by the CSV columns; Python's json module drops to
-# its pure-Python encoder whenever indent is set, which made the rows most of
-# a sweep's emit time.
-_JSON_ROW = "    {{\n" + ",\n".join(f'      "{c}": {{{c}}}' for c in sorted(CSV_COLUMNS)) + "\n    }}"
+# emit formats the fields fixed for a curve once, then writes each row as
+# its u and value with them; _JSON_ROW is formatted first with those fields,
+# leaving {u} and {value} open, so its own braces are doubled twice.  The
+# bytes are those of ",".join over the CSV_COLUMNS fields (floats as
+# "{:.17g}", booleans as true/false) and of json.dumps(..., indent=2,
+# sort_keys=True) of the row dicts; with indent set, json's pure-Python
+# encoder made the rows most of a sweep's emit time.
+_JSON_ROW = "    {{{{\n" + ",\n".join(f'      "{c}": {{{c}}}' for c in sorted(CSV_COLUMNS)) + "\n    }}}}"
 _JSON_STRING = json.encoder.encode_basestring_ascii
 
 
@@ -358,24 +317,32 @@ def _bool(flag: bool) -> str:
 
 
 def _csv(result: SweepResult) -> str:
-    header = ",".join(CSV_COLUMNS) + "\n"
-    return header + "".join(
-        f"{row.u:.17g},{row.value:.17g},{row.power},{row.curve.state},{row.curve.species},"
-        f"{row.curve.modes[0]},{row.curve.modes[1]},{_bool(row.converged)}\n"
-        for row in result.rows
+    tails = [
+        f",{result.powers[c.name]},{c.state},{c.species},{c.modes[0]},{c.modes[1]},"
+        f"{_bool(result.converged[c.name])}\n"
+        for c in result.request.curves
+    ]
+    grid, values = result.request.grid().tolist(), result.values.tolist()
+    return ",".join(CSV_COLUMNS) + "\n" + "".join(
+        f"{u:.17g},{value:.17g}{tail}"
+        for u, line in zip(grid, values) for value, tail in zip(line, tails)
     )
 
 
 def _json(result: SweepResult) -> str:
     metadata = json.dumps(_metadata(result), indent=2, sort_keys=True).replace("\n", "\n  ")
-    rows = ",\n".join(
+    templates = [
         _JSON_ROW.format(
-            u=_json_float(row.u), negativity_normalized=_json_float(row.value),
-            power=row.power, state=_JSON_STRING(row.curve.state),
-            species=_JSON_STRING(row.curve.species), mode_a=row.curve.modes[0],
-            mode_b=row.curve.modes[1], converged=_bool(row.converged),
+            u="{u}", negativity_normalized="{value}", power=result.powers[c.name],
+            state=_JSON_STRING(c.state), species=_JSON_STRING(c.species), mode_a=c.modes[0],
+            mode_b=c.modes[1], converged=_bool(result.converged[c.name]),
         )
-        for row in result.rows
+        for c in result.request.curves
+    ]
+    grid, values = result.request.grid().tolist(), result.values.tolist()
+    rows = ",\n".join(
+        template.format(u=_json_float(u), value=_json_float(value))
+        for u, line in zip(grid, values) for value, template in zip(line, templates)
     )
     return '{\n  "metadata": ' + metadata + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
 

@@ -257,15 +257,16 @@ def test_preset_sweeps_are_periodic_and_fast():
         shifted = sweep.run_sweep(
             dataclasses.replace(result.request, u_start=1.0, u_stop=2.0)
         )
-        for row, partner in zip(result.rows, shifted.rows):
-            assert partner.curve.name == row.curve.name
-            assert partner.u == pytest.approx(row.u + 1.0)
-            assert abs(partner.value - row.value) < 1e-8, (
-                f"{name}/{row.curve.name} breaks periodicity at u={row.u}"
-            )
-        for row in result.rows:
-            if row.curve.species == "boson" and row.u in (0.0, 1.0):
-                assert abs(row.value) < 1e-8
+        grid = result.request.grid()
+        assert shifted.request.curves == result.request.curves
+        assert shifted.request.grid() == pytest.approx(grid + 1.0)
+        for j, curve in enumerate(result.request.curves):
+            for u, value, partner in zip(grid, result.values[:, j], shifted.values[:, j]):
+                assert abs(partner - value) < 1e-8, (
+                    f"{name}/{curve.name} breaks periodicity at u={u}"
+                )
+                if curve.species == "boson" and u in (0.0, 1.0):
+                    assert abs(value) < 1e-8
 
 
 def test_reported_negativity_survives_convention_changes(

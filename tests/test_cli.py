@@ -1,5 +1,6 @@
 """Command line entry points and exit codes."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -143,6 +144,24 @@ def test_removed_h_flag_is_rejected(argv, capsys):
         cli.main(argv)
     assert exc.value.code == cli.EXIT_CONFIG
     assert "unrecognized arguments: --h" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # a library caller pays for the parser once per process, not per call
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert cli.main(["check", "--nmax", "30"]) == cli.EXIT_CONFIG
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("cavityent") == 1
 
 
 CHECK_LINE = re.compile(r"^(ok  |FAIL) (.+) \((\S+) of (\S+)\)$")
@@ -373,10 +392,10 @@ def test_fermion_identity_line_reads_the_gates_window():
 
 
 def test_same_charge_one_particle_curve_converges_at_a_deep_cutoff(tmp_path):
-    # excite 4 on fermion labels (4, 0): the refinement moves the curve's
-    # maxima by the mode-truncation residual, which falls as n_max^-3
-    # (1.23e-3 at n_max 40, 7.3e-5 at 100), so the 1e-4 gate fails at 40 and
-    # passes from about 90 up
+    # excite 4 on fermion labels (4, 0): the refinement moves the curve by
+    # the mode-truncation residual, which falls as n_max^-3 (over the whole
+    # grid, 1.29e-3 of the curve's max at n_max 40, 1.11e-4 at 90 and 7.56e-5
+    # at 100), so the 1e-4 gate fails at 40 and passes from 93 up
     path = tmp_path / "same-charge.cfg"
     path.write_text(
         "[curve:f]\nspecies = fermion\nstate = one-particle\nmodes = 4, 0\nexcite = 4\n"

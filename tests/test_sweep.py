@@ -155,11 +155,6 @@ def test_grid_endpoints():
     assert np.allclose(req.grid(), [0.25, 0.5, 0.75])
 
 
-def test_spot_indices_pick_largest_values():
-    values = np.array([0.0, 0.3, 0.1, 0.9, 0.2])
-    assert sweep._spot_indices(values, count=3) == [1, 3, 4]
-
-
 # --- running -----------------------------------------------------------------
 
 
@@ -177,12 +172,17 @@ def small_result():
 
 
 def test_row_layout(small_result):
-    rows = small_result.rows
+    assert small_result.values.shape == (5, len(SMALL_CURVES))
+    assert small_result.request.curves is SMALL_CURVES
+    rows = load_rows(emit(small_result))
     assert len(rows) == 5 * len(SMALL_CURVES)
     grid = small_result.request.grid()
     for i, row in enumerate(rows):
-        assert row.u == grid[i // len(SMALL_CURVES)]
-        assert row.curve is SMALL_CURVES[i % len(SMALL_CURVES)]
+        curve = SMALL_CURVES[i % len(SMALL_CURVES)]
+        assert row["u"] == grid[i // len(SMALL_CURVES)]
+        assert (row["species"], row["state"], (row["mode_a"], row["mode_b"])) == (
+            curve.species, curve.state, curve.modes
+        )
 
 
 def test_values_are_normalized_coefficients(small_result):
@@ -191,15 +191,15 @@ def test_values_are_normalized_coefficients(small_result):
         "boson-vacuum-13": 2,
         "fermion-vacuum-2m1": 1,
     }
-    for row in small_result.rows:
-        assert row.value >= 0.0
-        assert row.power == small_result.powers[row.curve.name]
+    assert np.all(small_result.values >= 0.0)
+    for i, row in enumerate(load_rows(emit(small_result))):
+        assert row["power"] == small_result.powers[SMALL_CURVES[i % len(SMALL_CURVES)].name]
 
 
 def test_sweep_vanishes_at_integer_u(small_result):
-    for row in small_result.rows:
-        if row.u in (0.0, 1.0):
-            assert abs(row.value) < 1e-12
+    at_integers = np.isin(small_result.request.grid(), (0.0, 1.0))
+    assert at_integers.sum() == 2
+    assert np.all(np.abs(small_result.values[at_integers]) < 1e-12)
 
 
 def test_small_window_still_converged(small_result):
@@ -212,14 +212,14 @@ def test_convergence_gate_flags_curves(monkeypatch, small_result):
     monkeypatch.setattr(sweep, "CONVERGENCE_GATE", 0.0)
     result = run_sweep(small_result.request)
     assert not result.all_converged
-    assert all(not row.converged for row in result.rows)
+    assert all(not row["converged"] for row in load_rows(emit(result)))
     # emission still works so the caller can inspect the run
     assert ",false" in emit(result)
 
 
 def test_sweep_is_periodic_in_u():
     request = SweepRequest(curves=SMALL_CURVES[:1], u_stop=2.0, steps=9, n_max=32)
-    values = [row.value for row in run_sweep(request).rows]
+    values = run_sweep(request).values[:, 0].tolist()
     # u = 0 .. 2 in steps of 0.25: the second period repeats the first
     assert values[:4] == pytest.approx(values[4:8], abs=1e-12)
 
@@ -228,8 +228,8 @@ def test_sweep_is_periodic_in_u():
 
 
 @pytest.mark.parametrize("steps", [3, 4])
-def test_gate_ignores_spot_points_on_the_zeros(tmp_path, steps):
-    # on 3 and 4 point grids the spot points include u = 0 and u = 1, where
+def test_gate_ignores_the_curve_zeros(tmp_path, steps):
+    # 3 and 4 point grids include u = 0 and u = 1, zeros of every curve where
     # both cutoffs hold only truncation noise: measured against the local
     # value, that noise read as a delta of 0.88
     out = tmp_path / "rows.json"
@@ -244,7 +244,26 @@ def test_gate_still_fails_an_unconverged_curve():
     curve = CurveSpec("boson-vacuum-2-40", "boson", "vacuum", (2, 40))
     result = run_sweep(SweepRequest(curves=(curve,), steps=21, n_max=40))
     assert not result.all_converged
-    assert result.deltas[curve.name] == pytest.approx(0.3471, abs=1e-4)
+    assert result.deltas[curve.name] == pytest.approx(0.7440, abs=1e-4)
+
+
+@pytest.mark.parametrize("name", ["fig1b", "cutoff"])
+def test_deltas_are_the_whole_grid_move(name):
+    # each curve's delta is its largest move over the whole grid between the
+    # n_max junction and the tables at 2 n_max, over its largest |value|
+    request = _reference_request(name)
+    result = run_sweep(request)
+    grid, n, species = request.grid(), request.n_max, {c.species for c in request.curves}
+    rows = sweep.curve_series(request.curves, grid, {s: blocks.junction(s, n) for s in species})
+    fine = sweep.curve_series(
+        request.curves, grid, {s: blocks.table_junction(s, 2 * n) for s in species}
+    )
+    for j, curve in enumerate(request.curves):
+        power = result.powers[curve.name]
+        row, refined = rows[:, j, power], fine[:, j, power]
+        assert np.array_equal(result.values[:, j], row)
+        move = float(np.max(np.abs(refined - row))) / float(np.max(np.abs(row)))
+        assert result.deltas[curve.name] == move, curve.name
 
 
 def _reference_request(name):
@@ -312,17 +331,22 @@ def load_rows(text: str) -> list[dict]:
     return rows
 
 
-def _row_fields(row) -> dict:
-    return {
-        "u": row.u,
-        "negativity_normalized": row.value,
-        "power": row.power,
-        "state": row.curve.state,
-        "species": row.curve.species,
-        "mode_a": row.curve.modes[0],
-        "mode_b": row.curve.modes[1],
-        "converged": row.converged,
-    }
+def _row_fields(result) -> list[dict]:
+    """Every row of a result as a dict keyed by the CSV columns."""
+    return [
+        {
+            "u": u,
+            "negativity_normalized": float(result.values[i, j]),
+            "power": result.powers[curve.name],
+            "state": curve.state,
+            "species": curve.species,
+            "mode_a": curve.modes[0],
+            "mode_b": curve.modes[1],
+            "converged": result.converged[curve.name],
+        }
+        for i, u in enumerate(result.request.grid().tolist())
+        for j, curve in enumerate(result.request.curves)
+    ]
 
 
 def _generic_encoding(result, fmt: str) -> str:
@@ -330,7 +354,7 @@ def _generic_encoding(result, fmt: str) -> str:
     payload, or the CSV fields formatted one at a time by type."""
     if fmt == "json":
         payload = {"metadata": sweep._metadata(result),
-                   "rows": [_row_fields(row) for row in result.rows]}
+                   "rows": _row_fields(result)}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def field(value):
@@ -341,7 +365,7 @@ def _generic_encoding(result, fmt: str) -> str:
         return str(value)
 
     lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(field(_row_fields(row)[c]) for c in CSV_COLUMNS) for row in result.rows]
+    lines += [",".join(field(row[c]) for c in CSV_COLUMNS) for row in _row_fields(result)]
     return "\n".join(lines) + "\n"
 
 
@@ -367,10 +391,9 @@ def test_emit_matches_the_generic_encoders(name, fmt, mixed_result):
 
 
 def test_emit_spells_non_finite_values_as_json_does(mixed_result):
-    rows = list(mixed_result.rows)
-    for i, value in enumerate((float("nan"), float("inf"), float("-inf"))):
-        rows[i] = dataclasses.replace(rows[i], value=value)
-    result = dataclasses.replace(mixed_result, rows=rows)
+    values = mixed_result.values.copy()
+    values.flat[:3] = float("nan"), float("inf"), float("-inf")
+    result = dataclasses.replace(mixed_result, values=values)
     for fmt in ("csv", "json"):
         assert emit(result, fmt=fmt) == _generic_encoding(result, fmt)
     assert '"negativity_normalized": NaN' in emit(result, fmt="json")
@@ -380,15 +403,15 @@ def test_csv_layout_and_round_trip(small_result):
     text = emit(small_result)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 1 + len(small_result.rows)
+    assert len(lines) == 1 + small_result.values.size
     assert ",true" in text and "True" not in text
     rows = load_rows(text)
-    for parsed, row in zip(rows, small_result.rows):
-        assert parsed["u"] == row.u
-        assert parsed["negativity_normalized"] == row.value
-        assert parsed["power"] == row.power
-        assert parsed["mode_a"] == row.curve.modes[0]
-        assert parsed["converged"] is row.converged
+    for parsed, row in zip(rows, _row_fields(small_result), strict=True):
+        assert parsed["u"] == row["u"]
+        assert parsed["negativity_normalized"] == row["negativity_normalized"]
+        assert parsed["power"] == row["power"]
+        assert parsed["mode_a"] == row["mode_a"]
+        assert parsed["converged"] is row["converged"]
 
 
 def test_emit_is_deterministic(small_result):
@@ -402,12 +425,12 @@ def test_json_metadata(small_result):
     assert meta["n_max"] == 32
     assert set(meta) == {
         "version", "config_sha256", "n_max", "u_start", "u_stop", "steps",
-        "convergence_gate", "spot_points", "curves",
+        "convergence_gate", "curves",
     }
     assert set(meta["curves"]) == {c.name for c in SMALL_CURVES}
     for info in meta["curves"].values():
         assert info["converged"] is True
-    assert payload["rows"] == [_row_fields(r) for r in small_result.rows]
+    assert payload["rows"] == _row_fields(small_result)
 
 
 def test_json_and_csv_rows_agree(small_result):
@@ -567,8 +590,8 @@ def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
 
 def test_sweep_forms_phases_once_per_species_and_grid(monkeypatch):
     # the phases depend only on the species' junction and the u grid:
-    # fig1a's four curves read two species, each on the sweep grid and on
-    # the refinement's spot points, so four calls
+    # fig1a's four curves read two species, each on the sweep grid for the
+    # rows and again for the refinement, so four calls
     calls = []
     real = blocks.free_phases
 
@@ -581,7 +604,7 @@ def test_sweep_forms_phases_once_per_species_and_grid(monkeypatch):
     assert run_sweep(request).all_converged
     assert len(request.curves) == 4
     assert sorted(species for species, _ in calls) == ["boson", "boson", "fermion", "fermion"]
-    assert sorted(size for _, size in calls)[2:] == [request.steps] * 2
+    assert [size for _, size in calls] == [request.steps] * 4
 
 
 def test_sweep_builds_the_refinement_junctions_first(monkeypatch):

@@ -11,8 +11,9 @@ Two subcommands:
 
 Exit codes: 0 success, 2 configuration error (including an n_max outside
 ``blocks.MIN_N_MAX``..``blocks.MAX_N_MAX``, for either subcommand;
-non-finite or non-increasing u bounds; and a curve label outside the
-cutoff's modes), 3 convergence gate failure, 4 invariant
+non-finite or non-increasing u bounds; a curve label outside the cutoff's
+modes; and a sweep ``--out`` that cannot be written, rejected before any
+junction is built), 3 convergence gate failure, 4 invariant
 violation (including a numerical routine that cannot reach its accuracy
 target), 141 stdout closed by its reader (a pager or ``head`` that exits
 early; 128 + SIGPIPE, the status a shell reports for a writer that SIGPIPE
@@ -71,7 +72,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Raise :class:`ConfigError` unless ``path`` ("-": stdout) can be written,
+    creating and truncating nothing, so that a bad path fails before the sweep."""
+    if path == "-":
+        return
+    if not path or os.path.isdir(path):
+        raise ConfigError(f"--out {path!r} is not a file path")
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {path!r}: directory {parent!r} does not exist")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ConfigError(f"--out {path!r} is not writable")
+
+
 def _cmd_sweep(args) -> int:
+    _check_out(args.out)
     request = load_config(args.config)
     overrides = {}
     if args.nmax is not None:

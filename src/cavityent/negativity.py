@@ -13,6 +13,8 @@ without building a trip, a state or a density matrix; it imports nothing from
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import blocks
@@ -117,6 +119,15 @@ def leading_order(rho_orders: np.ndarray) -> np.ndarray:
 # (a2 = J2^+ G + J1^+ G J1 + G J2 and so on).  Only len(u)-sized arithmetic
 # follows the products.
 #
+# Only h^2 reads a sum over the free mode.  Each family's h^1 is the
+# magnitude of the negative block's first-order coherence, a product of
+# line entries at the two labels: junction entries there times the two
+# labels' phases.  On a :class:`FirstOrderGrid` the pieces' order stacks
+# stop at h^1, the truncated :func:`cauchy` products with them, and each
+# closed form returns the orders h^0 and h^1 alone, u.shape + (2,), without
+# forming the phase table ``TripGrid.g``.  The same code builds the stacks
+# to h^2 on a :class:`TripGrid`, so the two h^1 agree to the last bit.
+#
 # The states also carry the vacuum norm factor M = 1 + h^2 M2, which the
 # numeric route keeps and the closed forms leave out exactly.  Each form
 # would multiply M into an amplitude whose h^0 term is zero: V, the pair
@@ -128,27 +139,33 @@ def leading_order(rho_orders: np.ndarray) -> np.ndarray:
 
 
 def _pt_block(d1, d2, x) -> np.ndarray:
-    """Negativity series of a 2x2 transposed block [[d1 h^2, x], [conj x, d2 h^2]].
+    """Negativity series of a 2x2 transposed block [[d1 h^2, x], [conj x, d2 h^2]],
+    to h^1 alone (d1 and d2 unread) when the orders of x stop there.
 
     With a first-order coherence the block is negative for any small h; when
     parity kills x[1] the block only opens at second order and may stay
     positive, in which case the series is zero.
     """
     x1 = np.abs(x[1])
-    linear = x1 > FIRST_ORDER_FLOOR
+    series = np.zeros(np.shape(x1) + (len(x),))
+    series[..., 1] = np.where(x1 > FIRST_ORDER_FLOOR, x1, 0.0)
+    if len(x) == 2:
+        return series
     with np.errstate(divide="ignore", invalid="ignore"):
         opened = (np.conj(x[1]) * x[2]).real / x1 - 0.5 * (d1 + d2)
     root = np.sqrt(0.25 * (d1 - d2) ** 2 + np.abs(x[2]) ** 2)
     closed = np.maximum(0.0, root - 0.5 * (d1 + d2))
-    series = np.zeros(np.shape(x1) + (3,))
-    series[..., 1], series[..., 2] = np.where(linear, x1, 0.0), np.where(linear, opened, closed)
+    series[..., 2] = np.where(series[..., 1] > 0.0, opened, closed)
     return series
 
 
-def _orders(zeroth, first, second) -> np.ndarray:
-    """Order array (3, ...) from three parts that broadcast to ``second``."""
-    out = np.empty((3,) + np.shape(second), dtype=complex)
-    out[0], out[1], out[2] = zeroth, first, second
+def _orders(zeroth, first, second=None) -> np.ndarray:
+    """Order array (3, ...) from three parts that broadcast to the last, or
+    (2, ...) without ``second``."""
+    parts = (zeroth, first) if second is None else (zeroth, first, second)
+    out = np.empty((len(parts),) + np.shape(parts[-1]), dtype=complex)
+    for order, part in enumerate(parts):
+        out[order] = part
     return out
 
 
@@ -174,27 +191,60 @@ def _mode_sum(g, first, second, mask=None, power=0) -> np.ndarray:
 
 
 class TripGrid:
-    """The junction ``j``, each label's storage ``position`` and the phase table
-    ``g``, shape u.shape + (n,), that a species' closed forms read on a grid."""
+    """The junction ``j`` on a u grid: each label's storage ``position`` and
+    the phase table ``g`` of every mode, shape u.shape + (n,), formed on
+    first use."""
+
+    first_only = False
 
     def __init__(self, j, u):
-        self.j, species = j, "boson" if isinstance(j, BosonBogoliubov) else "fermion"
+        self.j, self.u = j, u
+        self.species = "boson" if isinstance(j, BosonBogoliubov) else "fermion"
         self.position = dict(zip(j.modes.tolist(), range(j.modes.size)))
-        self.g = blocks.free_phases(species, j.modes, u)
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        if self.species == "boson":
+            return blocks.free_phases("boson", self.j.modes, self.u)
+        # label -1 - kappa turns at -(kappa + 1/2): its phase is the conjugate
+        # of kappa's, so only the labels >= 0, the upper half, are computed
+        half = blocks.free_phases("fermion", self.j.modes[self.j.modes.size // 2:], self.u)
+        return np.concatenate([np.conj(half[..., ::-1]), half], axis=-1)
+
+    def coarse(self, j) -> TripGrid:
+        """The grid of junction ``j``, whose labels are a run of this grid's:
+        its phase table is a column slice of this one's."""
+        trip = TripGrid(j, self.u)
+        start = self.position[int(j.modes[0])]
+        trip.g = self.g[..., start:start + j.modes.size]
+        return trip
+
+
+class FirstOrderGrid(TripGrid):
+    """A :class:`TripGrid` on which the closed forms stop at h^1: they read
+    only junction entries and phases at their labels, never ``g``."""
+
+    first_only = True
 
 
 class _Pieces:
-    """The labels' storage positions ``at`` on a :class:`TripGrid`; ``rest``
-    masks every position but ``at``."""
+    """The labels' storage positions ``at`` and phases on a :class:`TripGrid`;
+    ``rest`` masks every position but ``at``.  With ``first_only`` every order
+    stack stops at h^1."""
 
     def __init__(self, trip: TripGrid, labels):
-        self.j, self.g = trip.j, trip.g
+        self.j, self.trip, self.first_only = trip.j, trip, trip.first_only
         self.at = [trip.position[int(m)] for m in labels]
+        self.label_phases = blocks.free_phases(trip.species, np.asarray(labels), trip.u)
         self.rest = np.ones(self.j.modes.size, dtype=bool)
         self.rest[self.at] = False
 
+    @property
+    def g(self) -> np.ndarray:
+        return self.trip.g
+
     def phase(self, x: int) -> np.ndarray:
-        return self.g[..., self.at[x]]
+        return self.label_phases[..., x]
 
     def entry(self, line, y: int) -> np.ndarray:
         """The line's entry at label y, its two terms added in order."""
@@ -241,20 +291,25 @@ class BosonPieces(_Pieces):
         # V = -conj(beta) G^+ + conj(beta1) G^+ alpha1 G^+ at second order, symmetrised
         r, c = self.entry(self.beta_row(0), 1), self.entry(self.beta_col(0), 1)
         v1 = -0.5 * (np.conj(r) * np.conj(self.phase(1)) + np.conj(c) * np.conj(self.phase(0)))
-        raw2 = [
-            (_mode_sum(self.g, _conj(self.beta_row(x)), self.col(1 - x), power=-1)
-             - np.conj(self.second(x, 1 - x, beta=True))) * np.conj(self.phase(1 - x))
-            for x in (0, 1)
-        ]
-        self.v = _orders(0.0, v1, 0.5 * (raw2[0] + raw2[1]))
+        v2 = None
+        if not self.first_only:
+            raw2 = [
+                (_mode_sum(self.g, _conj(self.beta_row(x)), self.col(1 - x), power=-1)
+                 - np.conj(self.second(x, 1 - x, beta=True))) * np.conj(self.phase(1 - x))
+                for x in (0, 1)
+            ]
+            v2 = 0.5 * (raw2[0] + raw2[1])
+        self.v = _orders(0.0, v1, v2)
 
     def sources(self) -> np.ndarray:
         """Orders of D[k, k] and D[kp, k] on the last axis, D = conj(alpha) +
         V1^T beta1 at second order."""
         first = [np.conj(self.entry(self.col(0), y)) for y in (0, 1)]
-        pairs = [_mode_sum(self.g, self.pair_row(x), self.beta_col(0)) for x in (0, 1)]
-        second = [np.conj(self.second(x, 0)) + pairs[x] for x in (0, 1)]
-        out = _orders(0.0, np.stack(first, axis=-1), np.stack(second, axis=-1))
+        second = None
+        if not self.first_only:
+            pairs = [_mode_sum(self.g, self.pair_row(x), self.beta_col(0)) for x in (0, 1)]
+            second = np.stack([np.conj(self.second(x, 0)) + pairs[x] for x in (0, 1)], axis=-1)
+        out = _orders(0.0, np.stack(first, axis=-1), second)
         out[0][..., 0] = np.conj(self.phase(0))
         return out
 
@@ -275,6 +330,8 @@ class BosonPieces(_Pieces):
 def boson_vacuum_closed(trip: TripGrid, pair) -> np.ndarray:
     """Negativity series of the travelled vacuum on a mode pair."""
     p = BosonPieces(trip, *pair)
+    if p.first_only:
+        return _pt_block(None, None, p.v)
     d1, d2 = (p.overlap(p.pair_row(x), p.rest) for x in (0, 1))
     series = _pt_block(d1, d2, p.v)
     # the (2,0)|(0,2) block closes on the double-pair amplitude
@@ -293,6 +350,11 @@ def boson_particle_closed(trip: TripGrid, k: int, pair) -> np.ndarray:
     amp_21 = _SQRT2 * cauchy(amp_k, pc.v)
     p = cauchy(amp_k, np.conj(amp_kp))
     q = cauchy(amp_k, np.conj(amp_21))
+    s2 = np.abs(p[1]) ** 2 + np.abs(q[1]) ** 2
+    series = np.zeros(np.shape(s2) + (len(p),))
+    series[..., 1] = np.where(np.sqrt(s2) > FIRST_ORDER_FLOOR, np.sqrt(s2), 0.0)
+    if pc.first_only:
+        return series
 
     # weights of V1's rows and of D1's column k = conj(trip alpha1[m, k]) off the labels
     d1 = pc.overlap(pc.pair_row(1), pc.rest)
@@ -300,8 +362,6 @@ def boson_particle_closed(trip: TripGrid, k: int, pair) -> np.ndarray:
     d3 = 2.0 * pc.overlap(pc.pair_row(0), pc.rest)
     e2 = _SQRT2 * pc.phase(0) * pc.overlap(_conj(pc.col(0)), pc.rest, pc.pair_row(0))
 
-    s2 = np.abs(p[1]) ** 2 + np.abs(q[1]) ** 2
-    linear = np.sqrt(s2) > FIRST_ORDER_FLOOR
     s3 = 2.0 * (np.conj(p[1]) * p[2] + np.conj(q[1]) * q[2]).real
     cross = 2.0 * (e2 * p[1] * np.conj(q[1])).real
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -313,9 +373,7 @@ def boson_particle_closed(trip: TripGrid, k: int, pair) -> np.ndarray:
     rows = ((d1, p[2], q[2]), (np.conj(p[2]), d2, e2), (np.conj(q[2]), np.conj(e2), d3))
     block = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
     closed = np.maximum(0.0, -np.linalg.eigvalsh(block)[..., 0])
-    series = np.zeros(np.shape(s2) + (3,))
-    series[..., 1] = np.where(linear, np.sqrt(s2), 0.0)
-    series[..., 2] = np.where(linear, opened, closed)
+    series[..., 2] = np.where(series[..., 1] > 0.0, opened, closed)
     # the (1,2)|(3,0) block rides on the twice-paired amplitude
     series[..., 2] += np.sqrt(3.0) * np.abs(pc.v[1]) ** 2
     return series
@@ -338,27 +396,38 @@ class FermionPieces(_Pieces):
     def v(self, xp: int, xq: int) -> np.ndarray:
         """Orders of V[p, q] = -conj(g_p) (T[q, p] - sum_part T1[m, p] conj(g_m) T1[q, m])."""
         gp = -np.conj(self.phase(xp))
-        hop = _mode_sum(self.g, self.col(xp), self.col(xq, row=True), self.part, power=-1)
-        return _orders(0.0, gp * self.entry(self.col(xp), xq), gp * (self.second(xq, xp) - hop))
+        second = None
+        if not self.first_only:
+            hop = _mode_sum(self.g, self.col(xp), self.col(xq, row=True), self.part, power=-1)
+            second = gp * (self.second(xq, xp) - hop)
+        return _orders(0.0, gp * self.entry(self.col(xp), xq), second)
 
     def source(self, xe: int, xo: int) -> np.ndarray:
         """Orders of D[o, e] = conj(T[o, e]) - (V1 conj(T1))[o, e], or of
         E[o, e] = T[o, e] + (V1^T T1)[o, e], whichever carries label e."""
         zeroth = self.phase(xe) if xe == xo else 0.0
         first = self.entry(self.col(xe), xo)
-        if self.part[self.at[xe]]:
+        particle = self.part[self.at[xe]]
+        if self.first_only:
+            second = None
+        elif particle:
             # (V1 conj(T1))[o, e] = -conj(g_o) sum_anti T1[m, o] conj(T1[m, e])
             loop = self.overlap(self.col(xe), ~self.part, self.col(xo))
-            return np.conj(_orders(zeroth, first, self.second(xo, xe) + self.phase(xo) * loop))
-        hop = _mode_sum(self.g, self.col(xo, row=True), self.col(xe), self.part, power=-1)
-        return _orders(zeroth, first, self.second(xo, xe) - hop)
+            second = self.second(xo, xe) + self.phase(xo) * loop
+        else:
+            hop = _mode_sum(self.g, self.col(xo, row=True), self.col(xe), self.part, power=-1)
+            second = self.second(xo, xe) - hop
+        out = _orders(zeroth, first, second)
+        return np.conj(out) if particle else out
 
     def pair_scalar(self, xp: int, xq: int) -> np.ndarray:
         """Orders of the closed-loop amplitude c0 of the pair b_p^+ c_q^+|0>."""
         gq = self.phase(xq)
-        loop = self.overlap(self.col(xq), ~self.part, self.col(xp))
-        first, second = np.conj(self.entry(self.col(xp), xq)), np.conj(self.second(xq, xp))
-        return _orders(0.0, first * gq, loop + second * gq)
+        first, second = np.conj(self.entry(self.col(xp), xq)), None
+        if not self.first_only:
+            loop = self.overlap(self.col(xq), ~self.part, self.col(xp))
+            second = loop + np.conj(self.second(xq, xp)) * gq
+        return _orders(0.0, first * gq, second)
 
 
 def fermion_vacuum_closed(trip: TripGrid, pair) -> np.ndarray:
@@ -367,6 +436,8 @@ def fermion_vacuum_closed(trip: TripGrid, pair) -> np.ndarray:
     if kappa < 0 or kappa_p >= 0:
         raise ValueError("vacuum negativity at this order needs opposite charges")
     pc = FermionPieces(trip, (kappa, kappa_p))
+    if pc.first_only:
+        return _pt_block(None, None, -pc.v(0, 1))
     d1 = pc.overlap(pc.col(0), ~pc.part & pc.rest)
     d2 = pc.overlap(pc.col(1, row=True), pc.part & pc.rest)
     return _pt_block(d1, d2, -pc.v(0, 1))
@@ -386,10 +457,12 @@ def fermion_particle_closed(trip: TripGrid, kappa: int, pair) -> np.ndarray:
     if (kappa >= 0) != (partner >= 0):
         return np.zeros(3)
     pc = FermionPieces(trip, (kappa, partner))
+    x = cauchy(pc.source(0, 0), np.conj(pc.source(0, 1)))
+    if pc.first_only:
+        return _pt_block(None, None, x)
     own = pc.part if kappa >= 0 else ~pc.part
     d1 = pc.overlap(pc.col(1, row=kappa < 0), ~own)
     d2 = pc.overlap(pc.col(0), own & pc.rest)
-    x = cauchy(pc.source(0, 0), np.conj(pc.source(0, 1)))
     return _pt_block(d1, d2, x)
 
 
@@ -399,8 +472,10 @@ def fermion_pair_closed(trip: TripGrid, kappa: int, kappa_p: int) -> np.ndarray:
         raise ValueError("pair state wants a particle label and an antiparticle label")
     pc = FermionPieces(trip, (kappa, kappa_p))
     c0 = pc.pair_scalar(0, 1)
-    d1 = pc.overlap(pc.col(0), pc.part & pc.rest)
-    d2 = pc.overlap(pc.col(1), ~pc.part & pc.rest)
     psi11 = cauchy(pc.source(0, 0), pc.source(1, 1)) + cauchy(pc.v(0, 1), c0)
     x = -cauchy(psi11, np.conj(c0))
+    if pc.first_only:
+        return _pt_block(None, None, x)
+    d1 = pc.overlap(pc.col(0), pc.part & pc.rest)
+    d2 = pc.overlap(pc.col(1), ~pc.part & pc.rest)
     return _pt_block(d1, d2, x)

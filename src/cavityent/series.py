@@ -15,17 +15,17 @@ N_ORDERS = 3
 
 
 def cauchy(a, b, mul=np.multiply) -> np.ndarray:
-    """Product of two order stacks, truncated after h^2.
+    """Product of two order stacks, truncated after h^2, or after h^1 when
+    either stack stops there.
 
     ``a`` and ``b`` carry the orders on their leading axis; ``mul`` combines
     one order of each (elementwise by default, ``np.matmul`` for matrices),
     broadcasting over every other axis.
     """
-    return np.stack([
-        mul(a[0], b[0]),
-        mul(a[0], b[1]) + mul(a[1], b[0]),
-        mul(a[0], b[2]) + mul(a[1], b[1]) + mul(a[2], b[0]),
-    ])
+    out = [mul(a[0], b[0]), mul(a[0], b[1]) + mul(a[1], b[0])]
+    if min(len(a), len(b)) == N_ORDERS:
+        out.append(mul(a[0], b[2]) + mul(a[1], b[1]) + mul(a[2], b[0]))
+    return np.stack(out)
 
 
 def diagonal_stack(g) -> np.ndarray:

@@ -14,14 +14,20 @@ labels must exist at that cutoff.
 No trip is assembled: each species' junction passes one identity gate that
 covers every trip of the u period (:func:`blocks.junction`), and the
 closed series read junction rows for the whole grid at once (see
-:mod:`cavityent.negativity`).  Convergence in the mode cutoff is checked by
-evaluating the whole grid a second time at doubled n_max, on the junction
-from the closed-form tables (:func:`blocks.table_junction`).  A curve's
-convergence delta is the largest move over the grid divided by the curve's
-largest |value| on it; a curve whose delta reaches ``CONVERGENCE_GATE`` is
-flagged in every one of its rows.  Measuring against the curve's scale
-rather than the local value keeps the curve's zeros, where both cutoffs hold
-only truncation noise, from firing the gate.
+:mod:`cavityent.negativity`).  Each curve is evaluated only to the order it
+reports.  Its h^1 comes first, from the junction entries and phases at its
+two labels alone (:meth:`CurveSpec.first_order`); a curve whose h^1 clears
+``POWER_FLOOR`` anywhere on the grid has power 1, and its rows are that h^1.
+Only the other curves run the whole series, which reads each species' phase
+table: one per species, formed at doubled n_max, of which the n_max table
+is a column slice.  Convergence in the mode cutoff is checked by evaluating
+the whole grid a second time at doubled n_max, to the same order, on the
+junction from the closed-form tables (:func:`blocks.table_junction`).  A
+curve's convergence delta is the largest move over the grid divided by the
+curve's largest |value| on it; a curve whose delta reaches
+``CONVERGENCE_GATE`` is flagged in every one of its rows.  Measuring
+against the curve's scale rather than the local value keeps the curve's
+zeros, where both cutoffs hold only truncation noise, from firing the gate.
 """
 
 from __future__ import annotations
@@ -129,6 +135,15 @@ class CurveSpec:
         species on a scalar or an array u of trip durations; the result has
         shape u.shape + (3,), or is zeros(3) for a curve that vanishes.
         """
+        return self._closed(trip)
+
+    def first_order(self, trip) -> np.ndarray:
+        """The h^1 order of the series alone, shape u.shape, or 0.0 for a curve
+        that vanishes; on a :class:`cavityent.negativity.FirstOrderGrid` it
+        reads only junction entries and phases at the curve's labels."""
+        return self._closed(trip)[..., 1]
+
+    def _closed(self, trip) -> np.ndarray:
         if self.species == "boson":
             if self.state == "vacuum":
                 return negativity.boson_vacuum_closed(trip, self.modes)
@@ -249,16 +264,33 @@ def run_sweep(request: SweepRequest) -> SweepResult:
     # than heap-layout noise, about 1 MiB of peak RSS.
     fine_junctions = {s: blocks.table_junction(s, 2 * request.n_max) for s in species_set}
     junctions = {s: blocks.junction(s, request.n_max) for s in species_set}
-    table = curve_series(curves, grid, junctions)
-    fine = curve_series(curves, grid, fine_junctions)
+    first = {s: negativity.FirstOrderGrid(junctions[s], grid) for s in species_set}
+    fine_first = {s: negativity.FirstOrderGrid(fine_junctions[s], grid) for s in species_set}
+    fine = {s: negativity.TripGrid(fine_junctions[s], grid) for s in species_set}
 
-    # a curve's power is its first order above the floor anywhere on the grid
-    above = (np.max(np.abs(table[:, :, 1:]), axis=0) > POWER_FLOOR).tolist()
-    powers = {c.name: 1 if h1 else 2 if h2 else 0 for c, (h1, h2) in zip(curves, above)}
-    cols, at = np.arange(len(curves)), [powers[c.name] for c in curves]
-    values = table[:, cols, at]
+    # a curve's power is its first order above the floor anywhere on the
+    # grid; h^1 reads only junction entries and phases at the curve's labels
+    values, refined = np.empty((2, grid.size, len(curves)))
+    for col, curve in enumerate(curves):
+        values[:, col] = curve.first_order(first[curve.species])
+    linear = (np.max(np.abs(values), axis=0) > POWER_FLOOR).tolist()
+    powers, coarse = {}, {}
+    for col, curve in enumerate(curves):
+        s = curve.species
+        if linear[col]:
+            powers[curve.name] = 1
+            refined[:, col] = curve.first_order(fine_first[s])
+            continue
+        # the whole series on both cutoffs: one phase table per species, at
+        # 2 n_max, of which the n_max table is a column slice
+        if s not in coarse:
+            coarse[s] = fine[s].coarse(junctions[s])
+        series = np.broadcast_to(curve.series(coarse[s]), (grid.size, 3))
+        power = powers[curve.name] = 2 if np.max(np.abs(series[:, 2])) > POWER_FLOOR else 0
+        values[:, col], refined[:, col] = series[:, power], curve.series(fine[s])[..., power]
+
     scales = np.max(np.abs(values), axis=0).tolist()
-    moves = np.max(np.abs(fine[:, cols, at] - values), axis=0).tolist()
+    moves = np.max(np.abs(refined - values), axis=0).tolist()
     deltas = {
         c.name: move / scale if scale > 0.0 else 0.0
         for c, move, scale in zip(curves, moves, scales)

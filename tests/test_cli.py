@@ -25,6 +25,34 @@ def test_sweep_preset_to_file(tmp_path):
     assert len(lines) == 1 + 5 * 4  # four curves in the linear panel
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
+def test_unwritable_out_is_a_config_error_before_any_junction(monkeypatch, capsys, tmp_path, where):
+    out = {"missing-directory": str(tmp_path / "missing" / "x.csv"), "directory": str(tmp_path),
+           "empty": ""}[where]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a junction was built before --out was checked")
+
+    monkeypatch.setattr(blocks, "junction", forbidden)
+    monkeypatch.setattr(blocks, "table_junction", forbidden)
+    assert cli.main(["sweep", "fig1a", "--out", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sweep_failing_before_emit_keeps_the_existing_out_file(monkeypatch, tmp_path):
+    out = tmp_path / "rows.csv"
+    out.write_text("kept\n")
+
+    def failing(request):
+        raise bogoliubov.InvariantViolation("gate fired")
+
+    monkeypatch.setattr(sweep, "run_sweep", failing)
+    assert cli.main(["sweep", "fig1a", "--out", str(out)]) == cli.EXIT_INVARIANT
+    assert out.read_text() == "kept\n"
+
+
 def test_sweep_json_inferred_from_suffix(tmp_path):
     # needs a grid point off the zeros of the quadratic-panel curves, so
     # five steps rather than three

@@ -1,5 +1,7 @@
 """Partial transpose, the numeric route's series and the closed-form routes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -432,6 +434,63 @@ def test_every_sum_the_pieces_read_matches_the_trip_rows(case):
         mp.setattr(neg, "_mode_sum", mode_sum)
         _closed_form(family, labels)(grid)
     assert sums, family
+
+
+# --- first orders alone ------------------------------------------------------
+#
+# A sweep reads a power-1 curve's rows from CurveSpec.first_order on a
+# FirstOrderGrid: label phases and junction entries, order stacks that stop
+# at h^1, no phase table.  It must be the closed series' h^1 to the last bit,
+# for every family and every junction the closed route accepts.
+
+
+@st.composite
+def first_order_cases(draw):
+    """A curve on labels in the interior window at n_max 40 (vanishing ones
+    included), a junction builder, an optional rephasing, and u."""
+    family = draw(st.sampled_from(["boson vacuum", "boson one-particle", "fermion vacuum",
+                                   "fermion one-particle", "fermion pair"]))
+    species, state = family.split()
+    if species == "boson":
+        labels = draw(st.lists(st.integers(1, 20), min_size=2, max_size=2, unique=True))
+    elif state == "pair":
+        labels = [draw(st.integers(0, 19)), draw(st.integers(-20, -1))]
+    else:
+        labels = draw(st.lists(st.integers(-20, 19), min_size=2, max_size=2, unique=True))
+    excite = draw(st.sampled_from(labels)) if state == "one-particle" else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the curves that vanish identically warn
+        curve = CurveSpec("c", species, state, tuple(labels), excite)
+    build = draw(st.sampled_from([blocks.junction, blocks.table_junction]))
+    us = draw(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=8))
+    rephasing = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    return curve, build, np.array(us), rephasing
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=first_order_cases())
+def test_first_order_is_the_closed_series_h1_to_the_bit(case):
+    curve, build, us, rephasing = case
+    j = build(curve.species, 40)
+    if rephasing is not None:
+        j = _rephased(j, rephasing)
+    first = neg.FirstOrderGrid(j, us)
+    got = curve.first_order(first)
+    assert "g" not in vars(first), "the first order formed the phase table"
+    assert np.array_equal(got, curve.series(neg.TripGrid(j, us))[..., 1]), (curve, rephasing)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(31, 118), us=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=40))
+def test_phase_tables_are_the_direct_phases_to_the_bit(n, us):
+    # the fermion table mirrors labels -1 - kappa from kappa, and a table at n
+    # sliced from one at 2 n is the table at n
+    for species in ("boson", "fermion"):
+        fine = neg.TripGrid(blocks.build_table_junction(species, 2 * n), us)
+        coarse = fine.coarse(blocks.build_table_junction(species, n))
+        for trip in (fine, coarse):
+            direct = blocks.free_phases(species, trip.j.modes, us)
+            assert np.array_equal(trip.g.view(float), direct.view(float))
 
 
 # --- the paper's first-order forms -----------------------------------------------

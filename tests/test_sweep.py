@@ -247,13 +247,19 @@ def test_gate_still_fails_an_unconverged_curve():
     assert result.deltas[curve.name] == pytest.approx(0.7440, abs=1e-4)
 
 
-@pytest.mark.parametrize("name", ["fig1b", "cutoff"])
+@pytest.mark.parametrize("name", ["fig1a", "fig1b", "cutoff", "cutoff-seed7"])
 def test_deltas_are_the_whole_grid_move(name):
     # each curve's delta is its largest move over the whole grid between the
-    # n_max junction and the tables at 2 n_max, over its largest |value|
+    # n_max junction and the tables at 2 n_max, over its largest |value|; a
+    # power-1 curve's rows and refinement, read from h^1 alone, must be the
+    # whole series' h^1 on fresh grids of each cutoff, and the others' rows
+    # and refinement, read from sliced phase tables, its h^2.  fig1a has only
+    # power-1 curves, fig1b only power-2 ones, and the two cutoff seeds mix
+    # them, seed 7 in both species
     request = _reference_request(name)
     result = run_sweep(request)
     grid, n, species = request.grid(), request.n_max, {c.species for c in request.curves}
+
     rows = sweep.curve_series(request.curves, grid, {s: blocks.junction(s, n) for s in species})
     fine = sweep.curve_series(
         request.curves, grid, {s: blocks.table_junction(s, 2 * n) for s in species}
@@ -264,18 +270,26 @@ def test_deltas_are_the_whole_grid_move(name):
         assert np.array_equal(result.values[:, j], row)
         move = float(np.max(np.abs(refined - row))) / float(np.max(np.abs(row)))
         assert result.deltas[curve.name] == move, curve.name
+    want = {"fig1a": {1}, "fig1b": {2}, "cutoff": {1, 2}, "cutoff-seed7": {1, 2}}[name]
+    assert set(result.powers.values()) == want
+    if name == "cutoff-seed7":
+        assert {(c.species, result.powers[c.name]) for c in request.curves} == {
+            ("boson", 1), ("boson", 2), ("fermion", 1), ("fermion", 2)
+        }
 
 
 def _reference_request(name):
-    """The request the benchmark runs for ``name``: a preset, or its seed-0
-    deep-cutoff sweep (n_max 56, refined at 112, with a pair curve)."""
-    if name != "cutoff":
+    """The request the benchmark runs for ``name``: a preset, or its
+    deep-cutoff sweep (n_max 56, refined at 112, with a pair curve) for seed
+    0 (``cutoff``) or for the seed that ``cutoff-seedN`` names."""
+    if not name.startswith("cutoff"):
         return config.load_config(name)
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
-    return config.parse_config(workloads.cutoff_config(0)[0])
+    seed = int(name.removeprefix("cutoff").removeprefix("-seed") or 0)
+    return config.parse_config(workloads.cutoff_config(seed)[0])
 
 
 @pytest.mark.parametrize(
@@ -589,22 +603,30 @@ def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
 
 
 def test_sweep_forms_phases_once_per_species_and_grid(monkeypatch):
-    # the phases depend only on the species' junction and the u grid:
-    # fig1a's four curves read two species, each on the sweep grid for the
-    # rows and again for the refinement, so four calls
+    # fig1a's four curves have power 1: their rows and refinement read only
+    # the phases at their two labels, so no (steps, n) table is formed.
+    # fig1b's three curves have power 2 and run the whole series on both
+    # cutoffs: one table per species, at 2 n_max, of which the n_max table is
+    # a column slice; the fermion table computes only the labels >= 0
     calls = []
     real = blocks.free_phases
 
     def counted(species, modes, u):
-        calls.append((species, np.size(u)))
+        calls.append((species, tuple(np.asarray(modes).tolist()), np.size(u)))
         return real(species, modes, u)
 
     monkeypatch.setattr(blocks, "free_phases", counted)
     request = config.load_config("fig1a")
     assert run_sweep(request).all_converged
-    assert len(request.curves) == 4
-    assert sorted(species for species, _ in calls) == ["boson", "boson", "fermion", "fermion"]
-    assert [size for _, size in calls] == [request.steps] * 4
+    assert calls and all(len(modes) == 2 and size == request.steps for _, modes, size in calls)
+
+    calls.clear()
+    request = config.load_config("fig1b")
+    assert set(run_sweep(request).powers.values()) == {2}
+    n, steps = 2 * request.n_max, request.steps
+    tables = sorted(call for call in calls if len(call[1]) > 2)
+    assert tables == [("boson", tuple(range(1, n + 1)), steps), ("fermion", tuple(range(n)), steps)]
+    assert all(len(modes) in (2, n) and size == steps for _, modes, size in calls)
 
 
 def test_sweep_builds_the_refinement_junctions_first(monkeypatch):

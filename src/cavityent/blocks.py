@@ -6,16 +6,19 @@ duration u, then inertial again.  It is assembled from two ingredient types:
 * the junction J between the inertial and the uniformly accelerated mode
   bases: the identity at h^0 plus h^1 and h^2 blocks, built either of two
   ways below, each memoized in the process and never stored on disk;
-* the diagonal free-evolution phases of the accelerated segment.
+* the free-evolution phases g_m of the accelerated segment P(u), which
+  multiplies each accelerated mode by its phase.
 
 Junction blocks are real in this mode convention (Bruschi, Fuentes and
 Louko, arXiv 1105.1875) and both builders store them as float64; phases,
 and so every trip, are complex128.
 
 The one-way trip J^-1 P(u) J matches onto the accelerated basis, evolves
-and matches back.  :func:`one_way_trip` composes it for the numeric route;
-:func:`junction` and :func:`table_junction` have gated every trip of the u
-period.  The closed route reads only junctions and :func:`free_phases`.
+and matches back.  :func:`trip` composes it for any junction, with P(u) J
+as J's rows scaled by the phases; :func:`one_way_trip`, the numeric route's
+entry, reads the gated :func:`junction`.  :func:`junction` and
+:func:`table_junction` have gated every trip of the u period.  The closed
+route reads only junctions and :func:`free_phases`.
 
 Junction blocks
 ---------------
@@ -235,18 +238,21 @@ def free_phases(species: str, modes, u) -> np.ndarray:
     return np.exp(-2j * np.pi * (modes + 0.5) * u)
 
 
-def accelerated_phases(species: str, n_max: int, u):
-    """Free evolution in the accelerated basis for duration u, a scalar or an array."""
-    modes = boson_modes(n_max) if species == "boson" else fermion_modes(n_max)
-    cls = BosonBogoliubov if species == "boson" else FermionBogoliubov
-    return cls.from_phases(modes, free_phases(species, modes, u))
+def trip(j, u):
+    """The one-way trip J^-1 P(u) J of the junction ``j``, ungated, for a
+    scalar or an array u: matrices of shape (3,) + u.shape + (n, n).  P(u) J
+    is J with row m of every order scaled by the phase g_m."""
+    boson = isinstance(j, BosonBogoliubov)
+    g = free_phases("boson" if boson else "fermion", j.modes, u)[..., None]
+    pad = (slice(None),) + (None,) * (g.ndim - 2)
+    if boson:
+        moved = BosonBogoliubov(j.alpha[pad] * g, j.beta[pad] * g, j.modes)
+    else:
+        moved = FermionBogoliubov(j.a[pad] * g, j.modes)
+    return compose(invert(j), moved)
 
 
 def one_way_trip(species: str, n_max: int, u):
-    """Inertial -> accelerated (duration u) -> inertial: the trip J^-1 P(u) J.
-
-    ``u`` may be a scalar or an array; the result's matrices have shape
-    (3,) + u.shape + (n, n).  :func:`junction` has gated every such trip.
-    """
-    j = junction(species, n_max)
-    return compose(invert(j), compose(accelerated_phases(species, n_max, u), j))
+    """Inertial -> accelerated (duration u) -> inertial: :func:`trip` on the
+    gated :func:`junction`, which has gated every such trip."""
+    return trip(junction(species, n_max), u)

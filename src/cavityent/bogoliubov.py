@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import N_ORDERS, cauchy, diagonal_stack
+from .series import N_ORDERS, cauchy
 
 
 class InvariantViolation(RuntimeError):
@@ -49,12 +49,6 @@ def _orders(x, n: int, name: str) -> np.ndarray:
             f"got {arr.shape}"
         )
     return arr
-
-
-def _phase_orders(phases) -> np.ndarray:
-    """Order array of diag(phases): the phases at h^0, nothing at h^1 and h^2."""
-    d = diagonal_stack(np.asarray(phases, dtype=complex))
-    return np.stack([d, np.zeros_like(d), np.zeros_like(d)])
 
 
 def _dag(x: np.ndarray) -> np.ndarray:
@@ -88,12 +82,6 @@ class BosonBogoliubov:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
-    @classmethod
-    def from_phases(cls, modes, phases) -> "BosonBogoliubov":
-        """Pure phase rotation new_m = g_m old_m (free evolution of each mode)."""
-        alpha = _phase_orders(phases)
-        return cls(alpha, np.zeros_like(alpha), modes)
-
 
 @dataclass(frozen=True)
 class FermionBogoliubov:
@@ -110,10 +98,6 @@ class FermionBogoliubov:
         modes = np.asarray(self.modes, dtype=int)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "a", _orders(self.a, modes.size, "a"))
-
-    @classmethod
-    def from_phases(cls, modes, phases) -> "FermionBogoliubov":
-        return cls(_phase_orders(phases), modes)
 
 
 def compose(second, first):

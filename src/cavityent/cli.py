@@ -236,7 +236,7 @@ def _first_order_line(tables: dict):
         else:  # excited at k
             form = 2 * np.sqrt(j.alpha[1][at] ** 2 * minus**2 + 2 * j.beta[1][at] ** 2 * plus**2)
         form = np.where(form > negativity.FIRST_ORDER_FLOOR, form, 0.0)
-        gap = np.abs(curve.series(negativity.TripGrid(j, u))[:, 1] - form)
+        gap = np.abs(curve.first_order(negativity.FirstOrderGrid(j, u)) - form)
         ulps[curve.name] = np.max(gap) / (EPS * np.max(form))
     worst = max(ulps, key=ulps.get)
     return f"paper's first-order forms of fig1a, worst {worst}, in ulps", ulps[worst], 256

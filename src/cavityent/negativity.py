@@ -206,16 +206,19 @@ class TripGrid:
     def g(self) -> np.ndarray:
         if self.species == "boson":
             return blocks.free_phases("boson", self.j.modes, self.u)
-        # label -1 - kappa turns at -(kappa + 1/2): its phase is the conjugate
-        # of kappa's, so only the labels >= 0, the upper half, are computed
-        half = blocks.free_phases("fermion", self.j.modes[self.j.modes.size // 2:], self.u)
-        return np.concatenate([np.conj(half[..., ::-1]), half], axis=-1)
+        # label -1 - kappa turns at -(kappa + 1/2), so each phase is computed
+        # once at its label >= 0 and gathered by label (np.take keeps C order)
+        upper = np.maximum(self.j.modes, -1 - self.j.modes)
+        g = np.take(blocks.free_phases("fermion", np.arange(upper.max() + 1), self.u), upper, -1)
+        return np.conjugate(g, out=g, where=self.j.modes < 0)
 
     def coarse(self, j) -> TripGrid:
-        """The grid of junction ``j``, whose labels are a run of this grid's:
-        its phase table is a column slice of this one's."""
+        """The grid of junction ``j``, whose labels must be a run of this
+        grid's: its phase table is a column slice of this one's."""
         trip = TripGrid(j, self.u)
-        start = self.position[int(j.modes[0])]
+        start = self.position.get(int(j.modes[0]), 0)
+        if not np.array_equal(self.j.modes[start:start + j.modes.size], j.modes):
+            raise ValueError("the junction's labels are not a run of this grid's labels")
         trip.g = self.g[..., start:start + j.modes.size]
         return trip
 

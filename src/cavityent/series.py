@@ -26,12 +26,3 @@ def cauchy(a, b, mul=np.multiply) -> np.ndarray:
     if min(len(a), len(b)) == N_ORDERS:
         out.append(mul(a[0], b[2]) + mul(a[1], b[1]) + mul(a[2], b[0]))
     return np.stack(out)
-
-
-def diagonal_stack(g) -> np.ndarray:
-    """Diagonal matrices with the last axis of ``g`` on their diagonals."""
-    g = np.asarray(g)
-    out = np.zeros(g.shape + g.shape[-1:], dtype=g.dtype)
-    idx = np.arange(g.shape[-1])
-    out[..., idx, idx] = g
-    return out

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from cavityent import blocks
-from cavityent.bogoliubov import compose, invert
 
 RNG_SEED = 20260814
 
@@ -39,8 +38,9 @@ def fermion_trip():
 
 @pytest.fixture(scope="session")
 def composed_trip():
-    """``trip(species, n_max, u)``: the one-way trip J^-1 P(u) J composed as
-    ``blocks.one_way_trip`` composes it, from an ungated junction.
+    """``trip(species, n_max, u)``: the one-way trip J^-1 P(u) J, ``blocks.trip``
+    on the ungated junction of ``blocks.build_junction``, where
+    ``blocks.one_way_trip`` reads the gated one.
 
     So it also builds the trips of the truncated-Fock tests, whose n_max lies
     below ``blocks.MIN_N_MAX``, where the gate of ``blocks.junction`` may
@@ -50,8 +50,7 @@ def composed_trip():
     junction = functools.cache(blocks.build_junction)
 
     def trip(species, n_max, u):
-        j = junction(species, n_max)
-        return compose(invert(j), compose(blocks.accelerated_phases(species, n_max, u), j))
+        return blocks.trip(junction(species, n_max), u)
 
     return trip
 

@@ -23,7 +23,9 @@ from cavityent.bogoliubov import (
     FermionBogoliubov,
     InvariantViolation,
     check_period,
+    compose,
     identity_residuals,
+    invert,
     period_residuals,
     weighted_residual,
 )
@@ -124,10 +126,33 @@ def test_junction_entries_are_real():
 def test_phases_and_trips_are_complex(boson_junction, fermion_junction):
     # a complex phase upcasts the real junction wherever the two meet
     for species, j in (("boson", boson_junction), ("fermion", fermion_junction)):
-        g = blocks.free_phases(species, j.modes, [0.3, 0.7])
-        for t in (type(j).from_phases(j.modes, g), blocks.one_way_trip(species, 40, 0.3)):
+        assert blocks.free_phases(species, j.modes, [0.3, 0.7]).dtype == np.complex128
+        for t in (blocks.trip(j, [0.3, 0.7]), blocks.one_way_trip(species, 40, 0.3)):
             for x in _order_arrays(t):
                 assert x.dtype == np.complex128, species
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+@pytest.mark.parametrize("species", ["boson", "fermion"])
+@pytest.mark.parametrize("shape", [(), (7,), (2, 2)])
+def test_trip_is_the_dense_phase_composition_to_the_bit(build, species, shape, rng):
+    # P(u) as diagonal phase matrices at h^0 and zeros at h^1 and h^2,
+    # composed as full matrices: scaling J's rows by the phases is the same
+    # product, bit for bit
+    j = build(species, 40)
+    u = rng.uniform(-1.0, 2.0, size=shape)
+    g = blocks.free_phases(species, j.modes, u)
+    n = j.modes.size
+    p = np.zeros((3,) + shape + (n, n), dtype=complex)
+    p[0][..., np.arange(n), np.arange(n)] = g
+    if species == "boson":
+        phases = BosonBogoliubov(p, np.zeros_like(p), j.modes)
+    else:
+        phases = FermionBogoliubov(p, j.modes)
+    dense = compose(invert(j), compose(phases, j))
+    for x, y in zip(_order_arrays(dense), _order_arrays(blocks.trip(j, u))):
+        assert x.shape == y.shape == (3,) + shape + (n, n)
+        assert np.array_equal(x, y)
 
 
 def _complex_copy(j):
@@ -281,11 +306,13 @@ def test_interior_window():
     assert (lo, hi) == (-20, 20)
 
 
-def test_accelerated_phases_at_unit_period():
-    p = blocks.accelerated_phases("boson", 12, 1.0)
-    assert np.allclose(np.diag(p.alpha[0]), 1.0, atol=1e-13)
-    pf = blocks.accelerated_phases("fermion", 12, 1.0)
-    assert np.allclose(np.diag(pf.a[0]), -1.0, atol=1e-13)
+def test_free_phases_at_unit_period():
+    # u = 1 is a whole turn of every boson mode and half a turn more of
+    # every fermion mode
+    g = blocks.free_phases("boson", blocks.boson_modes(12), 1.0)
+    assert g.shape == (12,) and np.allclose(g, 1.0, atol=1e-13)
+    gf = blocks.free_phases("fermion", blocks.fermion_modes(12), [[1.0], [1.0]])
+    assert gf.shape == (2, 1, 24) and np.allclose(gf, -1.0, atol=1e-13)
 
 
 def test_phase_parameter_formula():
@@ -357,8 +384,9 @@ def test_trip_at_unit_u_is_identity_in_interior():
     modes = blocks.boson_modes(40)
     lo, hi = blocks.interior_window("boson", 40)
     sel = (modes >= lo) & (modes <= hi)
-    eye = BosonBogoliubov.from_phases(modes, np.ones(modes.size))
-    dev = (t.alpha - eye.alpha)[:, sel][:, :, sel]
+    dev = t.alpha.copy()
+    dev[0] -= np.eye(modes.size)
+    dev = dev[:, sel][:, :, sel]
     assert np.max(np.abs(dev[:2])) < 1e-10
     assert np.max(np.abs(dev[2])) < 1e-5  # truncated-ladder tail
     assert np.max(np.abs(t.beta[:, sel][:, :, sel])) < 1e-5

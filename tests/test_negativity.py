@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cavityent import blocks, states
@@ -307,7 +307,10 @@ def test_fermion_pieces_match_the_states_blocks(fermion_junction, u, labels):
                _term_scale(col, col))
         for y, o in enumerate(labels):
             if (o >= 0) == (m >= 0):
-                _close(pieces.source(x, y), own[:, index(o), index(m)])
+                # the source's h^2 reads the trip's a2 entry, a sum over every
+                # mode, and a sum over one charge, of terms up to this scale
+                _close(pieces.source(x, y), own[:, index(o), index(m)],
+                       _term_scale(col, pieces.col(y)))
     if (labels[0] >= 0) != (labels[1] >= 0):
         xp = 0 if labels[0] >= 0 else 1
         kappa, kappa_p = labels[xp], labels[1 - xp]
@@ -480,17 +483,67 @@ def test_first_order_is_the_closed_series_h1_to_the_bit(case):
     assert np.array_equal(got, curve.series(neg.TripGrid(j, us))[..., 1]), (curve, rephasing)
 
 
+def _permuted(j, seed):
+    """j with its labels stored in a random order, rows and columns alike."""
+    p = np.random.default_rng(seed).permutation(j.modes.size)
+    if hasattr(j, "a"):
+        return type(j)(j.a[:, p][:, :, p], j.modes[p])
+    return type(j)(j.alpha[:, p][:, :, p], j.beta[:, p][:, :, p], j.modes[p])
+
+
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(31, 118), us=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=40))
-def test_phase_tables_are_the_direct_phases_to_the_bit(n, us):
-    # the fermion table mirrors labels -1 - kappa from kappa, and a table at n
-    # sliced from one at 2 n is the table at n
+@given(
+    n=st.integers(31, 118),
+    us=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phase_tables_are_the_direct_phases_to_the_bit(n, us, seed):
+    # the fermion table reads label -1 - kappa's phase off kappa's, by stored
+    # label in any storage order, and a table at n sliced from one at 2 n is
+    # the table at n
     for species in ("boson", "fermion"):
         fine = neg.TripGrid(blocks.build_table_junction(species, 2 * n), us)
         coarse = fine.coarse(blocks.build_table_junction(species, n))
-        for trip in (fine, coarse):
+        permuted = neg.TripGrid(_permuted(blocks.build_table_junction(species, n), seed), us)
+        for trip in (fine, coarse, permuted):
             direct = blocks.free_phases(species, trip.j.modes, us)
             assert np.array_equal(trip.g.view(float), direct.view(float))
+        # a gathered table keeps the direct one's C order, and so the
+        # summation order of every g @ w
+        assert permuted.g.flags.c_contiguous
+
+
+def test_coarse_grid_needs_a_run_of_the_fine_labels():
+    us = np.linspace(0.0, 1.0, 5)
+    for species in ("boson", "fermion"):
+        fine_j, j = blocks.table_junction(species, 62), blocks.table_junction(species, 31)
+        with pytest.raises(ValueError, match="not a run"):
+            neg.TripGrid(fine_j, us).coarse(_permuted(j, 1))
+        with pytest.raises(ValueError, match="not a run"):
+            neg.TripGrid(_permuted(fine_j, 1), us).coarse(j)
+        with pytest.raises(ValueError, match="not a run"):
+            neg.TripGrid(j, us).coarse(fine_j)
+
+
+# h^0 and h^1 read junction entries and phases at the labels alone; h^2's
+# mode sums run over the modes in their stored order and move by rounding,
+# at most 1.4e-14 (3e-16 of the curve's largest |h^2|) in 400 draws, so the
+# bound is 1e-13 of the larger of 1 and that largest |h^2|
+PERMUTED_H2_TOL = 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=("fermion pair", [2, -1], np.linspace(0.0, 1.0, 9), None), seed=1)
+@example(case=("fermion vacuum", [2, -1], np.linspace(0.0, 1.0, 9), None), seed=1)
+@given(case=closed_cases(), seed=st.integers(0, 2**32 - 1))
+def test_closed_forms_read_a_junction_in_any_storage_order(case, seed):
+    family, labels, us, _ = case
+    j = blocks.table_junction(family.split()[0], 40)
+    closed = _closed_form(family, labels)
+    stored, permuted = closed(neg.TripGrid(j, us)), closed(neg.TripGrid(_permuted(j, seed), us))
+    assert np.array_equal(permuted[..., :2], stored[..., :2]), family
+    bound = PERMUTED_H2_TOL * max(1.0, float(np.max(np.abs(stored[..., 2]))))
+    assert np.max(np.abs(permuted[..., 2] - stored[..., 2])) <= bound, family
 
 
 # --- the paper's first-order forms -----------------------------------------------

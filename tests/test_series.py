@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cavityent.series import N_ORDERS, cauchy, diagonal_stack
+from cavityent.series import N_ORDERS, cauchy
 
 
 def _poly_product(a, b):
@@ -58,11 +58,3 @@ def test_matrix_identity_and_zeros(rng):
     assert left.shape == (N_ORDERS, 2, 3)
     assert not left.any()
     assert not cauchy(a, z.swapaxes(-1, -2), np.matmul).any()
-
-
-def test_diagonal_stack_places_last_axis_on_diagonals():
-    g = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    d = diagonal_stack(g)
-    assert d.shape == (2, 3, 3)
-    for u in range(2):
-        assert np.array_equal(d[u], np.diag(g[u]))

@@ -11,9 +11,9 @@ Two subcommands:
 
 Exit codes: 0 success, 2 configuration error (including an n_max outside
 ``blocks.MIN_N_MAX``..``blocks.MAX_N_MAX``, for either subcommand;
-non-finite or non-increasing u bounds; a curve label outside the cutoff's
-modes; and a sweep ``--out`` that cannot be written, rejected before any
-junction is built), 3 convergence gate failure, 4 invariant
+non-finite, non-increasing or overflowing u bounds; a curve label outside
+the cutoff's modes; and a sweep ``--out`` that cannot be written, rejected
+before any junction is built), 3 convergence gate failure, 4 invariant
 violation (including a numerical routine that cannot reach its accuracy
 target), 141 stdout closed by its reader (a pager or ``head`` that exits
 early; 128 + SIGPIPE, the status a shell reports for a writer that SIGPIPE
@@ -140,7 +140,8 @@ def _check_lines(n_max: int):
     tables = {s: blocks.table_junction(s, n_max) for s in junctions}
     for species, quadrature in junctions.items():
         yield _tables_line(species, tables[species], quadrature, n_max)
-    yield _first_order_line(tables)
+    presets = {name: load_config(name) for name in PRESETS}
+    yield _first_order_line(presets["fig1a"], tables)
 
     # one trip per species, shared by the interference line and the cross-check
     u = 0.3
@@ -156,9 +157,10 @@ def _check_lines(n_max: int):
     # a period later every preset curve repeats to rounding, in ulps of its
     # largest |order| on the preset grid (6.6 to 8.1 at n_max 31 to 118)
     ulps = {}
-    for request in map(load_config, PRESETS):
+    for request in presets.values():
         grid = np.concatenate([request.grid(), [0.37, 1.37]])
-        series = sweep.curve_series(request.curves, grid, junctions)
+        at_grid = {s: negativity.TripGrid(j, grid) for s, j in junctions.items()}
+        series = sweep.curve_series(request.curves, at_grid)
         for curve, s in zip(request.curves, np.moveaxis(series, 1, 0)):
             ulps[curve.name] = np.max(np.abs(s[-2] - s[-1])) / (EPS * np.max(np.abs(s[:-2])))
     worst = max(ulps, key=ulps.get)
@@ -217,14 +219,15 @@ def _tables_line(species: str, tables, quadrature, n_max: int):
     return label, gaps[worst], tol[worst]
 
 
-def _first_order_line(tables: dict):
-    """fig1a's h^1 coefficients on the junction tables against the paper's
-    one-line forms (arXiv 1201.0549) on the preset grid, in ulps of each
+def _first_order_line(request, tables: dict):
+    """fig1a's h^1 coefficients (``request``) on the junction tables against
+    the paper's one-line forms (arXiv 1201.0549) on its grid, in ulps of each
     form's max; a form under the first-order floor is a parity zero.  The
     tables carry no truncation here: 3.5 to 7.8 ulps at n_max 31 to 118."""
-    request = load_config("fig1a")
     u, ulps = request.grid(), {}
-    for curve in request.curves:
+    grids = {s: negativity.FirstOrderGrid(j, u) for s, j in tables.items()}
+    first = sweep.curve_series(request.curves, grids)[..., 1]
+    for curve, got in zip(request.curves, first.T):
         j = tables[curve.species]
         k, kp = curve.modes if curve.excite in (None, curve.modes[0]) else curve.modes[::-1]
         at = (list(j.modes).index(k), list(j.modes).index(kp))
@@ -236,7 +239,7 @@ def _first_order_line(tables: dict):
         else:  # excited at k
             form = 2 * np.sqrt(j.alpha[1][at] ** 2 * minus**2 + 2 * j.beta[1][at] ** 2 * plus**2)
         form = np.where(form > negativity.FIRST_ORDER_FLOOR, form, 0.0)
-        gap = np.abs(curve.first_order(negativity.FirstOrderGrid(j, u)) - form)
+        gap = np.abs(got - form)
         ulps[curve.name] = np.max(gap) / (EPS * np.max(form))
     worst = max(ulps, key=ulps.get)
     return f"paper's first-order forms of fig1a, worst {worst}, in ulps", ulps[worst], 256

@@ -99,7 +99,8 @@ def leading_order(rho_orders: np.ndarray) -> np.ndarray:
 #
 # Every closed form takes a species' :class:`TripGrid` on a u grid (a scalar
 # or any array) and returns the series with the orders on the last axis,
-# u.shape + (3,), or zeros(3) for a curve that vanishes identically.  It
+# u.shape + (3,); :class:`cavityent.sweep.CurveSpec` evaluates none for the
+# curves that charge or parity selection makes identically zero.  It
 # reads the states building blocks at the observed labels: trip entries
 # there, and sums over the free mode m of products of two lines, the trip's
 # first-order rows and columns at a label.  With G = diag(g) and the
@@ -450,15 +451,15 @@ def fermion_particle_closed(trip: TripGrid, kappa: int, pair) -> np.ndarray:
     """Negativity series of a travelled single excitation on an observed pair.
 
     A partner of the opposite charge cannot share a negative block with the
-    excitation at this order (the exchange channel is Pauli blocked), so the
-    series is identically zero there.
+    excitation at this order (the exchange channel is Pauli blocked): the
+    series is identically zero, and such a pair raises ValueError.
     """
     kappa = int(kappa)
     if kappa not in tuple(int(m) for m in pair):
         raise ValueError("closed form expects the excited mode in the observed pair")
     partner = next(int(m) for m in pair if int(m) != kappa)
     if (kappa >= 0) != (partner >= 0):
-        return np.zeros(3)
+        raise ValueError("one-particle negativity at this order needs a same-charge partner")
     pc = FermionPieces(trip, (kappa, partner))
     x = cauchy(pc.source(0, 0), np.conj(pc.source(0, 1)))
     if pc.first_only:

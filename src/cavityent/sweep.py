@@ -6,28 +6,31 @@ the coefficient at the curve's leading power.  That is the quantity the
 figure-style panels plot: the h -> 0 limit of N/h for linear curves and of
 N/h^2 for the parity-suppressed ones, so a sweep takes no value of h at
 all.  A request is validated up front: its u bounds must be finite and
-increasing, its n_max at least ``blocks.MIN_N_MAX``, below which the trips
-of the u period fail the identity gate, and at most ``blocks.MAX_N_MAX``,
-above which its junction fails the drift check, and every curve's mode
-labels must exist at that cutoff.
+increasing, with a finite span and finite phase arguments; its n_max at
+least ``blocks.MIN_N_MAX``, below which the trips of the u period fail the
+identity gate, and at most ``blocks.MAX_N_MAX``, above which its junction
+fails the drift check; and every curve's mode labels must exist at that
+cutoff.
 
 No trip is assembled: each species' junction passes one identity gate that
 covers every trip of the u period (:func:`blocks.junction`), and the
 closed series read junction rows for the whole grid at once (see
-:mod:`cavityent.negativity`).  Each curve is evaluated only to the order it
-reports.  Its h^1 comes first, from the junction entries and phases at its
-two labels alone (:meth:`CurveSpec.first_order`); a curve whose h^1 clears
-``POWER_FLOOR`` anywhere on the grid has power 1, and its rows are that h^1.
-Only the other curves run the whole series, which reads each species' phase
-table: one per species, formed at doubled n_max, of which the n_max table
-is a column slice.  Convergence in the mode cutoff is checked by evaluating
-the whole grid a second time at doubled n_max, to the same order, on the
-junction from the closed-form tables (:func:`blocks.table_junction`).  A
-curve's convergence delta is the largest move over the grid divided by the
-curve's largest |value| on it; a curve whose delta reaches
-``CONVERGENCE_GATE`` is flagged in every one of its rows.  Measuring
-against the curve's scale rather than the local value keeps the curve's
-zeros, where both cutoffs hold only truncation noise, from firing the gate.
+:mod:`cavityent.negativity`).  :meth:`CurveSpec.series` is the one entry to
+them, and :func:`curve_series` stacks it over curves.  Each curve is
+evaluated only to the order it reports.  Its h^1 comes first, on a
+:class:`negativity.FirstOrderGrid`, from the junction entries and phases at
+its two labels alone; a curve whose h^1 clears ``POWER_FLOOR`` anywhere on
+the grid has power 1, and its rows are that h^1.  Only the other curves run
+the whole series, which reads each species' phase table: one per species,
+formed at doubled n_max, of which the n_max table is a column slice.
+Convergence in the mode cutoff is checked by evaluating the whole grid a
+second time at doubled n_max, to the same order, on the junction from the
+closed-form tables (:func:`blocks.table_junction`).  A curve's convergence
+delta is the largest move over the grid divided by the curve's largest
+|value| on it; a curve whose delta reaches ``CONVERGENCE_GATE`` is flagged
+in every one of its rows.  Measuring against the curve's scale rather than
+the local value keeps the curve's zeros, where both cutoffs hold only
+truncation noise, from firing the gate.
 """
 
 from __future__ import annotations
@@ -95,14 +98,6 @@ class CurveSpec:
                     f"curve {self.name}: a pair state needs one particle label (>= 0) "
                     f"and one antiparticle label (< 0), got {self.modes}"
                 )
-            if (a - b) % 2 == 0:
-                warnings.warn(
-                    f"curve {self.name}: labels that differ by an even number make "
-                    "the pair's first-order coherence a parity zero and leave only "
-                    "the truncation floor at second order, so the curve will be "
-                    "identically zero",
-                    stacklevel=3,
-                )
         if self.state == "one-particle":
             if self.excite is None:
                 raise ConfigError(f"curve {self.name}: one-particle state needs excite")
@@ -111,53 +106,49 @@ class CurveSpec:
                     f"curve {self.name}: excited mode {self.excite} must be one of "
                     f"the observed pair {self.modes}"
                 )
-            partner = next(m for m in self.modes if m != int(self.excite))
-            if self.species == "fermion" and (int(self.excite) >= 0) != (partner >= 0):
-                warnings.warn(
-                    f"curve {self.name}: the partner mode carries the opposite "
-                    "charge, so exchange with the excitation is Pauli blocked and "
-                    "the curve will be identically zero",
-                    stacklevel=3,
-                )
         elif self.excite is not None:
             raise ConfigError(f"curve {self.name}: excite only applies to one-particle")
+        reason = self._vanishes()
+        if reason:
+            warnings.warn(f"curve {self.name}: {reason}", stacklevel=3)
+
+    def _vanishes(self) -> str | None:
+        """The warning for a curve that charge or parity selection makes
+        identically zero at this order, or None; :meth:`series` returns such a
+        curve's zeros and evaluates no closed form for it."""
+        a, b = self.modes
         if self.species == "fermion" and self.state == "vacuum" and (a >= 0) == (b >= 0):
-            warnings.warn(
-                f"curve {self.name}: vacuum pair creation only links opposite "
-                "charges, so this same-charge curve will be identically zero",
-                stacklevel=3,
-            )
+            return ("vacuum pair creation only links opposite charges, so this "
+                    "same-charge curve will be identically zero")
+        if self.species == "fermion" and self.state == "one-particle" and (a >= 0) != (b >= 0):
+            return ("the partner mode carries the opposite charge, so exchange with the "
+                    "excitation is Pauli blocked and the curve will be identically zero")
+        if self.state == "pair" and (a - b) % 2 == 0:
+            return ("labels that differ by an even number make the pair's first-order coherence "
+                    "a parity zero and leave only the truncation floor at second order, so the "
+                    "curve will be identically zero")
+        return None
 
-    def series(self, trip) -> np.ndarray:
-        """Closed-form negativity series (orders h^0, h^1, h^2 on the last axis).
+    def series(self, grid) -> np.ndarray:
+        """Closed-form negativity series, the orders on the last axis.
 
-        ``trip`` is the :class:`cavityent.negativity.TripGrid` of this curve's
-        species on a scalar or an array u of trip durations; the result has
-        shape u.shape + (3,), or is zeros(3) for a curve that vanishes.
+        ``grid`` is the :class:`cavityent.negativity.TripGrid` of this curve's
+        species on a scalar or an array u: the result has shape u.shape + (3,),
+        orders h^0 to h^2, or u.shape + (2,), orders h^0 and h^1, on a
+        :class:`cavityent.negativity.FirstOrderGrid`, which never forms the
+        phase table.
         """
-        return self._closed(trip)
-
-    def first_order(self, trip) -> np.ndarray:
-        """The h^1 order of the series alone, shape u.shape, or 0.0 for a curve
-        that vanishes; on a :class:`cavityent.negativity.FirstOrderGrid` it
-        reads only junction entries and phases at the curve's labels."""
-        return self._closed(trip)[..., 1]
-
-    def _closed(self, trip) -> np.ndarray:
+        if self._vanishes():
+            return np.zeros(np.shape(grid.u) + (2 if grid.first_only else 3,))
         if self.species == "boson":
             if self.state == "vacuum":
-                return negativity.boson_vacuum_closed(trip, self.modes)
-            return negativity.boson_particle_closed(trip, int(self.excite), self.modes)
+                return negativity.boson_vacuum_closed(grid, self.modes)
+            return negativity.boson_particle_closed(grid, int(self.excite), self.modes)
         if self.state == "vacuum":
-            if (self.modes[0] >= 0) == (self.modes[1] >= 0):
-                return np.zeros(3)
-            return negativity.fermion_vacuum_closed(trip, self.modes)
+            return negativity.fermion_vacuum_closed(grid, self.modes)
         if self.state == "one-particle":
-            return negativity.fermion_particle_closed(trip, int(self.excite), self.modes)
-        if (self.modes[0] - self.modes[1]) % 2 == 0:
-            return np.zeros(3)
-        kappa, kappa_p = max(self.modes), min(self.modes)
-        return negativity.fermion_pair_closed(trip, kappa, kappa_p)
+            return negativity.fermion_particle_closed(grid, int(self.excite), self.modes)
+        return negativity.fermion_pair_closed(grid, max(self.modes), min(self.modes))
 
 
 def check_n_max(n_max: int) -> None:
@@ -202,6 +193,13 @@ class SweepRequest:
                 "over ascending u"
             )
         check_n_max(self.n_max)
+        # the largest phase argument, 2 pi omega u at the 2 n_max refinement;
+        # the grid's span, at most 2 max|u|, is finite with it
+        if not math.isfinite(4 * math.pi * self.n_max * max(abs(self.u_start), abs(self.u_stop))):
+            raise ConfigError(
+                f"u bounds {self.u_start}, {self.u_stop} overflow the phase argument "
+                f"2 pi omega u at the refinement cutoff {2 * self.n_max}"
+            )
         for curve in self.curves:
             modes = blocks.boson_modes if curve.species == "boson" else blocks.fermion_modes
             lo, hi = modes(self.n_max)[[0, -1]]
@@ -238,19 +236,12 @@ class SweepResult:
         return all(self.converged.values())
 
 
-def curve_series(curves, grid: np.ndarray, junctions: dict) -> np.ndarray:
-    """Closed series for every (u, curve), shape (len(grid), len(curves), 3).
-
-    ``junctions`` maps each species to its junction, which has passed the
-    whole-period trip gate.  Its phase table on the grid is formed once
-    (:class:`negativity.TripGrid`), and each curve of the species reads the
-    whole grid through products of that table with junction columns.
-    """
-    trips = {s: negativity.TripGrid(junctions[s], grid) for s in {c.species for c in curves}}
-    out = np.empty((grid.size, len(curves), 3))
-    for col, curve in enumerate(curves):
-        out[:, col] = curve.series(trips[curve.species])
-    return out
+def curve_series(curves, grids: dict) -> np.ndarray:
+    """The :meth:`CurveSpec.series` of every curve, stacked on axis -2: shape
+    u.shape + (len(curves), 3), or u.shape + (len(curves), 2) on first-order
+    grids.  ``grids`` maps each species to its grid, on a junction that has
+    passed the whole-period trip gate; a species' curves share its table."""
+    return np.stack([curve.series(grids[curve.species]) for curve in curves], axis=-2)
 
 
 def run_sweep(request: SweepRequest) -> SweepResult:
@@ -264,30 +255,31 @@ def run_sweep(request: SweepRequest) -> SweepResult:
     # than heap-layout noise, about 1 MiB of peak RSS.
     fine_junctions = {s: blocks.table_junction(s, 2 * request.n_max) for s in species_set}
     junctions = {s: blocks.junction(s, request.n_max) for s in species_set}
-    first = {s: negativity.FirstOrderGrid(junctions[s], grid) for s in species_set}
-    fine_first = {s: negativity.FirstOrderGrid(fine_junctions[s], grid) for s in species_set}
-    fine = {s: negativity.TripGrid(fine_junctions[s], grid) for s in species_set}
 
     # a curve's power is its first order above the floor anywhere on the
-    # grid; h^1 reads only junction entries and phases at the curve's labels
-    values, refined = np.empty((2, grid.size, len(curves)))
-    for col, curve in enumerate(curves):
-        values[:, col] = curve.first_order(first[curve.species])
-    linear = (np.max(np.abs(values), axis=0) > POWER_FLOOR).tolist()
-    powers, coarse = {}, {}
-    for col, curve in enumerate(curves):
-        s = curve.species
-        if linear[col]:
-            powers[curve.name] = 1
-            refined[:, col] = curve.first_order(fine_first[s])
-            continue
-        # the whole series on both cutoffs: one phase table per species, at
-        # 2 n_max, of which the n_max table is a column slice
-        if s not in coarse:
-            coarse[s] = fine[s].coarse(junctions[s])
-        series = np.broadcast_to(curve.series(coarse[s]), (grid.size, 3))
-        power = powers[curve.name] = 2 if np.max(np.abs(series[:, 2])) > POWER_FLOOR else 0
-        values[:, col], refined[:, col] = series[:, power], curve.series(fine[s])[..., power]
+    # grid; h^1 reads only junction entries and phases at the curve's labels,
+    # and a power-1 curve's rows and refinement are h^1 alone
+    first = {s: negativity.FirstOrderGrid(j, grid) for s, j in junctions.items()}
+    values = curve_series(curves, first)[..., 1]
+    linear = np.max(np.abs(values), axis=0) > POWER_FLOOR
+    powers, refined = np.where(linear, 1, 2), np.empty_like(values)
+    ones = [c for c, one in zip(curves, linear.tolist()) if one]
+    rest = [c for c, one in zip(curves, linear.tolist()) if not one]
+    if ones:
+        fine_first = {s: negativity.FirstOrderGrid(j, grid) for s, j in fine_junctions.items()}
+        refined[:, linear] = curve_series(ones, fine_first)[..., 1]
+    # the others run the whole series on both cutoffs, to h^2 or, where that
+    # is under the floor too, to power 0: one phase table per species, at
+    # 2 n_max, of which the n_max table is a column slice
+    if rest:
+        fine = {s: negativity.TripGrid(j, grid) for s, j in fine_junctions.items()}
+        coarse = {s: fine[s].coarse(junctions[s]) for s in sorted({c.species for c in rest})}
+        series = curve_series(rest, coarse)
+        power = np.where(np.max(np.abs(series[..., 2]), axis=0) > POWER_FLOOR, 2, 0)
+        powers[~linear] = power
+        cols = np.arange(len(rest))
+        values[:, ~linear] = series[:, cols, power]
+        refined[:, ~linear] = curve_series(rest, fine)[:, cols, power]
 
     scales = np.max(np.abs(values), axis=0).tolist()
     moves = np.max(np.abs(refined - values), axis=0).tolist()
@@ -296,6 +288,7 @@ def run_sweep(request: SweepRequest) -> SweepResult:
         for c, move, scale in zip(curves, moves, scales)
     }
     converged = {name: delta < CONVERGENCE_GATE for name, delta in deltas.items()}
+    powers = {c.name: p for c, p in zip(curves, powers.tolist())}
     return SweepResult(request, values, powers, deltas, converged)
 
 

@@ -223,8 +223,10 @@ def test_particle_curve_dominates_vacuum_curve(boson_junction):
 def test_fermion_exclusion_and_pair_vacuum_relations(fermion_junction, fermion_trip):
     # A mode occupied before the trip cannot receive a created partner.
     on_u = negativity.TripGrid(fermion_junction, U)
-    series = negativity.fermion_particle_closed(on_u, 1, (1, -2))
-    assert np.max(np.abs(series)) == 0.0
+    with pytest.warns(UserWarning, match="Pauli"):
+        blocked = sweep.CurveSpec("blocked", "fermion", "one-particle", (1, -2), 1)
+    series = blocked.series(on_u)
+    assert series.shape == (3,) and np.max(np.abs(series)) == 0.0
     rho = states.reduce_to_pair(states.fermion_particle_state(fermion_trip, 1, (1, -2)))
     for h in PROBE_H:
         assert negativity.negativity_at(rho, h) < CONVENTION_TOL

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cavityent
-from cavityent import blocks, bogoliubov, cli, oracles, sweep
+from cavityent import blocks, bogoliubov, cli, config, oracles, sweep
 from cavityent.sweep import CSV_COLUMNS
 
 
@@ -115,16 +115,20 @@ def test_cutoff_above_the_drift_ceiling_is_a_config_error(argv, capsys):
 @pytest.mark.parametrize(
     "sweep_section,key",
     [("u_start = nan", "u_start"), ("u_stop = inf", "u_stop"),
-     ("u_start = 1\nu_stop = 0", "u_stop"), ("u_start = 0.5\nu_stop = 0.5", "u_stop")],
-    ids=["nan-start", "inf-stop", "descending", "empty"],
+     ("u_start = 1\nu_stop = 0", "u_stop"), ("u_start = 0.5\nu_stop = 0.5", "u_stop"),
+     ("u_start = -1e308\nu_stop = 1e308", "u bounds"), ("u_stop = 1e308", "u bounds")],
+    ids=["nan-start", "inf-stop", "descending", "empty", "overflowing-span",
+         "overflowing-phase"],
 )
 def test_malformed_u_grid_is_a_config_error(tmp_path, capsys, sweep_section, key):
-    path = tmp_path / "grid.cfg"
+    path, out = tmp_path / "grid.cfg", tmp_path / "rows.csv"
     path.write_text(
         f"[sweep]\n{sweep_section}\n[curve:a]\nspecies = boson\nstate = vacuum\nmodes = 1, 4\n"
     )
-    assert cli.main(["sweep", str(path)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert cli.main(["sweep", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -391,13 +395,14 @@ def test_perturbed_beta1_table_entry_fails_the_first_order_line():
     # route and |beta1[1, 4]| (3.2e-3) in the paper's form: with one entry
     # off by 1e-12 the two part by 1.5e-10 of the form's max, about 7e5 ulps
     tables = {s: blocks.table_junction(s, 40) for s in ("boson", "fermion")}
-    label, value, tol = cli._first_order_line(tables)
+    fig1a = config.load_config("fig1a")
+    label, value, tol = cli._first_order_line(fig1a, tables)
     assert value < tol
     j = tables["boson"]
     beta = j.beta.copy()
     beta[1, 0, 3] += 1e-12
     tables["boson"] = bogoliubov.BosonBogoliubov(j.alpha, beta, j.modes)
-    label, value, tol = cli._first_order_line(tables)
+    label, value, tol = cli._first_order_line(fig1a, tables)
     assert value > tol and "boson-vacuum-14" in label
 
 

@@ -206,8 +206,14 @@ def test_fermion_vacuum_closed_rejects_same_charge(fermion_junction):
 
 
 def test_fermion_particle_closed_pauli_zero(fermion_junction):
-    series = neg.fermion_particle_closed(neg.TripGrid(fermion_junction, U), 1, (1, -2))
-    assert np.array_equal(series, np.zeros(3))
+    # an opposite-charge partner is Pauli blocked: the form rejects it, and
+    # the curve's series, which evaluates no form for it, is exactly zero
+    trip = neg.TripGrid(fermion_junction, U)
+    with pytest.raises(ValueError):
+        neg.fermion_particle_closed(trip, 1, (1, -2))
+    with pytest.warns(UserWarning, match="Pauli"):
+        curve = CurveSpec("c", "fermion", "one-particle", (1, -2), 1)
+    assert np.array_equal(curve.series(trip), np.zeros(3))
 
 
 def test_fermion_particle_closed_requires_membership(fermion_junction):
@@ -441,10 +447,11 @@ def test_every_sum_the_pieces_read_matches_the_trip_rows(case):
 
 # --- first orders alone ------------------------------------------------------
 #
-# A sweep reads a power-1 curve's rows from CurveSpec.first_order on a
+# A sweep reads a power-1 curve's rows from CurveSpec.series on a
 # FirstOrderGrid: label phases and junction entries, order stacks that stop
-# at h^1, no phase table.  It must be the closed series' h^1 to the last bit,
-# for every family and every junction the closed route accepts.
+# at h^1, no phase table.  Its orders h^0 and h^1 must be the whole closed
+# series' to the last bit, for every family and every junction the closed
+# route accepts.
 
 
 @st.composite
@@ -478,9 +485,10 @@ def test_first_order_is_the_closed_series_h1_to_the_bit(case):
     if rephasing is not None:
         j = _rephased(j, rephasing)
     first = neg.FirstOrderGrid(j, us)
-    got = curve.first_order(first)
+    got = curve.series(first)
     assert "g" not in vars(first), "the first order formed the phase table"
-    assert np.array_equal(got, curve.series(neg.TripGrid(j, us))[..., 1]), (curve, rephasing)
+    assert got.shape == us.shape + (2,)
+    assert np.array_equal(got, curve.series(neg.TripGrid(j, us))[..., :2]), (curve, rephasing)
 
 
 def _permuted(j, seed):

@@ -90,7 +90,9 @@ def test_pauli_blocked_curve_warns_but_is_accepted():
 def test_same_charge_vacuum_curve_warns_and_is_zero():
     with pytest.warns(UserWarning, match="same-charge"):
         c = _curve(name="f", species="fermion", modes=(1, 2))
-    assert np.array_equal(c.series(None), np.zeros(3))
+    j, us = blocks.junction("fermion", 40), np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(c.series(negativity.TripGrid(j, us)), np.zeros((5, 3)))
+    assert np.array_equal(c.series(negativity.FirstOrderGrid(j, us)), np.zeros((5, 2)))
 
 
 def test_request_needs_curves_and_unique_names():
@@ -129,8 +131,15 @@ def test_request_rejects_labels_beyond_the_cutoff(species, modes, label):
         ({"u_stop": float("nan")}, "u_stop must be finite"),
         ({"u_start": 1.0, "u_stop": 0.0}, "u_stop 0.0 must exceed u_start 1.0"),
         ({"u_start": 0.5, "u_stop": 0.5}, "u_stop 0.5 must exceed u_start 0.5"),
+        # finite bounds whose span, or whose phase arguments at the 2 n_max
+        # refinement, overflow: the grid would hold nan and inf
+        ({"u_start": -1e308, "u_stop": 1e308}, "u bounds -1e[+]308, 1e[+]308 overflow the phase"),
+        ({"u_stop": 1e308}, "u bounds 0.0, 1e[+]308 overflow the phase argument"),
     ],
-    ids=["nan-start", "minus-inf-start", "inf-stop", "nan-stop", "descending", "empty"],
+    ids=[
+        "nan-start", "minus-inf-start", "inf-stop", "nan-stop", "descending", "empty",
+        "overflowing-span", "overflowing-phase",
+    ],
 )
 def test_request_rejects_malformed_u_grids(bounds, key):
     with pytest.raises(ConfigError, match=key):
@@ -260,9 +269,12 @@ def test_deltas_are_the_whole_grid_move(name):
     result = run_sweep(request)
     grid, n, species = request.grid(), request.n_max, {c.species for c in request.curves}
 
-    rows = sweep.curve_series(request.curves, grid, {s: blocks.junction(s, n) for s in species})
+    rows = sweep.curve_series(
+        request.curves, {s: negativity.TripGrid(blocks.junction(s, n), grid) for s in species}
+    )
     fine = sweep.curve_series(
-        request.curves, grid, {s: blocks.table_junction(s, 2 * n) for s in species}
+        request.curves,
+        {s: negativity.TripGrid(blocks.table_junction(s, 2 * n), grid) for s in species},
     )
     for j, curve in enumerate(request.curves):
         power = result.powers[curve.name]
@@ -500,7 +512,7 @@ def test_closed_series_on_a_grid_match_single_points():
     us = np.linspace(0.0, 1.0, 7)
     for curve in STACK_CURVES:
         j = blocks.junction(curve.species, 40)
-        got = np.broadcast_to(curve.series(negativity.TripGrid(j, us)), (us.size, 3))
+        got = curve.series(negativity.TripGrid(j, us))
         want = np.stack([curve.series(negativity.TripGrid(j, u)) for u in us])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
@@ -559,8 +571,7 @@ def interior_curves(draw):
 def test_curve_series_repeat_after_one_period(curve, u):
     # the pinned curve's h^2 is 5.56e-7, a difference of terms summing to
     # 69, and moves by 3.55e-15 a period later
-    got = _series_at_40(curve, np.array([u, u + 1.0]))
-    s_u, s_next = np.broadcast_to(got, (2, 3))
+    s_u, s_next = _series_at_40(curve, np.array([u, u + 1.0]))
     assert np.max(np.abs(s_next - s_u)) <= _rounding_bound(curve)
 
 
@@ -570,8 +581,7 @@ def test_curve_series_is_symmetric_about_half_a_period(curve, u):
     # the junction is real, so the trip at 1 - u is the conjugate of the trip
     # at u (up to the global fermion sign), and no negativity sees either;
     # only the rounding of the phase arguments separates the two values
-    got = _series_at_40(curve, np.array([u, 1.0 - u]))
-    s_u, s_mirror = np.broadcast_to(got, (2, 3))
+    s_u, s_mirror = _series_at_40(curve, np.array([u, 1.0 - u]))
     assert np.max(np.abs(s_mirror - s_u)) <= _rounding_bound(curve)
 
 
@@ -595,11 +605,16 @@ def test_pauli_blocked_curves_are_exactly_zero(labels, u):
                 curves.append(CurveSpec("c", "fermion", "pair", (a, b)))
         else:
             curves = [CurveSpec("c", "fermion", "vacuum", (a, b))]
-    trip = negativity.TripGrid(j, u)
+    trip, first = negativity.TripGrid(j, u), negativity.FirstOrderGrid(j, u)
     for curve in curves:
         assert np.array_equal(curve.series(trip), np.zeros(3))
-    if curves[0].state == "one-particle":
-        assert np.array_equal(negativity.fermion_particle_closed(trip, a, (a, b)), np.zeros(3))
+        assert np.array_equal(curve.series(first), np.zeros(2))
+    # the closed forms reject the charge configurations that vanish
+    with pytest.raises(ValueError):
+        if curves[0].state == "one-particle":
+            negativity.fermion_particle_closed(trip, a, (a, b))
+        else:
+            negativity.fermion_vacuum_closed(trip, (a, b))
 
 
 def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
@@ -620,6 +635,31 @@ def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
     monkeypatch.setattr(bogoliubov, "invert", forbidden)
     for name in config.PRESETS:
         assert run_sweep(config.load_config(name)).all_converged
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig1b", "cutoff-seed7"])
+def test_sweeps_evaluate_closed_forms_only_through_curve_series(name, monkeypatch):
+    # CurveSpec.series is the closed route's one entry, so a tracer on it sees
+    # every closed evaluation of a sweep: a power-1 curve's h^1 at n_max and
+    # at 2 n_max, and for any other curve its h^1 and then its whole series
+    # on both cutoffs.  None of these requests holds a curve that vanishes
+    # identically, for which series evaluates no form
+    counts = {"series": 0, "forms": 0}
+
+    def spy(fn, key):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    forms = [f for f in vars(negativity) if f.endswith("_closed")]
+    assert len(forms) == 5
+    for form in forms:
+        monkeypatch.setattr(negativity, form, spy(getattr(negativity, form), "forms"))
+    monkeypatch.setattr(CurveSpec, "series", spy(CurveSpec.series, "series"))
+    result = run_sweep(_reference_request(name))
+    assert counts["forms"] == counts["series"]
+    assert counts["series"] == sum(2 if p == 1 else 3 for p in result.powers.values())
 
 
 def test_sweep_forms_phases_once_per_species_and_grid(monkeypatch):

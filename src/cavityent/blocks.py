@@ -5,7 +5,8 @@ duration u, then inertial again.  It is assembled from two ingredient types:
 
 * the junction J between the inertial and the uniformly accelerated mode
   bases: the identity at h^0 plus h^1 and h^2 blocks, built either of two
-  ways below, each memoized in the process and never stored on disk;
+  ways below, each memoized in the process and never stored on disk, or
+  read from the closed-form tables at given labels;
 * the free-evolution phases g_m of the accelerated segment P(u), which
   multiplies each accelerated mode by its phase.
 
@@ -18,17 +19,24 @@ and matches back.  :func:`trip` composes it for any junction, with P(u) J
 as J's rows scaled by the phases; :func:`one_way_trip`, the numeric route's
 entry, reads the gated :func:`junction`.  :func:`junction` and
 :func:`table_junction` have gated every trip of the u period.  The closed
-route reads only junctions and :func:`free_phases`.
+route reads only junctions, or the tables at its labels, and
+:func:`free_phases`.
 
 Junction blocks
 ---------------
 :func:`build_junction` extracts the blocks from the exact overlap quadrature
 of :mod:`cavityent.oracles`, one quadrature call over the whole h ladder per
 species; sweep rows and ``cavityent check`` read it.
-:func:`build_table_junction` writes them from closed forms with O(n^2)
-elementwise work; a sweep's 2 n_max convergence refinement reads it.
-``cavityent check`` holds the two against each other, which keeps the
-quadrature as the independent oracle of the printed coefficients.
+:func:`table_blocks` writes the tables from closed forms, elementwise in the
+two labels.  :func:`build_table_junction` is that function on the whole
+label grid, O(n^2) work, which ``cavityent check`` and the tests read;
+``check`` holds it against the quadrature, which keeps the quadrature as the
+independent oracle of the printed coefficients.  A sweep's 2 n_max
+convergence refinement forms no such grid: on a :class:`TableCutoff` the
+closed route evaluates the same function at its two labels' rows, columns
+and entries alone, O(n) work with the same bits, and runs no gate there;
+the tests gate the tables at every refinement cutoff instead
+(``tests/test_blocks.py::test_table_junction_passes_the_period_gate``).
 
 The closed forms expand the overlap integrals in h.  Let xi in [0, 1] run
 across the cavity (proper length 1), whose trailing wall lies a = 1/h - 1/2
@@ -74,6 +82,8 @@ error (see ``cavityent check``).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import oracles
@@ -94,8 +104,9 @@ MIN_N_MAX = 31
 # which grows with the cutoff because mode n expands in about h n at the fixed
 # ladder top: (boson / fermion) 8.41e-10 / 8.12e-10 at 116, 9.64e-10 /
 # 9.32e-10 at 118, 1.03e-9 / 9.97e-10 at 119 and 1.10e-9 / 1.07e-9 at 120.
-# The table junction has no drift and passes the gate up to n_max 236 at
-# least, so a sweep's 2 n_max refinement does not bind.
+# The tables have no drift and pass the gate at every refinement cutoff, 62
+# to 236 (worst 0.11 of GATE_TOL, fermion 62), so a sweep's 2 n_max
+# refinement does not bind.
 MAX_N_MAX = 118
 
 _cache: dict[tuple, object] = {}
@@ -107,6 +118,15 @@ def boson_modes(n_max: int) -> np.ndarray:
 
 def fermion_modes(n_max: int) -> np.ndarray:
     return np.arange(-n_max, n_max)
+
+
+def species_modes(species: str, n_max: int) -> np.ndarray:
+    """The mode labels of ``species`` at cutoff ``n_max``, in storage order."""
+    if species == "boson":
+        return boson_modes(n_max)
+    if species == "fermion":
+        return fermion_modes(n_max)
+    raise ValueError(f"unknown species {species!r}")
 
 
 def interior_window(species: str, n_max: int) -> tuple[int, int]:
@@ -183,41 +203,61 @@ def build_junction(species: str, n_max: int):
 
 
 def build_table_junction(species: str, n_max: int):
-    """The junction blocks from their closed forms, unmemoized and ungated.
-
-    O(n^2) elementwise work: no quadrature, no ladder, no drift check.  See
-    the module docstring for the forms and where they come from.
-    """
+    """The junction blocks from their closed forms, unmemoized and ungated:
+    :func:`table_blocks` on the whole label grid, O(n^2) elementwise work with
+    no quadrature, no ladder and no drift check."""
+    modes = species_modes(species, n_max)
+    orders = table_blocks(species, modes[:, None], modes[None, :])
     if species == "boson":
-        modes = boson_modes(n_max)
-        m, n = modes[:, None], modes[None, :]
-        d, s = m - n, m + n
+        return BosonBogoliubov(*orders, modes)
+    return FermionBogoliubov(*orders, modes)
+
+
+def table_blocks(species: str, m, n) -> tuple:
+    """The junction tables at row labels ``m`` and column labels ``n``, integer
+    arrays that broadcast: (alpha, beta) for bosons, (a,) for fermions, each
+    of shape (3,) + the broadcast shape, orders h^0 to h^2.
+
+    Every entry is an elementwise function of its two labels, so it has the
+    same bits whichever labels it is evaluated with.  See the module
+    docstring for the forms and where they come from.
+    """
+    d = m - n
+    diag, odd = d == 0, d % 2 == 1                           # odd: m - n and m + n odd
+    off = np.where(diag, 1, d)                               # the diagonal has its own form
+    if species == "boson":
+        s = m + n
         root = np.sqrt(m * n) / np.pi**2
-        odd = d % 2 == 1                                     # m - n and m + n odd
-        off = np.where(d == 0, 1, d)                         # the diagonal has its own form
-        alpha = np.zeros((3, n_max, n_max))
-        beta = np.zeros_like(alpha)
-        alpha[0] = np.eye(n_max)
+        alpha, beta = np.empty((3,) + d.shape), np.zeros((3,) + d.shape)
+        alpha[0] = diag
         alpha[1] = np.where(odd, -2.0 * root / off**3, 0.0)
         beta[1] = np.where(odd, 2.0 * root / s**3, 0.0)
-        alpha[2] = np.where(odd, 0.0, root * (m + 2 * n) / off**4)
-        alpha[2][np.diag_indices(n_max)] = -(np.pi**2) * modes**2 / 240.0
+        alpha[2] = np.where(diag, -(np.pi**2) * m**2 / 240.0,
+                            np.where(odd, 0.0, root * (m + 2 * n) / off**4))
         beta[2] = np.where(odd, 0.0, root * (2 * n - m) / s**4)
-        return BosonBogoliubov(alpha, beta, modes)
+        return alpha, beta
     if species == "fermion":
-        modes = fermion_modes(n_max)
-        omega = modes + 0.5
-        wm, wn = omega[:, None], omega[None, :]
-        d = modes[:, None] - modes[None, :]
-        odd = d % 2 == 1
-        off = np.where(d == 0, 1, d)
-        a = np.zeros((3, 2 * n_max, 2 * n_max))
-        a[0] = np.eye(2 * n_max)
+        wm, wn = m + 0.5, n + 0.5
+        a = np.empty((3,) + d.shape)
+        a[0] = diag
         a[1] = np.where(odd, -(wm + wn) / (np.pi**2 * off**3), 0.0)
-        a[2] = np.where(odd, 0.0, (wm**2 + 8 * wm * wn + 3 * wn**2) / (4 * np.pi**2 * off**4))
-        a[2][np.diag_indices(2 * n_max)] = -(np.pi**2) * omega**2 / 240.0 - 1.0 / 96.0
-        return FermionBogoliubov(a, modes)
+        a[2] = np.where(diag, -(np.pi**2) * wm**2 / 240.0 - 1.0 / 96.0,
+                        np.where(odd, 0.0, (wm**2 + 8 * wm * wn + 3 * wn**2) / (4 * np.pi**2 * off**4)))
+        return (a,)
     raise ValueError(f"unknown species {species!r}")
+
+
+class TableCutoff(NamedTuple):
+    """The junction tables of ``species`` at cutoff ``n_max``, never formed as
+    arrays: the closed route evaluates :func:`table_blocks` at the labels it
+    reads (see :class:`cavityent.negativity.TripGrid`)."""
+
+    species: str
+    n_max: int
+
+    @property
+    def modes(self) -> np.ndarray:
+        return species_modes(self.species, self.n_max)
 
 
 def phase_parameter(h: float, tau: float) -> float:

@@ -11,7 +11,8 @@ Two subcommands:
 
 Exit codes: 0 success, 2 configuration error (including an n_max outside
 ``blocks.MIN_N_MAX``..``blocks.MAX_N_MAX``, for either subcommand;
-non-finite, non-increasing or overflowing u bounds; a curve label outside
+non-finite, non-increasing or overflowing u bounds, or u bounds whose phase
+arguments round by more than the first-order floor; a curve label outside
 the cutoff's modes; and a sweep ``--out`` that cannot be written, rejected
 before any junction is built), 3 convergence gate failure, 4 invariant
 violation (including a numerical routine that cannot reach its accuracy

@@ -14,6 +14,7 @@ without building a trip, a state or a density matrix; it imports nothing from
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +104,10 @@ def leading_order(rho_orders: np.ndarray) -> np.ndarray:
 # curves that charge or parity selection makes identically zero.  It
 # reads the states building blocks at the observed labels: trip entries
 # there, and sums over the free mode m of products of two lines, the trip's
-# first-order rows and columns at a label.  With G = diag(g) and the
-# junction's h^0 order exact, a1 = J1^+ G + G J1 for fermions, and
+# first-order rows and columns at a label.  It reads a junction block only
+# through :func:`_lines`: its rows and columns at the two labels and its
+# entries between them.  With G = diag(g) and the junction's h^0 order
+# exact, a1 = J1^+ G + G J1 for fermions, and
 # alpha1 = alpha1^+ G + G alpha1 and beta1 = G beta1 - beta1^T conj(G) for
 # bosons; so a line entry is two terms, a junction entry times g_m^(+-1) and
 # one times a label phase, e.g. a1[x, m] = J1[m, x] g_m + g_x J1[x, m] for a
@@ -194,13 +197,17 @@ def _mode_sum(g, first, second, mask=None, power=0) -> np.ndarray:
 class TripGrid:
     """The junction ``j`` on a u grid: each label's storage ``position`` and
     the phase table ``g`` of every mode, shape u.shape + (n,), formed on
-    first use."""
+    first use.  ``j`` is a stored junction or a :class:`blocks.TableCutoff`,
+    whose tables the pieces evaluate at their labels alone (:func:`_lines`)."""
 
     first_only = False
 
     def __init__(self, j, u):
         self.j, self.u = j, u
-        self.species = "boson" if isinstance(j, BosonBogoliubov) else "fermion"
+        if isinstance(j, blocks.TableCutoff):
+            self.species = j.species
+        else:
+            self.species = "boson" if isinstance(j, BosonBogoliubov) else "fermion"
         self.position = dict(zip(j.modes.tolist(), range(j.modes.size)))
 
     @functools.cached_property
@@ -231,6 +238,41 @@ class FirstOrderGrid(TripGrid):
     first_only = True
 
 
+class _Lines(NamedTuple):
+    """One junction block read at two labels, by index x: ``cols[x]`` its
+    column at label x, ``rows[x]`` its row there, and ``entries`` its (2, 2)
+    entries between the labels."""
+
+    cols: tuple
+    rows: tuple
+    entries: np.ndarray
+
+
+def _lines(j, at) -> list[_Lines]:
+    """The blocks h^1 and h^2 of junction ``j`` (bosons: alpha1, alpha2, beta1,
+    beta2; fermions: a1, a2) read at the storage positions ``at`` of two labels.
+
+    A stored junction is sliced; on a :class:`blocks.TableCutoff` the table
+    forms are evaluated at those labels alone, in O(n), to the same bits.
+    Rows are contiguous and columns strided on both, as numpy's dot rounds a
+    strided line differently from a contiguous one.
+    """
+    if isinstance(j, blocks.TableCutoff):
+        # one evaluation at (m, label), the columns, and at (label, m), the
+        # rows transposed, which are then copied contiguous
+        pairs = np.empty((2, j.modes.size, 2), dtype=int)
+        pairs[0], pairs[1] = j.modes[:, None], j.modes[at]
+        return [
+            _Lines(tuple(x[o, 0].T), tuple(x[o, 1].T.copy()), x[o, 0][at])
+            for x in blocks.table_blocks(j.species, pairs, pairs[::-1]) for o in (1, 2)
+        ]
+    stored = (j.alpha, j.beta) if isinstance(j, BosonBogoliubov) else (j.a,)
+    return [
+        _Lines(tuple(x[o][:, i] for i in at), tuple(x[o][i] for i in at), x[o][at][:, at])
+        for x in stored for o in (1, 2)
+    ]
+
+
 class _Pieces:
     """The labels' storage positions ``at`` and phases on a :class:`TripGrid`;
     ``rest`` masks every position but ``at``.  With ``first_only`` every order
@@ -259,21 +301,23 @@ class _Pieces:
     def col(self, x: int, row: bool = False) -> tuple:
         """Trip alpha1[m, x] = alpha1[m, x] g_m + g_x conj(alpha1[x, m]) (fermions:
         a1), or with ``row`` the trip row alpha1[x, m], each junction entry conjugated."""
-        w = self.a1[:, self.at[x]], np.conj(self.a1[self.at[x]])
+        w = self.a1.cols[x], np.conj(self.a1.rows[x])
         w = np.conj(w) if row else w
         return ((1.0, w[0], 1), (self.phase(x), w[1], 0))
 
     def second(self, x: int, y: int, beta: bool = False) -> np.ndarray:
         """Trip alpha2[x, y] (fermions: a2), or beta2[x, y] with ``beta``."""
-        (i, k), gx, gy = (self.at[x], self.at[y]), self.phase(x), self.phase(y)
+        gx, gy = self.phase(x), self.phase(y)
         a1, b1 = self.a1, self.b1
         right, left = (b1, a1) if beta else (a1, b1)
-        loops = self.g @ (np.conj(a1[:, i]) * right[:, k])  # then less the conj(g) loop
+        loops = self.g @ (np.conj(a1.cols[x]) * right.cols[y])  # then less the conj(g) loop
         if left is not None:
-            loops = loops - np.conj(self.g @ (np.conj(b1[:, i]) * left[:, k]))
+            loops = loops - np.conj(self.g @ (np.conj(b1.cols[x]) * left.cols[y]))
         if beta:
-            return gx * self.b2[i, k] - self.b2[k, i] * np.conj(gy) + loops
-        return gx * self.a2[i, k] + np.conj(self.a2[k, i]) * gy + loops
+            b2 = self.b2.entries
+            return gx * b2[x, y] - b2[y, x] * np.conj(gy) + loops
+        a2 = self.a2.entries
+        return gx * a2[x, y] + np.conj(a2[y, x]) * gy + loops
 
     def overlap(self, line, mask, other=None) -> np.ndarray:
         """sum over ``mask`` of line[m] conj(other[m]), or the real |line[m]|^2."""
@@ -291,7 +335,7 @@ class BosonPieces(_Pieces):
 
     def __init__(self, trip: TripGrid, k: int, kp: int):
         super().__init__(trip, (k, kp))
-        (self.a1, self.a2), (self.b1, self.b2) = self.j.alpha[1:], self.j.beta[1:]
+        self.a1, self.a2, self.b1, self.b2 = _lines(self.j, self.at)
         # V = -conj(beta) G^+ + conj(beta1) G^+ alpha1 G^+ at second order, symmetrised
         r, c = self.entry(self.beta_row(0), 1), self.entry(self.beta_col(0), 1)
         v1 = -0.5 * (np.conj(r) * np.conj(self.phase(1)) + np.conj(c) * np.conj(self.phase(0)))
@@ -319,15 +363,13 @@ class BosonPieces(_Pieces):
 
     # the lines besides col: trip beta1[x, m], beta1[m, x], and V1[x, m]
     def beta_row(self, x: int) -> tuple:
-        i = self.at[x]
-        return ((self.phase(x), self.b1[i], 0), (-1.0, self.b1[:, i], -1))
+        return ((self.phase(x), self.b1.rows[x], 0), (-1.0, self.b1.cols[x], -1))
 
     def beta_col(self, x: int) -> tuple:
-        i = self.at[x]
-        return ((1.0, self.b1[:, i], 1), (-np.conj(self.phase(x)), self.b1[i], 0))
+        return ((1.0, self.b1.cols[x], 1), (-np.conj(self.phase(x)), self.b1.rows[x], 0))
 
     def pair_row(self, x: int) -> tuple:
-        s = np.conj(self.b1[self.at[x]] + self.b1[:, self.at[x]])
+        s = np.conj(self.b1.rows[x] + self.b1.cols[x])
         return ((-0.5 * np.conj(self.phase(x)), s, -1), (0.5, s, 0))
 
 
@@ -395,7 +437,7 @@ class FermionPieces(_Pieces):
     def __init__(self, trip: TripGrid, labels):
         super().__init__(trip, labels)
         self.part = self.j.modes >= 0
-        (self.a1, self.a2), self.b1 = self.j.a[1:], None
+        (self.a1, self.a2), self.b1 = _lines(self.j, self.at), None
 
     def v(self, xp: int, xq: int) -> np.ndarray:
         """Orders of V[p, q] = -conj(g_p) (T[q, p] - sum_part T1[m, p] conj(g_m) T1[q, m])."""

@@ -6,11 +6,12 @@ the coefficient at the curve's leading power.  That is the quantity the
 figure-style panels plot: the h -> 0 limit of N/h for linear curves and of
 N/h^2 for the parity-suppressed ones, so a sweep takes no value of h at
 all.  A request is validated up front: its u bounds must be finite and
-increasing, with a finite span and finite phase arguments; its n_max at
-least ``blocks.MIN_N_MAX``, below which the trips of the u period fail the
-identity gate, and at most ``blocks.MAX_N_MAX``, above which its junction
-fails the drift check; and every curve's mode labels must exist at that
-cutoff.
+increasing, with phase arguments whose rounding stays under the first-order
+floor (``negativity.FIRST_ORDER_FLOOR``), which bounds |u| by about 8.9e3
+at n_max 40 and 3.0e3 at 118; its n_max at least ``blocks.MIN_N_MAX``,
+below which the trips of the u period fail the identity gate, and at most
+``blocks.MAX_N_MAX``, above which its junction fails the drift check; and
+every curve's mode labels must exist at that cutoff.
 
 No trip is assembled: each species' junction passes one identity gate that
 covers every trip of the u period (:func:`blocks.junction`), and the
@@ -24,13 +25,16 @@ the grid has power 1, and its rows are that h^1.  Only the other curves run
 the whole series, which reads each species' phase table: one per species,
 formed at doubled n_max, of which the n_max table is a column slice.
 Convergence in the mode cutoff is checked by evaluating the whole grid a
-second time at doubled n_max, to the same order, on the junction from the
-closed-form tables (:func:`blocks.table_junction`).  A curve's convergence
-delta is the largest move over the grid divided by the curve's largest
-|value| on it; a curve whose delta reaches ``CONVERGENCE_GATE`` is flagged
-in every one of its rows.  Measuring against the curve's scale rather than
-the local value keeps the curve's zeros, where both cutoffs hold only
-truncation noise, from firing the gate.
+second time at doubled n_max, to the same order, on the closed-form junction
+tables read at each curve's labels (:class:`blocks.TableCutoff`).  That
+forms no dense table and runs no gate at doubled n_max; the tier-1 test
+``tests/test_blocks.py::test_table_junction_passes_the_period_gate`` gates
+the tables at every cutoff a sweep reaches.  A curve's convergence delta is
+the largest move over the grid divided by the curve's largest |value| on
+it; a curve whose delta reaches ``CONVERGENCE_GATE`` is flagged in every one
+of its rows.  Measuring against the curve's scale rather than the local
+value keeps the curve's zeros, where both cutoffs hold only truncation
+noise, from firing the gate.
 """
 
 from __future__ import annotations
@@ -193,16 +197,20 @@ class SweepRequest:
                 "over ascending u"
             )
         check_n_max(self.n_max)
-        # the largest phase argument, 2 pi omega u at the 2 n_max refinement;
-        # the grid's span, at most 2 max|u|, is finite with it
-        if not math.isfinite(4 * math.pi * self.n_max * max(abs(self.u_start), abs(self.u_stop))):
+        # the largest phase argument, 2 pi omega u at the 2 n_max refinement,
+        # is rounded by eps times itself; past the first-order floor that
+        # rounding would pass for a coherence (the grid's span, at most
+        # 2 max|u|, is finite below this bound)
+        limit = negativity.FIRST_ORDER_FLOOR / (sys.float_info.epsilon * 4 * math.pi * self.n_max)
+        if max(abs(self.u_start), abs(self.u_stop)) > limit:
             raise ConfigError(
                 f"u bounds {self.u_start}, {self.u_stop} overflow the phase argument "
-                f"2 pi omega u at the refinement cutoff {2 * self.n_max}"
+                f"2 pi omega u at the refinement cutoff {2 * self.n_max}: past |u| = "
+                f"{limit:.6g} its rounding exceeds the first-order floor "
+                f"{negativity.FIRST_ORDER_FLOOR:g}"
             )
         for curve in self.curves:
-            modes = blocks.boson_modes if curve.species == "boson" else blocks.fermion_modes
-            lo, hi = modes(self.n_max)[[0, -1]]
+            lo, hi = blocks.species_modes(curve.species, self.n_max)[[0, -1]]
             for m in curve.modes:
                 if not lo <= m <= hi:
                     raise ConfigError(
@@ -240,7 +248,10 @@ def curve_series(curves, grids: dict) -> np.ndarray:
     """The :meth:`CurveSpec.series` of every curve, stacked on axis -2: shape
     u.shape + (len(curves), 3), or u.shape + (len(curves), 2) on first-order
     grids.  ``grids`` maps each species to its grid, on a junction that has
-    passed the whole-period trip gate; a species' curves share its table."""
+    passed the whole-period trip gate (the tables at a
+    :class:`blocks.TableCutoff` pass it in the tier-1 test
+    ``tests/test_blocks.py::test_table_junction_passes_the_period_gate``); a
+    species' curves share its table."""
     return np.stack([curve.series(grids[curve.species]) for curve in curves], axis=-2)
 
 
@@ -248,13 +259,8 @@ def run_sweep(request: SweepRequest) -> SweepResult:
     grid = request.grid()
     curves = request.curves
     species_set = sorted({c.species for c in curves})
-    # Rows read the quadrature junctions at n_max; the 2 n_max refinement
-    # reads the closed-form tables, built first, boson then fermion, so that
-    # the tables and their gate do not land on the heap that the quadrature
-    # leaves behind.  The measured peaks of the two orders differ by less
-    # than heap-layout noise, about 1 MiB of peak RSS.
-    fine_junctions = {s: blocks.table_junction(s, 2 * request.n_max) for s in species_set}
     junctions = {s: blocks.junction(s, request.n_max) for s in species_set}
+    tables = {s: blocks.TableCutoff(s, 2 * request.n_max) for s in species_set}
 
     # a curve's power is its first order above the floor anywhere on the
     # grid; h^1 reads only junction entries and phases at the curve's labels,
@@ -266,13 +272,13 @@ def run_sweep(request: SweepRequest) -> SweepResult:
     ones = [c for c, one in zip(curves, linear.tolist()) if one]
     rest = [c for c, one in zip(curves, linear.tolist()) if not one]
     if ones:
-        fine_first = {s: negativity.FirstOrderGrid(j, grid) for s, j in fine_junctions.items()}
+        fine_first = {s: negativity.FirstOrderGrid(t, grid) for s, t in tables.items()}
         refined[:, linear] = curve_series(ones, fine_first)[..., 1]
     # the others run the whole series on both cutoffs, to h^2 or, where that
     # is under the floor too, to power 0: one phase table per species, at
     # 2 n_max, of which the n_max table is a column slice
     if rest:
-        fine = {s: negativity.TripGrid(j, grid) for s, j in fine_junctions.items()}
+        fine = {s: negativity.TripGrid(t, grid) for s, t in tables.items()}
         coarse = {s: fine[s].coarse(junctions[s]) for s in sorted({c.species for c in rest})}
         series = curve_series(rest, coarse)
         power = np.where(np.max(np.abs(series[..., 2]), axis=0) > POWER_FLOOR, 2, 0)

@@ -268,10 +268,14 @@ def test_table_zeroth_order_is_exact_and_entries_real():
         assert not np.any(x.imag)
 
 
-@pytest.mark.parametrize("n_max", [62, 118, 160, 236])
+REFINEMENT_CUTOFFS = range(2 * blocks.MIN_N_MAX, 2 * blocks.MAX_N_MAX + 1, 2)
+
+
+@pytest.mark.parametrize("n_max", REFINEMENT_CUTOFFS)
 @pytest.mark.parametrize("species", ["boson", "fermion"])
 def test_table_junction_passes_the_period_gate(species, n_max):
-    # a sweep refines at 2 n_max, up to 2 MAX_N_MAX = 236, on the tables
+    # a sweep refines on the tables at 2 n_max, 62 to 236, read at its labels
+    # without a gate: this is the tables' whole-period gate at every one
     j = blocks.build_table_junction(species, n_max)
     bound = check_period(j, window=blocks.interior_window(species, n_max))
     assert max(weighted_residual(r) for r in bound.values()) < GATE_TOL

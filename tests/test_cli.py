@@ -116,9 +116,10 @@ def test_cutoff_above_the_drift_ceiling_is_a_config_error(argv, capsys):
     "sweep_section,key",
     [("u_start = nan", "u_start"), ("u_stop = inf", "u_stop"),
      ("u_start = 1\nu_stop = 0", "u_stop"), ("u_start = 0.5\nu_stop = 0.5", "u_stop"),
-     ("u_start = -1e308\nu_stop = 1e308", "u bounds"), ("u_stop = 1e308", "u bounds")],
+     ("u_start = -1e308\nu_stop = 1e308", "u bounds"), ("u_stop = 1e308", "u bounds"),
+     ("u_start = 1e17\nu_stop = 1.00000001e17\nsteps = 3", "u bounds")],
     ids=["nan-start", "inf-stop", "descending", "empty", "overflowing-span",
-         "overflowing-phase"],
+         "overflowing-phase", "rounded-phase"],
 )
 def test_malformed_u_grid_is_a_config_error(tmp_path, capsys, sweep_section, key):
     path, out = tmp_path / "grid.cfg", tmp_path / "rows.csv"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cavityent import blocks, states
+from cavityent import blocks, states, sweep
 from cavityent import negativity as neg
 from cavityent.bogoliubov import InvariantViolation
 from cavityent.sweep import CurveSpec
@@ -531,6 +531,57 @@ def test_coarse_grid_needs_a_run_of_the_fine_labels():
             neg.TripGrid(_permuted(fine_j, 1), us).coarse(j)
         with pytest.raises(ValueError, match="not a run"):
             neg.TripGrid(j, us).coarse(fine_j)
+
+
+# --- the tables read at their labels ---------------------------------------------
+#
+# A sweep's 2 n_max refinement reads the junction tables through a
+# blocks.TableCutoff, on which the pieces evaluate blocks.table_blocks at
+# their two labels alone.  Every line there, and so every series, must be
+# the dense tables' to the last bit, at any cutoff a sweep or check reaches.
+
+
+@st.composite
+def table_cases(draw):
+    """A curve of any family (vanishing ones included) on any two labels of a
+    cutoff from 31 to 236, and u."""
+    n = draw(st.integers(31, 236))
+    family = draw(st.sampled_from(["boson vacuum", "boson one-particle", "fermion vacuum",
+                                   "fermion one-particle", "fermion pair"]))
+    species, state = family.split()
+    if state == "pair":
+        labels = [draw(st.integers(0, n - 1)), draw(st.integers(-n, -1))]
+    else:
+        modes = st.sampled_from(blocks.species_modes(species, n).tolist())
+        labels = draw(st.lists(modes, min_size=2, max_size=2, unique=True))
+    excite = draw(st.sampled_from(labels)) if state == "one-particle" else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the curves that vanish identically warn
+        curve = CurveSpec("c", species, state, tuple(labels), excite)
+    us = draw(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=8))
+    return curve, n, np.array(us)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=table_cases())
+def test_table_lines_are_the_dense_tables_to_the_bit(case):
+    curve, n, us = case
+    dense, cutoff = blocks.build_table_junction(curve.species, n), blocks.TableCutoff(curve.species, n)
+    at = [int(np.flatnonzero(dense.modes == m)[0]) for m in curve.modes]
+    stacks = (dense.alpha, dense.beta) if curve.species == "boson" else (dense.a,)
+    orders = [x[o] for x in stacks for o in (1, 2)]
+    for block, lines, sliced in zip(orders, neg._lines(cutoff, at), neg._lines(dense, at)):
+        for x, i in enumerate(at):
+            assert np.array_equal(lines.cols[x], block[:, i])
+            assert np.array_equal(lines.rows[x], block[i])
+            # numpy's dot rounds a strided line differently from a contiguous one
+            assert not lines.cols[x].flags.c_contiguous and not sliced.cols[x].flags.c_contiguous
+            assert lines.rows[x].flags.c_contiguous and sliced.rows[x].flags.c_contiguous
+        assert np.array_equal(lines.entries, block[np.ix_(at, at)])
+    for grid in (neg.TripGrid, neg.FirstOrderGrid):
+        got = sweep.curve_series([curve], {curve.species: grid(cutoff, us)})
+        want = sweep.curve_series([curve], {curve.species: grid(dense, us)})
+        assert np.array_equal(got, want), (curve, n, grid.__name__)
 
 
 # h^0 and h^1 read junction entries and phases at the labels alone; h^2's

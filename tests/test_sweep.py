@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import pathlib
 import sys
 import warnings
@@ -135,15 +136,34 @@ def test_request_rejects_labels_beyond_the_cutoff(species, modes, label):
         # refinement, overflow: the grid would hold nan and inf
         ({"u_start": -1e308, "u_stop": 1e308}, "u bounds -1e[+]308, 1e[+]308 overflow the phase"),
         ({"u_stop": 1e308}, "u bounds 0.0, 1e[+]308 overflow the phase argument"),
+        # finite phase arguments whose rounding, eps 4 pi n_max max|u| at the
+        # refinement, exceeds the first-order floor: at these integer u every
+        # curve is zero, yet the rows read up to 0.0061
+        ({"u_start": 1e17, "u_stop": 1.00000001e17, "steps": 3},
+         "u bounds 1e[+]17, 1.00000001e[+]17 overflow the phase argument .* past [|]u[|] = 8959[.]6"),
     ],
     ids=[
         "nan-start", "minus-inf-start", "inf-stop", "nan-stop", "descending", "empty",
-        "overflowing-span", "overflowing-phase",
+        "overflowing-span", "overflowing-phase", "rounded-phase",
     ],
 )
 def test_request_rejects_malformed_u_grids(bounds, key):
     with pytest.raises(ConfigError, match=key):
         SweepRequest(curves=(_curve(),), **bounds)
+
+
+@pytest.mark.parametrize("n_max", [blocks.MIN_N_MAX, 40, blocks.MAX_N_MAX])
+def test_largest_accepted_integer_u_sweeps_to_zero_rows(n_max):
+    # every curve vanishes at integer u; at the largest accepted |u| the phase
+    # rounding stays under the first-order floor, so fig1a's four curves,
+    # whose h^1 carries them elsewhere, still read exactly zero there
+    curves = config.load_config("fig1a").curves
+    top = math.floor(negativity.FIRST_ORDER_FLOOR / (np.finfo(float).eps * 4 * math.pi * n_max))
+    with pytest.raises(ConfigError, match="overflow the phase argument"):
+        SweepRequest(curves=curves, u_start=top, u_stop=top + 1, n_max=n_max)
+    result = run_sweep(SweepRequest(curves=curves, u_start=top - 2, u_stop=top, steps=3, n_max=n_max))
+    assert np.array_equal(result.values, np.zeros((3, len(curves))))
+    assert result.all_converged
 
 
 def test_request_cutoff_ceiling_is_the_drift_ceiling():
@@ -618,12 +638,11 @@ def test_pauli_blocked_curves_are_exactly_zero(labels, u):
 
 
 def test_sweeps_assemble_and_gate_no_trip(monkeypatch):
-    # every junction a preset sweep reads, its refinement's too, is built
-    # (and gated) first; after that no trip may be composed: the closed forms
-    # read only the junctions and their phase tables
+    # every junction a preset sweep reads is built (and gated) first; after
+    # that no trip may be composed: the closed forms read only the junctions,
+    # the tables at their labels and the phase tables
     for species in ("boson", "fermion"):
         blocks.junction(species, 40)
-        blocks.table_junction(species, 80)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a sweep assembled a trip")
@@ -689,11 +708,11 @@ def test_sweep_forms_phases_once_per_species_and_grid(monkeypatch):
     assert all(len(modes) in (2, n) and size == steps for _, modes, size in calls)
 
 
-def test_sweep_builds_the_refinement_junctions_first(monkeypatch):
-    # the refinement reads the table junctions, built before the n_max
-    # quadrature so that they do not land on the heap it leaves behind; no
-    # quadrature runs at 2 n_max
-    built = []
+def test_sweep_builds_and_gates_only_its_quadrature_junctions(monkeypatch):
+    # the 2 n_max refinement reads the junction tables at each curve's labels,
+    # so a sweep builds no dense table and no quadrature at 2 n_max, and runs
+    # the whole-period gate once per species, on its n_max junction
+    built, gated = [], []
 
     def recorded(source, build):
         def wrapped(species, n_max):
@@ -701,16 +720,19 @@ def test_sweep_builds_the_refinement_junctions_first(monkeypatch):
             return build(species, n_max)
         return wrapped
 
+    def counted(j, window=None):
+        gated.append("boson" if isinstance(j, BosonBogoliubov) else "fermion")
+        return bogoliubov.check_period(j, window)
+
     monkeypatch.setattr(blocks, "_cache", {})
     monkeypatch.setattr(blocks, "build_junction", recorded("quadrature", blocks.build_junction))
     monkeypatch.setattr(
         blocks, "build_table_junction", recorded("tables", blocks.build_table_junction)
     )
+    monkeypatch.setattr(blocks, "check_period", counted)
     assert run_sweep(config.load_config("fig1a")).all_converged
-    assert built == [
-        ("tables", "boson", 80), ("tables", "fermion", 80),
-        ("quadrature", "boson", 40), ("quadrature", "fermion", 40),
-    ]
+    assert built == [("quadrature", "boson", 40), ("quadrature", "fermion", 40)]
+    assert gated == ["boson", "fermion"]
 
 
 def test_closed_route_imports_nothing_from_states():

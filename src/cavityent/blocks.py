@@ -88,6 +88,7 @@ import numpy as np
 
 from . import oracles
 from .bogoliubov import BosonBogoliubov, FermionBogoliubov, check_period, compose, invert
+from .series import N_ORDERS
 
 DEFAULT_LADDER = oracles.geometric_ladder(top=0.02, count=4)
 
@@ -207,44 +208,46 @@ def build_table_junction(species: str, n_max: int):
     :func:`table_blocks` on the whole label grid, O(n^2) elementwise work with
     no quadrature, no ladder and no drift check."""
     modes = species_modes(species, n_max)
-    orders = table_blocks(species, modes[:, None], modes[None, :])
+    size = (N_ORDERS, modes.size, modes.size)
+    stacks = [np.empty(size) for _ in range(2 if species == "boson" else 1)]
+    for order in range(N_ORDERS):
+        for stack, block in zip(stacks, table_blocks(species, order, modes[:, None], modes)):
+            stack[order] = block
     if species == "boson":
-        return BosonBogoliubov(*orders, modes)
-    return FermionBogoliubov(*orders, modes)
+        return BosonBogoliubov(*stacks, modes)
+    return FermionBogoliubov(*stacks, modes)
 
 
-def table_blocks(species: str, m, n) -> tuple:
-    """The junction tables at row labels ``m`` and column labels ``n``, integer
-    arrays that broadcast: (alpha, beta) for bosons, (a,) for fermions, each
-    of shape (3,) + the broadcast shape, orders h^0 to h^2.
+def table_blocks(species: str, order: int, m, n) -> tuple:
+    """The junction tables' order h^``order`` at row labels ``m`` and column
+    labels ``n``, integer arrays that broadcast: (alpha, beta) for bosons, (a,)
+    for fermions, each of the broadcast shape.
 
     Every entry is an elementwise function of its two labels, so it has the
     same bits whichever labels it is evaluated with.  See the module
     docstring for the forms and where they come from.
     """
+    if species not in ("boson", "fermion"):
+        raise ValueError(f"unknown species {species!r}")
     d = m - n
     diag, odd = d == 0, d % 2 == 1                           # odd: m - n and m + n odd
+    if order == 0:
+        eye = np.where(diag, 1.0, 0.0)
+        return (eye, np.zeros(d.shape)) if species == "boson" else (eye,)
     off = np.where(diag, 1, d)                               # the diagonal has its own form
     if species == "boson":
         s = m + n
         root = np.sqrt(m * n) / np.pi**2
-        alpha, beta = np.empty((3,) + d.shape), np.zeros((3,) + d.shape)
-        alpha[0] = diag
-        alpha[1] = np.where(odd, -2.0 * root / off**3, 0.0)
-        beta[1] = np.where(odd, 2.0 * root / s**3, 0.0)
-        alpha[2] = np.where(diag, -(np.pi**2) * m**2 / 240.0,
-                            np.where(odd, 0.0, root * (m + 2 * n) / off**4))
-        beta[2] = np.where(odd, 0.0, root * (2 * n - m) / s**4)
-        return alpha, beta
-    if species == "fermion":
-        wm, wn = m + 0.5, n + 0.5
-        a = np.empty((3,) + d.shape)
-        a[0] = diag
-        a[1] = np.where(odd, -(wm + wn) / (np.pi**2 * off**3), 0.0)
-        a[2] = np.where(diag, -(np.pi**2) * wm**2 / 240.0 - 1.0 / 96.0,
-                        np.where(odd, 0.0, (wm**2 + 8 * wm * wn + 3 * wn**2) / (4 * np.pi**2 * off**4)))
-        return (a,)
-    raise ValueError(f"unknown species {species!r}")
+        if order == 1:
+            return np.where(odd, -2.0 * root / off**3, 0.0), np.where(odd, 2.0 * root / s**3, 0.0)
+        return (np.where(diag, -(np.pi**2) * m**2 / 240.0,
+                         np.where(odd, 0.0, root * (m + 2 * n) / off**4)),
+                np.where(odd, 0.0, root * (2 * n - m) / s**4))
+    wm, wn = m + 0.5, n + 0.5
+    if order == 1:
+        return (np.where(odd, -(wm + wn) / (np.pi**2 * off**3), 0.0),)
+    return (np.where(diag, -(np.pi**2) * wm**2 / 240.0 - 1.0 / 96.0,
+                     np.where(odd, 0.0, (wm**2 + 8 * wm * wn + 3 * wn**2) / (4 * np.pi**2 * off**4))),)
 
 
 class TableCutoff(NamedTuple):

@@ -169,7 +169,7 @@ def _check_lines(n_max: int):
 
     # both routes are exact in each order, so they agree to rounding: within
     # 256 ulps of each order's |rho_k|_F (the worst of the five curves is
-    # 0.60, 0.49 and 0.99 ulps at n_max 31, 40 and 80)
+    # 0.61, 0.85, 1.31 and 0.97 ulps at n_max 31, 40, 80 and 118)
     at_u = {s: negativity.TripGrid(j, u) for s, j in junctions.items()}
     ulps = {}
     for curve, build in _crosscheck_states():

@@ -239,18 +239,21 @@ class FirstOrderGrid(TripGrid):
 
 
 class _Lines(NamedTuple):
-    """One junction block read at two labels, by index x: ``cols[x]`` its
-    column at label x, ``rows[x]`` its row there, and ``entries`` its (2, 2)
-    entries between the labels."""
+    """A junction block's h^1 lines at two labels, by index x: ``cols[x]`` its
+    column at label x and ``rows[x]`` its row there.  On a first-order grid
+    each line is only its two entries at the labels."""
 
     cols: tuple
     rows: tuple
-    entries: np.ndarray
 
 
-def _lines(j, at) -> list[_Lines]:
-    """The blocks h^1 and h^2 of junction ``j`` (bosons: alpha1, alpha2, beta1,
-    beta2; fermions: a1, a2) read at the storage positions ``at`` of two labels.
+def _lines(j, at, first_only: bool = False) -> list:
+    """The blocks of junction ``j`` as the closed route reads them at the
+    storage positions ``at`` of two labels: each h^1 block's lines there
+    (:class:`_Lines`), each h^2 block's (2, 2) entries between the labels,
+    in the order alpha1, alpha2, beta1, beta2 (bosons) or a1, a2 (fermions).
+    With ``first_only`` the lines are their entries at the labels alone,
+    index y standing for label y, and the h^2 blocks are None.
 
     A stored junction is sliced; on a :class:`blocks.TableCutoff` the table
     forms are evaluated at those labels alone, in O(n), to the same bits.
@@ -258,19 +261,29 @@ def _lines(j, at) -> list[_Lines]:
     strided line differently from a contiguous one.
     """
     if isinstance(j, blocks.TableCutoff):
+        labels = j.modes[at]
+        if first_only:
+            return _entry_lines(blocks.table_blocks(j.species, 1, labels[:, None], labels))
         # one evaluation at (m, label), the columns, and at (label, m), the
         # rows transposed, which are then copied contiguous
         pairs = np.empty((2, j.modes.size, 2), dtype=int)
-        pairs[0], pairs[1] = j.modes[:, None], j.modes[at]
-        return [
-            _Lines(tuple(x[o, 0].T), tuple(x[o, 1].T.copy()), x[o, 0][at])
-            for x in blocks.table_blocks(j.species, pairs, pairs[::-1]) for o in (1, 2)
-        ]
-    stored = (j.alpha, j.beta) if isinstance(j, BosonBogoliubov) else (j.a,)
-    return [
-        _Lines(tuple(x[o][:, i] for i in at), tuple(x[o][i] for i in at), x[o][at][:, at])
-        for x in stored for o in (1, 2)
-    ]
+        pairs[0], pairs[1] = j.modes[:, None], labels
+        first = [_Lines(tuple(x[0].T), tuple(x[1].T.copy()))
+                 for x in blocks.table_blocks(j.species, 1, pairs, pairs[::-1])]
+        second = blocks.table_blocks(j.species, 2, labels[:, None], labels)
+    else:
+        stored = (j.alpha, j.beta) if isinstance(j, BosonBogoliubov) else (j.a,)
+        if first_only:
+            return _entry_lines([x[1][np.ix_(at, at)] for x in stored])
+        first = [_Lines(tuple(x[1][:, i] for i in at), tuple(x[1][i] for i in at)) for x in stored]
+        second = [x[2][np.ix_(at, at)] for x in stored]
+    return [b for pair in zip(first, second) for b in pair]
+
+
+def _entry_lines(entries) -> list:
+    """:func:`_lines` on a first-order grid from each h^1 block's (2, 2)
+    entries between the labels: lines of two entries, no h^2 block."""
+    return [b for e in entries for b in (_Lines(tuple(e.T), tuple(e)), None)]
 
 
 class _Pieces:
@@ -281,6 +294,9 @@ class _Pieces:
     def __init__(self, trip: TripGrid, labels):
         self.j, self.trip, self.first_only = trip.j, trip, trip.first_only
         self.at = [trip.position[int(m)] for m in labels]
+        # where a line holds label y: its storage position, or y itself on the
+        # two-entry lines of a first-order grid
+        self.line_at = (0, 1) if self.first_only else self.at
         self.label_phases = blocks.free_phases(trip.species, np.asarray(labels), trip.u)
         self.rest = np.ones(self.j.modes.size, dtype=bool)
         self.rest[self.at] = False
@@ -294,7 +310,7 @@ class _Pieces:
 
     def entry(self, line, y: int) -> np.ndarray:
         """The line's entry at label y, its two terms added in order."""
-        k, g = self.at[y], self.phase(y)
+        k, g = self.line_at[y], self.phase(y)
         t0, t1 = (c * w[k] * (g if p == 1 else np.conj(g)) if p else c * w[k] for c, w, p in line)
         return t0 + t1
 
@@ -314,9 +330,9 @@ class _Pieces:
         if left is not None:
             loops = loops - np.conj(self.g @ (np.conj(b1.cols[x]) * left.cols[y]))
         if beta:
-            b2 = self.b2.entries
+            b2 = self.b2
             return gx * b2[x, y] - b2[y, x] * np.conj(gy) + loops
-        a2 = self.a2.entries
+        a2 = self.a2
         return gx * a2[x, y] + np.conj(a2[y, x]) * gy + loops
 
     def overlap(self, line, mask, other=None) -> np.ndarray:
@@ -335,7 +351,7 @@ class BosonPieces(_Pieces):
 
     def __init__(self, trip: TripGrid, k: int, kp: int):
         super().__init__(trip, (k, kp))
-        self.a1, self.a2, self.b1, self.b2 = _lines(self.j, self.at)
+        self.a1, self.a2, self.b1, self.b2 = _lines(self.j, self.at, self.first_only)
         # V = -conj(beta) G^+ + conj(beta1) G^+ alpha1 G^+ at second order, symmetrised
         r, c = self.entry(self.beta_row(0), 1), self.entry(self.beta_col(0), 1)
         v1 = -0.5 * (np.conj(r) * np.conj(self.phase(1)) + np.conj(c) * np.conj(self.phase(0)))
@@ -437,7 +453,7 @@ class FermionPieces(_Pieces):
     def __init__(self, trip: TripGrid, labels):
         super().__init__(trip, labels)
         self.part = self.j.modes >= 0
-        (self.a1, self.a2), self.b1 = _lines(self.j, self.at), None
+        (self.a1, self.a2), self.b1 = _lines(self.j, self.at, self.first_only), None
 
     def v(self, xp: int, xq: int) -> np.ndarray:
         """Orders of V[p, q] = -conj(g_p) (T[q, p] - sum_part T1[m, p] conj(g_m) T1[q, m])."""

@@ -350,22 +350,42 @@ def reduce_to_pair(state: StateExpansion) -> np.ndarray:
     dropped; they cannot reach the matrix before fourth order.  For fermions
     the split into observed and traced factors carries the reordering sign of
     each observed operator hopping over the traced ones below it.
+
+    Tracing out the rest pairs two keys only when they share their traced
+    factor, so the matrix is a sum over the ordered key pairs within each run
+    of equal traced factors: each pair's truncated amplitude product lands in
+    its (row, column) slot, one order at a time.  Nearly every traced factor
+    carries a single observed occupation, so there are about as many pairs as
+    keys, and the work and memory follow the keys, not the number of traced
+    factors times d^2.
     """
     a, b = state.observed
     d = LOCAL_DIM[state.species]
     keys, amps = state.keys, state.amps
     na, nb = np.sum(keys == a, axis=1), np.sum(keys == b, axis=1)
-    keep = (na < d) & (nb < d)
-    keys, amps, na, nb = keys[keep], amps[:, keep], na[keep], nb[keep]
-    rest = np.sort(np.where((keys == a) | (keys == b), PAD, keys), axis=1)
+    keep = np.flatnonzero((na < d) & (nb < d))
+    na, nb, amps = na[keep], nb[keep], amps[:, keep]
+    rest = np.sort(np.where((keys == a) | (keys == b), PAD, keys), axis=1)[keep]
     if state.species == "fermion":
         hops = na * np.sum(rest < a, axis=1) + nb * np.sum(rest < b, axis=1)
         amps = amps * (1.0 - 2.0 * (hops % 2))
-    # v[:, g] holds the orders of the observed-pair vector of the g-th traced factor
+    # pair every key (in sorted order) with each key of its run: the p-th pair
+    # of a run of size n starting at s is (s + p // n, s + p % n)
     order, first = _sorted_runs(rest)
-    group = np.empty(len(rest), dtype=int)
-    group[order] = np.cumsum(first) - 1
-    v = np.zeros((N_ORDERS, int(first.sum()), d * d), dtype=complex)
-    np.add.at(v, (slice(None), group, na * d + nb), amps)
-    # rho sums vec vec^+ over the G traced factors: one truncated product
-    return cauchy(v, np.conj(v), lambda x, y: x.T @ y)
+    starts = np.flatnonzero(first)
+    size = np.diff(np.append(starts, len(first)))
+    per_key = np.repeat(size, size)
+    k = np.repeat(order, per_key)
+    offset = np.cumsum(per_key) - per_key - np.repeat(starts, size)
+    l = order[np.arange(len(k)) - np.repeat(offset, per_key)]
+    slot = na * d + nb
+    flat = slot[k] * (d * d) + slot[l]
+    rho = np.empty((N_ORDERS, d**4), dtype=complex)
+    for o in range(N_ORDERS):
+        # numpy's bincount takes real weights only
+        terms = amps[0, k] * np.conj(amps[o, l])
+        for s in range(1, o + 1):
+            terms += amps[s, k] * np.conj(amps[o - s, l])
+        rho[o].real = np.bincount(flat, terms.real, d**4)
+        rho[o].imag = np.bincount(flat, terms.imag, d**4)
+    return rho.reshape(N_ORDERS, d * d, d * d)

@@ -65,3 +65,40 @@ def per_key_expansion(t0: dict, pairs, fermion: bool) -> dict:
         for key, amp in generation.items():
             total[key] = total.get(key, 0.0) + scale * amp
     return {key: amp for key, amp in total.items() if np.any(amp != 0)}
+
+
+def per_key_reduction(species: str, observed, amps: dict):
+    """Orders of the reduced density matrix on ``observed`` from
+    {occupation tuple: orders}, one key pair at a time: the reference the
+    batched reduction is held against.
+
+    Returns the matrix orders, and for each entry the sum of the magnitudes of
+    the amplitude products it adds up and how many there are, which bound its
+    rounding.  A key splits into observed occupations (na, nb) and the traced
+    rest; two keys meet only when their rests agree.  A fermion key's sign is
+    the parity of the permutation that brings its observed operators to the
+    front, a before b, from ascending label order.
+    """
+    a, b = sorted(observed)
+    d = states.LOCAL_DIM[species]
+    split = {}
+    for key, amp in amps.items():
+        na, nb = key.count(a), key.count(b)
+        if na >= d or nb >= d:
+            continue
+        rest = tuple(m for m in key if m not in (a, b))
+        sign = 1.0
+        if species == "fermion":
+            front = (a,) * na + (b,) * nb + rest
+            inversions = sum(x > y for i, x in enumerate(front) for y in front[i + 1:])
+            sign = (-1.0) ** inversions
+        split.setdefault(rest, []).append((na * d + nb, sign * np.asarray(amp, dtype=complex)))
+    rho = np.zeros((N_ORDERS, d * d, d * d), dtype=complex)
+    magnitude, count = np.zeros(rho.shape), np.zeros(rho.shape)
+    for group in split.values():
+        for i, x in group:
+            for j, y in group:
+                rho[:, i, j] += np.convolve(x, np.conj(y))[:N_ORDERS]
+                magnitude[:, i, j] += np.convolve(np.abs(x), np.abs(y))[:N_ORDERS]
+                count[:, i, j] += np.arange(1, N_ORDERS + 1)
+    return rho, magnitude, count

@@ -275,6 +275,23 @@ def test_sweep_convergence_exit_code(tmp_path, monkeypatch, capsys):
     assert out.exists() and ",false" in out.read_text()
 
 
+def test_power_two_rounding_at_large_u_fails_the_convergence_gate(tmp_path, capsys):
+    # the |u| bound covers first-order rounding only: near its top (8959.6 at
+    # n_max 40) fig1b's fermion h^2 terms, differences of mode sums far larger
+    # than themselves, read about 5.4e-8 at integer u, where every curve is
+    # zero; the convergence gate must flag them, never a silent exit 0
+    text = (pathlib.Path(config.__file__).parent / "presets" / "fig1b.cfg").read_text()
+    for key, value in (("u_start", "8957"), ("u_stop", "8959"), ("steps", "3"), ("n_max", "40")):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+    path, out = tmp_path / "large-u.cfg", tmp_path / "rows.json"
+    path.write_text(text)
+    assert cli.main(["sweep", str(path), "--out", str(out)]) == cli.EXIT_CONVERGENCE
+    curves = json.loads(out.read_text())["metadata"]["curves"]
+    assert [name for name, c in curves.items() if not c["converged"]] == [
+        "fermion-one-particle-13", "fermion-vacuum-1m1"]
+    assert "convergence gate failed for curve fermion-vacuum-1m1" in capsys.readouterr().err
+
+
 def test_check_reports_all_ok(capsys):
     code, lines = _check([], capsys)
     assert code == cli.EXIT_OK and len(lines) == 8

@@ -537,8 +537,10 @@ def test_coarse_grid_needs_a_run_of_the_fine_labels():
 #
 # A sweep's 2 n_max refinement reads the junction tables through a
 # blocks.TableCutoff, on which the pieces evaluate blocks.table_blocks at
-# their two labels alone.  Every line there, and so every series, must be
-# the dense tables' to the last bit, at any cutoff a sweep or check reaches.
+# their two labels alone, and only what the closed route reads: the h^1 lines
+# and the h^2 entries between the labels on a TripGrid, the h^1 entries on a
+# FirstOrderGrid.  Every value read there, and so every series, must be the
+# dense tables' to the last bit, at any cutoff a sweep or check reaches.
 
 
 @st.composite
@@ -569,19 +571,53 @@ def test_table_lines_are_the_dense_tables_to_the_bit(case):
     dense, cutoff = blocks.build_table_junction(curve.species, n), blocks.TableCutoff(curve.species, n)
     at = [int(np.flatnonzero(dense.modes == m)[0]) for m in curve.modes]
     stacks = (dense.alpha, dense.beta) if curve.species == "boson" else (dense.a,)
-    orders = [x[o] for x in stacks for o in (1, 2)]
-    for block, lines, sliced in zip(orders, neg._lines(cutoff, at), neg._lines(dense, at)):
+    # the closed route reads blocks in pairs: an h^1 block's lines, then the
+    # h^2 block's (2, 2) entries between the labels
+    read, sliced = neg._lines(cutoff, at), neg._lines(dense, at)
+    for x_stack, lines, entries, ref in zip(stacks, read[::2], read[1::2], sliced[::2]):
         for x, i in enumerate(at):
-            assert np.array_equal(lines.cols[x], block[:, i])
-            assert np.array_equal(lines.rows[x], block[i])
+            assert np.array_equal(lines.cols[x], x_stack[1][:, i])
+            assert np.array_equal(lines.rows[x], x_stack[1][i])
             # numpy's dot rounds a strided line differently from a contiguous one
-            assert not lines.cols[x].flags.c_contiguous and not sliced.cols[x].flags.c_contiguous
-            assert lines.rows[x].flags.c_contiguous and sliced.rows[x].flags.c_contiguous
-        assert np.array_equal(lines.entries, block[np.ix_(at, at)])
+            assert not lines.cols[x].flags.c_contiguous and not ref.cols[x].flags.c_contiguous
+            assert lines.rows[x].flags.c_contiguous and ref.rows[x].flags.c_contiguous
+        assert np.array_equal(entries, x_stack[2][np.ix_(at, at)])
+    # on a first-order grid, each h^1 line is its two entries at the labels
+    for first in (neg._lines(cutoff, at, first_only=True), neg._lines(dense, at, first_only=True)):
+        assert first[1::2] == [None] * len(stacks)
+        for x_stack, lines in zip(stacks, first[::2]):
+            block = x_stack[1][np.ix_(at, at)]
+            assert all(np.array_equal(lines.cols[x], block[:, x]) for x in (0, 1))
+            assert all(np.array_equal(lines.rows[x], block[x]) for x in (0, 1))
     for grid in (neg.TripGrid, neg.FirstOrderGrid):
         got = sweep.curve_series([curve], {curve.species: grid(cutoff, us)})
         want = sweep.curve_series([curve], {curve.species: grid(dense, us)})
         assert np.array_equal(got, want), (curve, n, grid.__name__)
+
+
+@pytest.mark.parametrize("species, labels", [("boson", (1, 4)), ("fermion", (2, -1))])
+def test_table_cutoff_evaluates_only_what_the_closed_route_reads(monkeypatch, species, labels):
+    # (order, shape) of every table evaluation: no h^0 anywhere, the h^1
+    # columns and rows (2, n, 2) and the h^2 entries (2, 2) on a TripGrid,
+    # and only the h^1 entries (2, 2) on a FirstOrderGrid
+    calls, table_blocks = [], blocks.table_blocks
+
+    def recorded(species, order, m, n):
+        out = table_blocks(species, order, m, n)
+        calls.append((order, out[0].shape))
+        return out
+
+    monkeypatch.setattr(blocks, "table_blocks", recorded)
+    cutoff = blocks.TableCutoff(species, 80)
+    size = cutoff.modes.size
+    for grid, want in ((neg.TripGrid, [(1, (2, size, 2)), (2, (2, 2))]),
+                       (neg.FirstOrderGrid, [(1, (2, 2))])):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            curve = CurveSpec("c", species, "vacuum", labels)
+        curve.series(grid(cutoff, np.linspace(0.0, 1.0, 5)))
+        assert calls == want, grid.__name__
 
 
 # h^0 and h^1 read junction entries and phases at the labels alone; h^2's

@@ -9,6 +9,7 @@ per-key loop, and the numeric route against the closed forms and its own
 symmetries over random u and labels.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityent import blocks, negativity, oracles, states, sweep
+from cavityent import blocks, cli, negativity, oracles, states, sweep
 from cavityent.series import N_ORDERS
 
 import fock
-from expansions import amplitudes, expansion, norm_orders, per_key_expansion
+from expansions import amplitudes, expansion, norm_orders, per_key_expansion, per_key_reduction
 
 U = 0.3
 H = 0.01
@@ -290,6 +291,62 @@ def test_reduce_without_surviving_keys_is_zero():
         rho = states.reduce_to_pair(expansion("boson", (1, 4), amps))
         assert rho.shape == (N_ORDERS, 16, 16) and rho.dtype == complex
         assert not rho.any()
+
+
+
+@st.composite
+def reduction_cases(draw):
+    """A hand-written expansion on a small label pool whose keys share traced
+    rests across observed occupations: either species, the empty key among
+    them, repeated boson labels and overfull boson occupations, and fermion
+    rests with labels below the observed ones, so that operators hop."""
+    species = draw(st.sampled_from(["boson", "fermion"]))
+    pool = list(range(-3, 4)) if species == "fermion" else list(range(1, 7))
+    observed = sorted(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True)))
+    others = [m for m in pool if m not in observed]
+    if species == "fermion":
+        rest, occupation = st.lists(st.sampled_from(others), max_size=3, unique=True), st.integers(0, 1)
+    else:
+        # a boson pair keeps occupations up to 3; 4 and 5 are overfull
+        rest, occupation = st.lists(st.sampled_from(others), max_size=3), st.integers(0, 5)
+    rests = draw(st.lists(rest, min_size=1, max_size=4))
+    part = st.one_of(st.just(0.0), st.floats(-1.0, -1e-3), st.floats(1e-3, 1.0))
+    amps = {}
+    for _ in range(draw(st.integers(0, 16))):
+        na, nb = draw(occupation), draw(occupation)
+        key = tuple(sorted(draw(st.sampled_from(rests)) + [observed[0]] * na + [observed[1]] * nb))
+        amps[key] = np.array([complex(draw(part), draw(part)) for _ in range(N_ORDERS)])
+    return species, tuple(observed), amps
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=reduction_cases())
+def test_reduction_matches_the_per_key_reference(case):
+    # both sum the same amplitude products, in different orders: an entry
+    # adding up n products may move by the rounding of that sum, n ulps of
+    # the products' summed magnitude, plus a few for the products themselves
+    species, observed, amps = case
+    rho = states.reduce_to_pair(expansion(species, observed, amps))
+    want, magnitude, count = per_key_reduction(species, observed, amps)
+    assert rho.shape == want.shape and rho.dtype == complex
+    assert np.all(np.abs(rho - want) <= (count + 3) * EPS * magnitude)
+
+
+def test_reduction_memory_follows_the_keys(boson_trip, fermion_trip):
+    # the heap peak of a reduction is a few times the expansion it reads,
+    # whatever the number of traced factors times d^2 (check's five states
+    # at n_max 40, u = 0.3, read 3.0 to 3.4 times by tracemalloc)
+    trips = {"boson": boson_trip, "fermion": fermion_trip}
+    for curve, build in cli._crosscheck_states():
+        state = build(trips[curve.species])
+        states.reduce_to_pair(state)  # first-call allocations are not the reduction's
+        tracemalloc.start()
+        try:
+            states.reduce_to_pair(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (state.keys.nbytes + state.amps.nbytes), curve.name
 
 
 # --- numeric-route properties ------------------------------------------------

@@ -274,8 +274,13 @@ def phase_parameter(h: float, tau: float) -> float:
 
 
 def free_phases(species: str, modes, u) -> np.ndarray:
-    """Phases exp(-i omega_m u) of the modes ``modes``, shape u.shape + (n,)."""
-    u = np.asarray(u, dtype=float)[..., None]
+    """Phases exp(-i omega_m u) of the modes ``modes``, shape u.shape + (n,).
+
+    Every phase repeats after u -> u + 2, so u is first reduced by
+    ``np.fmod(u, 2)``: exact at every finite u, it keeps the sign and leaves
+    |u| < 2 untouched (``%`` would round small negative u by adding 2).
+    """
+    u = np.fmod(np.asarray(u, dtype=float), 2.0)[..., None]
     if species == "boson":
         return np.exp(-2j * np.pi * modes * u)
     return np.exp(-2j * np.pi * (modes + 0.5) * u)

@@ -6,12 +6,12 @@ the coefficient at the curve's leading power.  That is the quantity the
 figure-style panels plot: the h -> 0 limit of N/h for linear curves and of
 N/h^2 for the parity-suppressed ones, so a sweep takes no value of h at
 all.  A request is validated up front: its u bounds must be finite and
-increasing, with phase arguments whose rounding stays under the first-order
-floor (``negativity.FIRST_ORDER_FLOOR``), which bounds |u| by about 8.9e3
-at n_max 40 and 3.0e3 at 118; its n_max at least ``blocks.MIN_N_MAX``,
-below which the trips of the u period fail the identity gate, and at most
-``blocks.MAX_N_MAX``, above which its junction fails the drift check; and
-every curve's mode labels must exist at that cutoff.
+ascending, with a finite span (any such u runs: :func:`blocks.free_phases`
+reduces u exactly by the phases' period 2); its n_max at least
+``blocks.MIN_N_MAX``, below which the trips of the u period fail the
+identity gate, and at most ``blocks.MAX_N_MAX``, above which its junction
+fails the drift check; and every curve's mode labels must exist at that
+cutoff.
 
 No trip is assembled: each species' junction passes one identity gate that
 covers every trip of the u period (:func:`blocks.junction`), and the
@@ -196,19 +196,12 @@ class SweepRequest:
                 f"u_stop {self.u_stop} must exceed u_start {self.u_start}: rows run "
                 "over ascending u"
             )
-        check_n_max(self.n_max)
-        # the largest phase argument, 2 pi omega u at the 2 n_max refinement,
-        # is rounded by eps times itself; past the first-order floor that
-        # rounding would pass for a coherence (the grid's span, at most
-        # 2 max|u|, is finite below this bound)
-        limit = negativity.FIRST_ORDER_FLOOR / (sys.float_info.epsilon * 4 * math.pi * self.n_max)
-        if max(abs(self.u_start), abs(self.u_stop)) > limit:
+        if not math.isfinite(self.u_stop - self.u_start):
             raise ConfigError(
-                f"u bounds {self.u_start}, {self.u_stop} overflow the phase argument "
-                f"2 pi omega u at the refinement cutoff {2 * self.n_max}: past |u| = "
-                f"{limit:.6g} its rounding exceeds the first-order floor "
-                f"{negativity.FIRST_ORDER_FLOOR:g}"
+                f"u bounds {self.u_start}, {self.u_stop} span more than the largest "
+                "float, which the u grid cannot step through"
             )
+        check_n_max(self.n_max)
         for curve in self.curves:
             lo, hi = blocks.species_modes(curve.species, self.n_max)[[0, -1]]
             for m in curve.modes:

@@ -319,6 +319,19 @@ def test_free_phases_at_unit_period():
     assert gf.shape == (2, 1, 24) and np.allclose(gf, -1.0, atol=1e-13)
 
 
+@settings(max_examples=50, deadline=None)
+@given(u=st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True))
+def test_free_phases_leave_u_within_a_period_untouched(u):
+    # the period reduction is exact and keeps the sign, so it hands every
+    # |u| < 2 to the phases as it came; a wrap into [0, 2) would round small
+    # negative u
+    modes = blocks.fermion_modes(12)
+    assert np.array_equal(blocks.free_phases("boson", modes, u), np.exp(-2j * np.pi * modes * u))
+    assert np.array_equal(
+        blocks.free_phases("fermion", modes, u), np.exp(-2j * np.pi * (modes + 0.5) * u)
+    )
+
+
 def test_phase_parameter_formula():
     for h, tau in [(0.01, 0.7), (0.2, 3.1)]:
         u = blocks.phase_parameter(h, tau)

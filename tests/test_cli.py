@@ -116,10 +116,8 @@ def test_cutoff_above_the_drift_ceiling_is_a_config_error(argv, capsys):
     "sweep_section,key",
     [("u_start = nan", "u_start"), ("u_stop = inf", "u_stop"),
      ("u_start = 1\nu_stop = 0", "u_stop"), ("u_start = 0.5\nu_stop = 0.5", "u_stop"),
-     ("u_start = -1e308\nu_stop = 1e308", "u bounds"), ("u_stop = 1e308", "u bounds"),
-     ("u_start = 1e17\nu_stop = 1.00000001e17\nsteps = 3", "u bounds")],
-    ids=["nan-start", "inf-stop", "descending", "empty", "overflowing-span",
-         "overflowing-phase", "rounded-phase"],
+     ("u_start = -1e308\nu_stop = 1e308", "u bounds")],
+    ids=["nan-start", "inf-stop", "descending", "empty", "overflowing-span"],
 )
 def test_malformed_u_grid_is_a_config_error(tmp_path, capsys, sweep_section, key):
     path, out = tmp_path / "grid.cfg", tmp_path / "rows.csv"
@@ -130,6 +128,23 @@ def test_malformed_u_grid_is_a_config_error(tmp_path, capsys, sweep_section, key
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sweep_section",
+    ["u_stop = 1e308", "u_start = 1e17\nu_stop = 1.00000001e17\nsteps = 3"],
+    ids=["overflowing-phase", "rounded-phase"],
+)
+def test_far_integer_u_grid_sweeps_to_zero_rows(tmp_path, sweep_section):
+    # every grid point is an integer, where every curve vanishes, and the
+    # phases reduce u by their period exactly, however far u lies
+    path, out = tmp_path / "grid.cfg", tmp_path / "rows.csv"
+    path.write_text(
+        f"[sweep]\n{sweep_section}\n[curve:a]\nspecies = boson\nstate = vacuum\nmodes = 1, 4\n"
+    )
+    assert cli.main(["sweep", str(path), "--out", str(out)]) == cli.EXIT_OK
+    rows = out.read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[1] == "0" for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -275,15 +290,16 @@ def test_sweep_convergence_exit_code(tmp_path, monkeypatch, capsys):
     assert out.exists() and ",false" in out.read_text()
 
 
-def test_power_two_rounding_at_large_u_fails_the_convergence_gate(tmp_path, capsys):
-    # the |u| bound covers first-order rounding only: near its top (8959.6 at
-    # n_max 40) fig1b's fermion h^2 terms, differences of mode sums far larger
-    # than themselves, read about 5.4e-8 at integer u, where every curve is
-    # zero; the convergence gate must flag them, never a silent exit 0
+def test_truncation_floor_at_integer_u_fails_the_convergence_gate(tmp_path, capsys):
+    # at integer u the trip is +-identity and every curve is zero, yet fig1b's
+    # fermion h^2 terms, differences of mode sums, keep the closed route's
+    # truncation floor: about 5.4e-8 at n_max 40, falling about 8x at 2 n_max,
+    # so both deltas read about 0.88; the gate must flag them, never a
+    # silent exit 0
     text = (pathlib.Path(config.__file__).parent / "presets" / "fig1b.cfg").read_text()
-    for key, value in (("u_start", "8957"), ("u_stop", "8959"), ("steps", "3"), ("n_max", "40")):
+    for key, value in (("u_start", "0"), ("u_stop", "2"), ("steps", "3"), ("n_max", "40")):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
-    path, out = tmp_path / "large-u.cfg", tmp_path / "rows.json"
+    path, out = tmp_path / "integer-u.cfg", tmp_path / "rows.json"
     path.write_text(text)
     assert cli.main(["sweep", str(path), "--out", str(out)]) == cli.EXIT_CONVERGENCE
     curves = json.loads(out.read_text())["metadata"]["curves"]

@@ -5,7 +5,6 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
-import math
 import pathlib
 import sys
 import warnings
@@ -132,19 +131,12 @@ def test_request_rejects_labels_beyond_the_cutoff(species, modes, label):
         ({"u_stop": float("nan")}, "u_stop must be finite"),
         ({"u_start": 1.0, "u_stop": 0.0}, "u_stop 0.0 must exceed u_start 1.0"),
         ({"u_start": 0.5, "u_stop": 0.5}, "u_stop 0.5 must exceed u_start 0.5"),
-        # finite bounds whose span, or whose phase arguments at the 2 n_max
-        # refinement, overflow: the grid would hold nan and inf
-        ({"u_start": -1e308, "u_stop": 1e308}, "u bounds -1e[+]308, 1e[+]308 overflow the phase"),
-        ({"u_stop": 1e308}, "u bounds 0.0, 1e[+]308 overflow the phase argument"),
-        # finite phase arguments whose rounding, eps 4 pi n_max max|u| at the
-        # refinement, exceeds the first-order floor: at these integer u every
-        # curve is zero, yet the rows read up to 0.0061
-        ({"u_start": 1e17, "u_stop": 1.00000001e17, "steps": 3},
-         "u bounds 1e[+]17, 1.00000001e[+]17 overflow the phase argument .* past [|]u[|] = 8959[.]6"),
+        # finite bounds whose span overflows: the grid would hold nan and inf
+        ({"u_start": -1e308, "u_stop": 1e308}, "u bounds -1e[+]308, 1e[+]308 span more than"),
     ],
     ids=[
         "nan-start", "minus-inf-start", "inf-stop", "nan-stop", "descending", "empty",
-        "overflowing-span", "overflowing-phase", "rounded-phase",
+        "overflowing-span",
     ],
 )
 def test_request_rejects_malformed_u_grids(bounds, key):
@@ -153,17 +145,36 @@ def test_request_rejects_malformed_u_grids(bounds, key):
 
 
 @pytest.mark.parametrize("n_max", [blocks.MIN_N_MAX, 40, blocks.MAX_N_MAX])
-def test_largest_accepted_integer_u_sweeps_to_zero_rows(n_max):
-    # every curve vanishes at integer u; at the largest accepted |u| the phase
-    # rounding stays under the first-order floor, so fig1a's four curves,
-    # whose h^1 carries them elsewhere, still read exactly zero there
+def test_far_integer_u_sweeps_to_zero_rows(n_max):
+    # every curve vanishes at integer u, and the phases reduce u by their
+    # period exactly, so fig1a's four curves, whose h^1 carries them
+    # elsewhere, read exactly zero however far u lies
     curves = config.load_config("fig1a").curves
-    top = math.floor(negativity.FIRST_ORDER_FLOOR / (np.finfo(float).eps * 4 * math.pi * n_max))
-    with pytest.raises(ConfigError, match="overflow the phase argument"):
-        SweepRequest(curves=curves, u_start=top, u_stop=top + 1, n_max=n_max)
-    result = run_sweep(SweepRequest(curves=curves, u_start=top - 2, u_stop=top, steps=3, n_max=n_max))
+    request = SweepRequest(curves=curves, u_start=1e17, u_stop=1.00000001e17, steps=3, n_max=n_max)
+    result = run_sweep(request)
     assert np.array_equal(result.values, np.zeros((3, len(curves))))
     assert result.all_converged
+
+
+@settings(max_examples=20, deadline=None)
+@given(start=st.integers(0, 2**10), k=st.integers(1, 2**43))
+def test_shifting_u_by_whole_periods_changes_no_bit(start, k):
+    # every phase repeats after u -> u + 2, and on a dyadic grid below 2^45
+    # u + 2k is exact, so the reduced phases, and with them every sweep
+    # output and every trip, are the unshifted ones bit for bit
+    u = start / 64
+    for preset in ("fig1a", "fig1b"):
+        curves = config.load_config(preset).curves
+        base, shifted = (
+            run_sweep(SweepRequest(curves=curves, u_start=x, u_stop=x + 1.0, steps=65))
+            for x in (u, u + 2 * k)
+        )
+        assert np.array_equal(shifted.values, base.values)
+        assert (shifted.powers, shifted.deltas) == (base.powers, base.deltas)
+    for species in ("boson", "fermion"):
+        j = blocks.junction(species, 40)
+        for x, y in zip(*(dataclasses.astuple(blocks.trip(j, v)) for v in (u, u + 2 * k))):
+            assert np.array_equal(x, y)
 
 
 def test_request_cutoff_ceiling_is_the_drift_ceiling():

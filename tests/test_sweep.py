@@ -144,16 +144,35 @@ def test_request_rejects_malformed_u_grids(bounds, key):
         SweepRequest(curves=(_curve(),), **bounds)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [{"u_stop": 1e308}, {"u_start": 1e17, "u_stop": 1.00000001e17, "steps": 3}],
+    ids=["overflowing-phase", "rounded-phase"],
+)
+def test_request_accepts_far_integer_u_grids(bounds):
+    # far finite bounds with a finite span make a grid of finite integer u;
+    # the phases reduce u by their period, so no |u| bound rejects them
+    grid = SweepRequest(curves=(_curve(),), **bounds).grid()
+    assert np.all(np.isfinite(grid)) and np.array_equal(np.fmod(grid, 1.0), np.zeros_like(grid))
+
+
 @pytest.mark.parametrize("n_max", [blocks.MIN_N_MAX, 40, blocks.MAX_N_MAX])
-def test_far_integer_u_sweeps_to_zero_rows(n_max):
+def test_largest_accepted_integer_u_sweeps_to_zero_rows(n_max):
     # every curve vanishes at integer u, and the phases reduce u by their
     # period exactly, so fig1a's four curves, whose h^1 carries them
-    # elsewhere, read exactly zero however far u lies
+    # elsewhere, read exactly zero however far u lies: near 1e17 and up to
+    # the largest float, the largest accepted u; the next float, inf, is rejected
     curves = config.load_config("fig1a").curves
-    request = SweepRequest(curves=curves, u_start=1e17, u_stop=1.00000001e17, steps=3, n_max=n_max)
-    result = run_sweep(request)
-    assert np.array_equal(result.values, np.zeros((3, len(curves))))
-    assert result.all_converged
+    top = sys.float_info.max
+    with pytest.raises(ConfigError, match="u_stop must be finite"):
+        SweepRequest(curves=curves, u_start=top, u_stop=float("inf"), n_max=n_max)
+    below = top - 2 * (top - np.nextafter(top, 0.0))
+    for u_start, u_stop in ((1e17, 1.00000001e17), (below, top)):
+        request = SweepRequest(curves=curves, u_start=u_start, u_stop=u_stop, steps=3, n_max=n_max)
+        assert request.grid()[-1] == u_stop
+        result = run_sweep(request)
+        assert np.array_equal(result.values, np.zeros((3, len(curves))))
+        assert result.all_converged
 
 
 @settings(max_examples=20, deadline=None)
